@@ -13,13 +13,14 @@ Rules (finding codes):
 
 ``hot-loop-alloc``
     An allocating construct lexically inside a ``while`` loop of a hot
-    function: dict/set displays, comprehensions and generator
-    expressions, lambdas and nested ``def``, f-strings, and calls to
-    allocating builtins (``list``, ``dict``, ``set``, ``sorted``,
-    ``enumerate``, ...). Plain list/tuple displays are allowed — the
-    calendar queue's ``[seq, kind, payload]`` triples *are* the data
-    format. Anything under a ``raise`` is exempt: error paths are cold
-    by definition.
+    function — or anywhere in a per-call target (``PER_CALL_TARGETS``),
+    whose whole body runs once per event: dict/set displays,
+    comprehensions and generator expressions, lambdas and nested
+    ``def``, f-strings, and calls to allocating builtins (``list``,
+    ``dict``, ``set``, ``sorted``, ``enumerate``, ...). Plain list/tuple
+    displays are allowed — the calendar queue's ``[seq, kind, payload]``
+    triples *are* the data format. Anything under a ``raise`` is exempt:
+    error paths are cold by definition.
 
 ``hot-self-attr``
     A ``self.<attr>`` access inside the drain loop of a function that
@@ -56,6 +57,7 @@ from repro.analyze.report import Finding, Report
 
 __all__ = [
     "HOT_TARGETS",
+    "PER_CALL_TARGETS",
     "SLOTS_REQUIRED",
     "lint_source",
     "lint_file",
@@ -124,7 +126,15 @@ HOT_TARGETS: tuple[tuple[str, str, tuple[str, ...]], ...] = (
     # per-event monitor dispatch, so every method stays under the lint.
     ("repro/affinity/controller.py", "AdaptiveController.run", ("alloc",)),
     ("repro/affinity/telemetry.py", "WindowTelemetry", ("alloc", "tap")),
+    # OS placement runs on every dispatch attempt; its per-node free
+    # masks exist so that no candidate list is built per call.
+    ("repro/sim/scheduler.py", "OSScheduler.place", ("alloc",)),
 )
+
+#: Hot targets called once per event instead of draining a loop of their
+#: own: the whole body is the hot path, so the rules apply outside
+#: ``while`` loops too.
+PER_CALL_TARGETS = frozenset({"OSScheduler.place"})
 
 #: Classes that must keep ``__slots__`` (path -> class names).
 SLOTS_REQUIRED: dict[str, tuple[str, ...]] = {
@@ -202,14 +212,14 @@ class _HotScanner:
 
     # -- traversal -----------------------------------------------------------
 
-    def scan(self, fn: ast.AST) -> None:
+    def scan(self, fn: ast.AST, *, per_call: bool = False) -> None:
         if isinstance(fn, ast.ClassDef):
             for child in fn.body:
                 if isinstance(child, _FUNCS):
-                    self.scan(child)
+                    self.scan(child, per_call=per_call)
             return
         for stmt in fn.body:
-            self._visit(stmt, in_while=False, guarded=False, cold=False)
+            self._visit(stmt, in_while=per_call, guarded=False, cold=False)
 
     def _visit(self, node: ast.AST, *, in_while: bool, guarded: bool,
                cold: bool) -> None:
@@ -358,12 +368,14 @@ def lint_source(
     qualname: str | None = None,
     rules: tuple[str, ...] = ("alloc", "self-attr", "tap"),
     slots_classes: tuple[str, ...] = (),
+    per_call: bool = False,
 ) -> list[Finding]:
     """Lint one source string.
 
     With *qualname* set, only that function/class is scanned; otherwise
     every top-level function and class method is treated as hot (the
-    test-facing mode).
+    test-facing mode). *per_call* scans whole bodies, not only their
+    ``while`` loops (see ``PER_CALL_TARGETS``).
     """
     tree = ast.parse(source)
     suppressed = _suppressions(source)
@@ -379,11 +391,11 @@ def lint_source(
                 file=path, line=1,
             ))
         else:
-            scanner.scan(node)
+            scanner.scan(node, per_call=per_call)
     else:
         for child in tree.body:
             if isinstance(child, _FUNCS + (ast.ClassDef,)):
-                scanner.scan(child)
+                scanner.scan(child, per_call=per_call)
     if slots_classes:
         _check_slots(tree, path, slots_classes, suppressed, findings)
     return findings
@@ -412,7 +424,7 @@ def lint_file(
                 file=display_path, line=1,
             ))
             continue
-        scanner.scan(node)
+        scanner.scan(node, per_call=qualname in PER_CALL_TARGETS)
     if slots_classes:
         _check_slots(tree, display_path, slots_classes, suppressed, findings)
     return findings

@@ -15,7 +15,8 @@ live, via the native observe taps (both cores, bucket granularity):
   * ``clock-monotonic`` — ``engine.now`` is nondecreasing across every
     touch/block/finish/place callback;
   * ``occupancy`` — at every ``on_place(pu, thread)`` the scheduler's
-    busy map says *thread* occupies *pu*;
+    busy map says *thread* occupies *pu* and *pu*'s bit is clear in its
+    NUMA node's free mask;
   * ``touch-bytes`` — observed touch sizes are nonnegative.
 
 post-run, in ``verify()`` (clean completions only):
@@ -23,8 +24,8 @@ post-run, in ``verify()`` (clean completions only):
   * ``counters`` — per-thread counters nonnegative, remote traffic
     bounded by total traffic, and compute+control kind-splits conserve
     against the machine totals;
-  * ``scheduler-idle`` — the busy map and per-NUMA load counts drained
-    to empty/zero;
+  * ``scheduler-idle`` — the busy map drained to empty and every
+    per-NUMA free mask back to the node's full PU set;
   * ``observer-conservation`` — folded per-PU busy cycles equal the
     per-thread busy cycles, and registry totals match engine/ring
     ground truth;
@@ -113,13 +114,20 @@ class SimSanitizer:
 
     def on_place(self, pu: int, thread) -> None:
         self._check_clock()
-        occupant = self.machine.scheduler.thread_on(pu)
+        sched = self.machine.scheduler
+        occupant = sched.thread_on(pu)
         if occupant is not thread:
             self._fail(
                 "occupancy",
                 f"on_place({pu}, {thread.name!r}) but the scheduler's "
                 f"busy map holds "
                 f"{occupant.name if occupant is not None else None!r}",
+            )
+        if sched._node_free[self.machine.memory.pu_numa_map[pu]] >> pu & 1:
+            self._fail(
+                "occupancy",
+                f"on_place({pu}, {thread.name!r}) but PU {pu} is still "
+                "set in its NUMA node's free mask",
             )
 
     def attach(self) -> None:
@@ -190,12 +198,13 @@ class SimSanitizer:
                     f"PU {pu} still occupied by {occupant.name!r} after "
                     "the run drained",
                 )
-        for node, load in sched._node_load.items():
+        for node, free in enumerate(sched._node_free):
             self.checks += 1
-            if load != 0:
+            if free != sched._node_pus[node]:
                 self._fail(
                     "scheduler-idle",
-                    f"NUMA node {node} load count ended at {load}, not 0",
+                    f"NUMA node {node} free mask ended at {free:#x}, not "
+                    f"its full PU set {sched._node_pus[node]:#x}",
                 )
 
     def _verify_observer(self, machine) -> None:

@@ -18,10 +18,14 @@ from __future__ import annotations
 import dataclasses
 from collections.abc import Callable
 from dataclasses import dataclass
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.errors import ReproError
-from repro.experiments.runner import Scale
+
+if TYPE_CHECKING:  # pragma: no cover
+    # repro.experiments imports repro.parallel at module top; importing
+    # it back here at load time would be a cycle.
+    from repro.experiments.runner import Scale
 
 __all__ = ["Job", "CELLS", "make_job", "run_cell", "encode_scale", "decode_scale"]
 
@@ -32,6 +36,8 @@ def encode_scale(scale: Scale) -> tuple[tuple[str, Any], ...]:
 
 
 def decode_scale(pairs) -> Scale:
+    from repro.experiments.runner import Scale
+
     return Scale(**dict(pairs))
 
 

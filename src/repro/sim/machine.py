@@ -560,7 +560,7 @@ class SimMachine:
         node_free_at = self.memory.free_at_list()
         sched = self.scheduler
         busy_map = sched._busy
-        node_load = sched._node_load
+        node_free = sched._node_free
         place = sched.place
         rng = self._rng
         ready = self._ready
@@ -671,7 +671,7 @@ class SimMachine:
             if busy_map[pu] is None:
                 raise SimulationError(f"PU {pu} is not busy")
             busy_map[pu] = None
-            node_load[pu_numa[pu]] -= 1
+            node_free[pu_numa[pu]] ^= 1 << pu
             thread.pu = None
             if thread.kind == "compute":
                 for sib in sibling_pus[pu]:
@@ -690,7 +690,7 @@ class SimMachine:
             if busy_map[pu] is not None:
                 raise SimulationError(f"PU {pu} already busy")
             busy_map[pu] = thread
-            node_load[pu_numa[pu]] += 1
+            node_free[pu_numa[pu]] ^= 1 << pu
             if on_place is not None:
                 # Mirrors OSScheduler.occupy: hooks fire with the busy map
                 # already updated, before the run transition is recorded.

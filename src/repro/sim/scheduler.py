@@ -21,6 +21,9 @@ follow them) in the native, non-affinity runs.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import or_
+
 from repro.errors import SimulationError
 from repro.sim.memory import MemorySystem
 from repro.sim.process import SimThread
@@ -30,7 +33,7 @@ __all__ = ["OSScheduler"]
 
 
 class OSScheduler:
-    """Chooses a PU for each ready thread; tracks per-node load."""
+    """Chooses a PU for each ready thread; tracks free PUs per node."""
 
     POLICIES = ("consolidate", "spread")
 
@@ -64,9 +67,13 @@ class OSScheduler:
         #: the same point (busy map updated, transition not yet traced).
         self.on_place: list = []
         self._busy: dict[int, SimThread | None] = {p: None for p in self._all_pus}
-        self._node_load: dict[int, int] = {
-            i: 0 for i in range(len(topology.numa_nodes))
-        }
+        #: Int bitmasks per NUMA node (bit p = PU p): ``_node_pus`` all its
+        #: PUs, ``_node_free`` the free ones — the flat cores flip those
+        #: bits in place. A node's load is the popcount of the difference.
+        self._node_pus = [0] * len(topology.numa_nodes)
+        for pu, node in memory.pu_numa_map.items():
+            self._node_pus[node] |= 1 << pu
+        self._node_free = list(self._node_pus)
 
     # -- occupancy bookkeeping (machine calls these) -----------------------------
 
@@ -74,7 +81,7 @@ class OSScheduler:
         if self._busy[pu] is not None:
             raise SimulationError(f"PU {pu} already busy")
         self._busy[pu] = thread
-        self._node_load[self.memory.pu_numa_map[pu]] += 1
+        self._node_free[self.memory.pu_numa_map[pu]] ^= 1 << pu
         # Guarded: occupy sits on the hot wakeup path, and the on_place
         # tap exists only for repro.analyze.dynamic runs.
         if self.on_place:
@@ -85,7 +92,7 @@ class OSScheduler:
         if self._busy[pu] is None:
             raise SimulationError(f"PU {pu} is not busy")
         self._busy[pu] = None
-        self._node_load[self.memory.pu_numa_map[pu]] -= 1
+        self._node_free[self.memory.pu_numa_map[pu]] ^= 1 << pu
 
     def thread_on(self, pu: int) -> SimThread | None:
         return self._busy.get(pu)
@@ -120,68 +127,59 @@ class OSScheduler:
 
         Sticky by default (reuse ``last_pu`` when free); a *rebalance* call
         ignores stickiness and re-applies the policy, which may migrate the
-        thread.
+        thread. Answered from the busy map and the per-node free masks.
         """
-        if thread.cpuset is not None:
-            # Sticky fast path: a bound thread whose last PU is free and
-            # allowed reuses it without materializing the candidate list
-            # (bound threads never take the wakeup-migrate branch below).
-            last = thread.last_pu
-            if (
-                not rebalance
-                and last is not None
-                and self._busy.get(last) is None
-                and last in thread.cpuset
-            ):
-                return last
-            candidates = [p for p in thread.cpuset if self._busy.get(p) is None]
-        else:
-            candidates = self.free_pus
-        if not candidates:
-            return None
-        if not rebalance and thread.last_pu in candidates:
+        last = thread.last_pu
+        cpuset = thread.cpuset
+        rng = self._rng
+        if not rebalance and last is not None and self._busy[last] is None:
+            if cpuset is not None:
+                if last in cpuset:
+                    return last
             # Sticky placement — except that the OS occasionally wake-
             # balances unbound threads onto the policy's preferred PU.
-            if (
-                thread.cpuset is None
-                and self._rng is not None
-                and self.wakeup_migrate_prob > 0.0
-                and self._rng.random() < self.wakeup_migrate_prob
-            ):
-                pass  # fall through to the policy choice below
-            else:
-                return thread.last_pu
-        if thread.cpuset is not None:
+            elif rng is None or self.wakeup_migrate_prob <= 0.0 or \
+                    rng.random() >= self.wakeup_migrate_prob:
+                return last
+        node_free = self._node_free
+        if cpuset is not None:
             # Bound threads keep cpuset order (deterministic, no policy).
-            return candidates[0]
-        if thread.last_pu is None and self.policy == "consolidate":
+            free = cpuset.bits & reduce(or_, node_free)
+            return (free & -free).bit_length() - 1 if free else None
+        if not any(node_free):
+            return None
+        if last is None and self.policy == "consolidate":
             # Fork placement under the consolidating kernel (Linux 3.10):
             # a new thread starts near its parent (the main thread on
             # node 0) and is only balanced away later — which is why
             # native runs first-touch their data on the low nodes. The
             # old spreading kernel (2.6.32) distributes at fork already.
-            first_node = min(
-                self.memory.numa_of_pu(p) for p in candidates
-            )
-            near = [
-                p for p in candidates if self.memory.numa_of_pu(p) == first_node
-            ]
-            return min(near)
-        if (
-            rebalance
-            and self._rng is not None
-            and self.migrate_prob > 0.0
-            and len(candidates) > 1
-            and self._rng.random() < self.migrate_prob
-        ):
-            # Model CFS load-balancing churn: an actual move to some other
-            # eligible PU, not the policy's first choice.
-            others = [p for p in candidates if p != thread.last_pu]
-            return int(others[self._rng.integers(0, len(others))])
+            for m in node_free:
+                if m:
+                    return (m & -m).bit_length() - 1
+        if rebalance and rng is not None and self.migrate_prob > 0.0:
+            free = reduce(or_, node_free)
+            if free & (free - 1) and rng.random() < self.migrate_prob:
+                # Model CFS load-balancing churn: a move to a random other
+                # free PU (k-th in PU order), not the policy's first choice.
+                if last is not None:
+                    free &= ~(1 << last)
+                for _ in range(rng.integers(0, free.bit_count())):
+                    free &= free - 1
+                return (free & -free).bit_length() - 1
         if self.policy == "consolidate":
-            return min(candidates)
-        # spread: least-loaded NUMA node, lowest PU within it.
-        def node_key(p: int) -> tuple[int, int]:
-            return (self._node_load[self.memory.numa_of_pu(p)], p)
-
-        return min(candidates, key=node_key)
+            free = reduce(or_, node_free)
+            return (free & -free).bit_length() - 1
+        # spread: least-loaded NUMA node (fewest busy PUs), lowest free PU
+        # in it; a node's lowest free bit orders like that PU's number.
+        load_min = low_min = 0
+        node_pus = self._node_pus
+        for node in range(len(node_free)):
+            free = node_free[node]
+            if free:
+                load = (node_pus[node] ^ free).bit_count()
+                if not low_min or load < load_min or (
+                    load == load_min and free & -free < low_min
+                ):
+                    load_min, low_min = load, free & -free
+        return low_min.bit_length() - 1

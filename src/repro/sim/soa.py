@@ -156,7 +156,7 @@ def run_soa(machine, *, max_cycles, max_events, jit=False):
     node_free_at = machine.memory.free_at_list()
     sched = machine.scheduler
     busy_map = sched._busy
-    node_load = sched._node_load
+    node_free = sched._node_free
     place = sched.place
     rng = machine._rng
     ready = machine._ready
@@ -294,7 +294,7 @@ def run_soa(machine, *, max_cycles, max_events, jit=False):
         if busy_map[pu] is None:
             raise SimulationError(f"PU {pu} is not busy")
         busy_map[pu] = None
-        node_load[pu_numa[pu]] -= 1
+        node_free[pu_numa[pu]] ^= 1 << pu
         thread.pu = None
         col_pu[thread.tid] = -1
         if thread.kind == "compute":
@@ -314,7 +314,7 @@ def run_soa(machine, *, max_cycles, max_events, jit=False):
         if busy_map[pu] is not None:
             raise SimulationError(f"PU {pu} already busy")
         busy_map[pu] = thread
-        node_load[pu_numa[pu]] += 1
+        node_free[pu_numa[pu]] ^= 1 << pu
         if on_place is not None:
             # Mirrors OSScheduler.occupy: hooks fire with the busy map
             # already updated, before the run transition is recorded.

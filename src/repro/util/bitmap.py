@@ -77,6 +77,11 @@ class Bitmap:
 
     # -- queries -----------------------------------------------------------
 
+    @property
+    def bits(self) -> int:
+        """The set as an int bit field (bit i = index i)."""
+        return self._bits
+
     def __contains__(self, index: int) -> bool:
         return index >= 0 and bool(self._bits >> index & 1)
 

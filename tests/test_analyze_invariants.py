@@ -154,6 +154,48 @@ class TestViolationDetection:
         with pytest.raises(InvariantViolation):
             machine.sanitizer.verify(machine)
 
+    @staticmethod
+    def _flip_mid_run(core: str, pu: int) -> SimMachine:
+        """Run bound yielding threads on PUs 0/2/4/6 and flip *pu*'s bit in
+        its node's free mask from an engine event mid-run."""
+        from repro.sim import YieldCPU
+
+        machine = SimMachine(smp12e5(), core=core)
+        buf = machine.allocate(1 << 16, "b")
+
+        def body():
+            for _ in range(20):
+                yield Compute(1e5)
+                yield Touch(buf, 4096, write=True)
+                yield YieldCPU()
+
+        for i in range(4):
+            machine.add_thread(f"t{i}", body(), cpuset=Bitmap.single(2 * i))
+        sched = machine.scheduler
+        node = machine.memory.pu_numa_map[pu]
+
+        def flip():
+            sched._node_free[node] ^= 1 << pu
+
+        machine.engine.schedule(5e5, flip)
+        machine.run()
+        return machine
+
+    @pytest.mark.parametrize("core", ["object", "batched", "soa"])
+    def test_flipped_mask_bit_of_placed_pu_fires(self, core, monkeypatch):
+        # PU 0 keeps being re-placed after the flip, so the live on_place
+        # check sees its bit set while t0 occupies it.
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        with pytest.raises(InvariantViolation, match="occupancy.*free mask"):
+            self._flip_mid_run(core, 0)
+
+    @pytest.mark.parametrize("core", ["object", "batched", "soa"])
+    def test_flipped_mask_bit_of_idle_pu_fails_drain(self, core, monkeypatch):
+        # Nothing is ever placed on PU 100: only the drain check sees it.
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        with pytest.raises(InvariantViolation, match="scheduler-idle"):
+            self._flip_mid_run(core, 100)
+
     def test_violation_is_simulation_error(self):
         from repro.errors import SimulationError
 

@@ -192,3 +192,38 @@ class TestTargetResolution:
         findings = lint(src, qualname="Engine.run", rules=("alloc",))
         assert len(findings) == 1
         assert "Engine.run" in findings[0].message or findings[0].line == 5
+
+
+class TestPerCallTargets:
+    def test_whole_body_scanned(self):
+        src = """
+            def place(free):
+                candidates = [p for p in free if p]
+                return candidates[0]
+        """
+        assert codes(lint(src, per_call=True)) == ["hot-loop-alloc"]
+        assert lint(src) == []
+
+    def test_list_scan_placement_flagged(self):
+        # The list-scan place() the per-node masks replaced: the guard
+        # must catch its candidate lists, node_key closure and generator.
+        import inspect
+
+        from tests.harness.sched_oracle import ListScanScheduler
+
+        src = inspect.getsource(ListScanScheduler)
+        findings = lint(src, qualname="ListScanScheduler.place",
+                        rules=("alloc",), per_call=True)
+        assert len(findings) >= 4
+        assert set(codes(findings)) == {"hot-loop-alloc"}
+
+    def test_scheduler_place_guarded_without_suppressions(self):
+        from pathlib import Path
+
+        import repro.sim.scheduler as scheduler
+        from repro.analyze.hotlint import HOT_TARGETS, PER_CALL_TARGETS
+
+        assert ("repro/sim/scheduler.py", "OSScheduler.place",
+                ("alloc",)) in HOT_TARGETS
+        assert "OSScheduler.place" in PER_CALL_TARGETS
+        assert "hotlint:" not in Path(scheduler.__file__).read_text()

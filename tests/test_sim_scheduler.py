@@ -10,6 +10,7 @@ from repro.sim.scheduler import OSScheduler
 from repro.topology import fig2_machine, smp12e5, smp20e7
 from repro.util.bitmap import Bitmap
 from repro.util.rng import make_rng
+from tests.harness.sched_oracle import drive, skewed_machine
 
 
 def make_sched(topo=None, policy=None, **kw):
@@ -115,3 +116,26 @@ class TestPlacement:
     def test_policy_from_topology_attr(self):
         assert make_sched(smp20e7()).policy == "spread"
         assert make_sched(smp12e5()).policy == "consolidate"
+
+
+class TestAgainstListScan:
+    """The mask-based place() against the list-scan oracle it replaced."""
+
+    MACHINES = {"fig2": fig2_machine, "smp12e5": smp12e5, "smp20e7": smp20e7,
+                "skewed": skewed_machine}
+
+    @pytest.mark.parametrize("probs", [(0.0, 0.0), (0.3, 0.12), (1.0, 1.0)],
+                             ids=["off", "default", "always"])
+    @pytest.mark.parametrize("policy", OSScheduler.POLICIES)
+    @pytest.mark.parametrize("machine", sorted(MACHINES))
+    def test_same_pu_and_rng_every_call(self, machine, policy, probs):
+        migrate, wakeup = probs
+        stats = drive(self.MACHINES[machine](), policy=policy,
+                      migrate_prob=migrate, wakeup_migrate_prob=wakeup,
+                      seed=len(machine) * 31 + len(policy), steps=4000)
+        # The sequence reached every branch class it is meant to cover.
+        assert stats.decisions > 2500
+        assert stats.saturated > 0 and stats.none > stats.saturated
+        assert stats.moved > 0
+        assert 0 < stats.rebalanced < stats.decisions
+        assert set(stats.by_cpuset) == {"unbound", "single", "multi"}
