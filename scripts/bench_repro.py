@@ -25,9 +25,6 @@ Two modes:
 
     * core gate — batched must keep a real edge over the object core
       (recorded speedup discounted 50%, floored at 1.2x);
-    * SoA gate — the wide lockstep workload on the SoA core must reach
-      >= 3x the classic batched ring's event rate, pair by pair (the
-      tentpole throughput claim, drift-cancelled);
     * observability gate — the fully tapped run must stay within
       ``--tolerance`` (default 30%; the honest interleaved measurement
       puts the true tap cost at ~15-20%, where the old best-vs-best
@@ -134,175 +131,6 @@ def engine_ring_events(
     events[0].signal()
     machine.run()
     return machine.engine.events_processed, time.perf_counter() - t0
-
-
-def engine_wide_events(core: str = "soa") -> tuple[int, float]:
-    """The wide lockstep workload: one bound thread per PU of SMP12E5.
-
-    Every thread runs the same Compute+Touch loop, so all 192 quanta
-    expire at the same virtual instants — the full-machine steady state
-    the SoA core's vectorized drain targets. This is the workload behind
-    the tentpole ">= 3x the batched ring rate" claim; the serial ring
-    above (where nothing can vectorize) is kept as the honest
-    worst case. Construction is timed in, like every engine probe.
-    """
-    from repro.sim import Compute, SimMachine, Touch
-    from repro.topology import smp12e5
-    from repro.util.bitmap import Bitmap
-
-    t0 = time.perf_counter()
-    machine = SimMachine(smp12e5(), core=core)
-
-    def worker(buf):
-        for _ in range(8):
-            yield Compute(2e8)
-            yield Touch(buf, 1 << 16, write=True)
-
-    for i, pu in enumerate(machine.topology.pus):
-        buf = machine.allocate(1 << 16, f"wbuf{i}")
-        machine.add_thread(
-            f"w{i}", worker(buf), cpuset=Bitmap.single(pu.os_index)
-        )
-    machine.run()
-    return machine.engine.events_processed, time.perf_counter() - t0
-
-
-def engine_chain_events(
-    core: str = "soa", *, chase: bool = True, stages: int = 8,
-    loops: int = 1500,
-) -> tuple[int, float]:
-    """A *genuinely serial* token-passing chain: one event ready at a time.
-
-    Unlike the classic ring probe — whose 32 stages all compute before
-    their first Wait, so ~32 tokens circulate concurrently and the
-    calendar always holds many buckets — every stage here waits FIRST,
-    and a single external signal starts one token around the loop. At
-    any virtual instant exactly one thread is runnable, which is the
-    pure serial-dependency worst case the chain chase (and, with numba,
-    the run-ahead kernel) targets: the emitted completion is provably
-    the next event anywhere. ``chase=False`` measures the same workload
-    with the fast path disabled, for paired feature-on/off ratios.
-    Construction is timed in, like every engine probe.
-    """
-    from repro.sim import Compute, SimMachine, Wait
-    from repro.sim.params import SimLimits
-    from repro.topology import smp12e5
-    from repro.util.bitmap import Bitmap
-
-    t0 = time.perf_counter()
-    machine = SimMachine(
-        smp12e5(), core=core, limits=SimLimits(chase=chase)
-    )
-    events = [machine.event(f"e{i}") for i in range(stages)]
-
-    def stage(i):
-        nxt = events[(i + 1) % stages]
-        for _ in range(loops):
-            yield Wait(events[i])
-            yield Compute(1e4)
-            nxt.signal()
-
-    for i in range(stages):
-        machine.add_thread(f"s{i}", stage(i), cpuset=Bitmap.single(2 * i))
-    events[0].signal()
-    machine.run()
-    return machine.engine.events_processed, time.perf_counter() - t0
-
-
-def chain_chase_stats() -> dict:
-    """One serial-chain run on the SoA core, reporting the chase counters.
-
-    Separate from :func:`engine_chain_events` (whose return shape feeds
-    the paired-ratio helpers) so BENCH_sim.json can record how many
-    events the run-ahead paths actually absorbed.
-    """
-    from repro.sim import Compute, SimMachine, Wait
-    from repro.sim.params import SimLimits
-    from repro.topology import smp12e5
-    from repro.util.bitmap import Bitmap
-
-    machine = SimMachine(smp12e5(), core="soa", limits=SimLimits())
-    events = [machine.event(f"e{i}") for i in range(8)]
-
-    def stage(i):
-        nxt = events[(i + 1) % 8]
-        for _ in range(300):
-            yield Wait(events[i])
-            yield Compute(1e4)
-            nxt.signal()
-
-    for i in range(8):
-        machine.add_thread(f"s{i}", stage(i), cpuset=Bitmap.single(2 * i))
-    events[0].signal()
-    machine.run()
-    return {
-        "events": machine.engine.events_processed,
-        "chase_events": machine.core_stats.get("chase_events", 0),
-        "jit_events": machine.core_stats.get("jit_events", 0),
-        "core_used": machine.core_used,
-    }
-
-
-def engine_soa_jit_probe() -> dict:
-    """Wide lockstep on the SoA core with the compiled run-ahead kernel.
-
-    When numba is not installed the probe records an explicit
-    ``skipped: "numba unavailable"`` entry — never a silent pass — so a
-    container without the ``repro[jit]`` extra still documents that the
-    kernel went unmeasured. With numba, it records the jit-on wide rate,
-    the paired ratio against the interpreted SoA wide run, and how many
-    events the kernel absorbed.
-    """
-    from repro.sim.jit import HAVE_NUMBA
-
-    if not HAVE_NUMBA:
-        return {"skipped": "numba unavailable"}
-
-    import statistics
-
-    from repro.sim import Compute, SimMachine, Touch
-    from repro.sim.params import SimLimits
-    from repro.topology import smp12e5
-    from repro.util.bitmap import Bitmap
-
-    def wide(jit: str) -> tuple[int, float]:
-        t0 = time.perf_counter()
-        machine = SimMachine(
-            smp12e5(), core="soa", limits=SimLimits(jit=jit)
-        )
-
-        def worker(buf):
-            for _ in range(8):
-                yield Compute(2e8)
-                yield Touch(buf, 1 << 16, write=True)
-
-        for i, pu in enumerate(machine.topology.pus):
-            buf = machine.allocate(1 << 16, f"jbuf{i}")
-            machine.add_thread(
-                f"w{i}", worker(buf), cpuset=Bitmap.single(pu.os_index)
-            )
-        machine.run()
-        wide.last = machine  # noqa: B010 — stats for the record below
-        return machine.engine.events_processed, time.perf_counter() - t0
-
-    # dt_num/dt_den with the interpreted run in the numerator: the
-    # recorded median is "how many times longer the interpreter takes",
-    # i.e. the kernel's paired speedup.
-    ratios, rate_py, rate_jit = _paired_ratios(
-        lambda: wide("off"), lambda: wide("on"), 3
-    )
-    wide("on")  # one more kernel run so the recorded stats are jit-on
-    m = wide.last
-    return {
-        "events": m.engine.events_processed,
-        "jit_events": m.core_stats.get("jit_events", 0),
-        "core_used": m.core_used,
-        "wide_events_per_second": rate_jit,
-        "wide_interpreted_events_per_second": rate_py,
-        "jit_speedup_vs_interpreted": (
-            round(statistics.median(ratios), 2) if ratios else None
-        ),
-    }
 
 
 def shard_smoke() -> dict:
@@ -705,36 +533,6 @@ def _paired_ratios(
     return ratios, rate_num, rate_den
 
 
-def _paired_rate_ratios(
-    run_num, run_den, pairs: int, inner: int = 3
-) -> tuple[list, float, float]:
-    """Like :func:`_paired_ratios` but for *different* workloads.
-
-    The two sides process different event counts, so the comparable
-    quantity is the per-pair event-rate ratio ``(ev_n/dt_n)/(ev_d/dt_d)``
-    rather than the raw time ratio. Same warmup, interleaving, and
-    inner best-of filtering.
-    """
-    run_den()
-    run_num()
-    ratios: list[float] = []
-    rate_num = rate_den = 0.0
-    for _ in range(pairs):
-        ev_d, dt_d = min(
-            (run_den() for _ in range(inner)), key=lambda r: r[1]
-        )
-        ev_n, dt_n = min(
-            (run_num() for _ in range(inner)), key=lambda r: r[1]
-        )
-        if dt_d > 0 and dt_n > 0:
-            rn = ev_n / dt_n
-            rd = ev_d / dt_d
-            ratios.append(rn / rd)
-            rate_num = max(rate_num, rn)
-            rate_den = max(rate_den, rd)
-    return ratios, rate_num, rate_den
-
-
 def _best_of(run, n: int) -> tuple[int, float]:
     """One warmup pass, then the fastest of *n* timed runs."""
     run()
@@ -757,17 +555,15 @@ def run_check(
        ``batched_vs_object_speedup`` but is discounted 50% (and floored
        at 1.2x), so a generation recorded on a fast container can't
        fail a healthy run on a loaded one;
-    3. SoA gate — the wide lockstep workload on the SoA core must run at
-       >= 3x the classic batched ring's event rate (median per-pair rate
-       ratio): the tentpole claim, re-proven on every check;
-    4. observability gate — the fully tapped batched run (metrics +
+    3. observability gate — the fully tapped batched run (metrics +
        1-in-16 sampled busy tracing) must stay within *tolerance* of
        the untapped batched run; a median *negative* overhead is
        reported as an unstable measurement, not a win;
-    5. shard gate — the 2-shard smoke's fingerprint must match between
+    4. shard gate — the 2-shard smoke's fingerprint must match between
        1 and 2 workers;
-    6. mapping gate (skipped by ``quick``) — probe vs numpy canary
-       within 2x of the recorded ratio.
+    5. the full check (not ``quick``) adds the shard scaling, mapping
+       (probe vs numpy canary within 2x of the recorded ratio) and
+       adaptive-remap gates.
 
     Recorded absolute rates in BENCH_sim.json (which have swung 40%
     between runs of the same code on the shared container) are never
@@ -822,96 +618,6 @@ def run_check(
     )
     if regressed:
         return 1
-
-    # SoA gate: wide lockstep on the SoA core vs the classic batched
-    # ring, per-pair *rate* ratio (different workloads). The >= 3x bound
-    # is the tentpole acceptance criterion stated against the recorded
-    # ring rate; measuring the ring side fresh in each pair keeps the
-    # comparison drift-cancelled instead of trusting a stale number.
-    ratios, rate_soa, rate_ring = _paired_rate_ratios(
-        lambda: engine_wide_events("soa"),
-        lambda: engine_ring_events("batched"),
-        pairs,
-    )
-    soa_ratio = statistics.median(ratios) if ratios else 0.0
-    soa_regressed = soa_ratio < 3.0
-    verdict = "REGRESSION" if soa_regressed else "ok"
-    print(
-        f"bench_repro --check: engine_soa wide {rate_soa:,.0f} ev/s vs "
-        f"batched ring {rate_ring:,.0f}, median paired rate ratio "
-        f"{soa_ratio:.2f}x (required >= 3.00x) [{verdict}]"
-    )
-    if soa_regressed:
-        return 1
-
-    # Serial-chain gate: the chain chase, feature-on vs feature-off on
-    # the genuinely serial token chain, paired so container drift
-    # cancels. The chase must never make the serial worst case slower
-    # (>= 0.95 allows pure measurement jitter); how much it helps on
-    # this container is printed but not gated — the shared box has
-    # swung 40% between identical runs.
-    ratios, _, _ = _paired_ratios(
-        lambda: engine_chain_events("soa", chase=True),
-        lambda: engine_chain_events("soa", chase=False),
-        pairs,
-    )
-    # dt_chase / dt_nochase: < 1.0 means the chase is winning.
-    chase_cost = statistics.median(ratios) if ratios else 1.0
-    chase_regressed = chase_cost > 1.05
-    verdict = "REGRESSION" if chase_regressed else "ok"
-    print(
-        f"bench_repro --check: engine_serial_chain chase/nochase paired "
-        f"time ratio {chase_cost:.2f} (speedup {1.0 / chase_cost:.2f}x, "
-        f"required ratio <= 1.05) [{verdict}]"
-    )
-    if chase_regressed:
-        return 1
-
-    # Chain parity gate: SoA(+chase) vs batched on the same serial
-    # chain, paired rate ratio. Before the chase the SoA scalar path
-    # ran the classic ring at 0.86x batched; the chase brings the
-    # serial chain to parity. 0.75 is the floor at which the scalar
-    # path counts as regressed rather than noisy.
-    ratios, rate_sc, rate_bc = _paired_rate_ratios(
-        lambda: engine_chain_events("soa"),
-        lambda: engine_chain_events("batched"),
-        pairs,
-    )
-    chain_ratio = statistics.median(ratios) if ratios else 0.0
-    chain_regressed = chain_ratio < 0.75
-    verdict = "REGRESSION" if chain_regressed else "ok"
-    print(
-        f"bench_repro --check: engine_serial_chain soa {rate_sc:,.0f} ev/s "
-        f"vs batched {rate_bc:,.0f}, median paired rate ratio "
-        f"{chain_ratio:.2f} (required >= 0.75) [{verdict}]"
-    )
-    if chain_regressed:
-        return 1
-
-    # JIT gate: never a silent pass. Without numba the skip is printed
-    # and recorded by run_full; with numba the compiled kernel must not
-    # be slower than the interpreted SoA wide run.
-    from repro.sim.jit import HAVE_NUMBA
-
-    if not HAVE_NUMBA:
-        print(
-            "bench_repro --check: engine_soa_jit skipped: numba "
-            "unavailable (install the repro[jit] extra to measure the "
-            "compiled drain kernel)"
-        )
-    else:
-        jit_entry = engine_soa_jit_probe()
-        jit_speedup = jit_entry.get("jit_speedup_vs_interpreted") or 0.0
-        jit_regressed = jit_speedup < 0.95
-        verdict = "REGRESSION" if jit_regressed else "ok"
-        print(
-            f"bench_repro --check: engine_soa_jit paired speedup "
-            f"{jit_speedup:.2f}x vs interpreted "
-            f"({jit_entry.get('jit_events', 0)} kernel events, "
-            f"required >= 0.95x) [{verdict}]"
-        )
-        if jit_regressed:
-            return 1
 
     # Observability gate: tapped vs untapped batched runs, paired,
     # interleaved in this same warmed process so both sides see the
@@ -1089,35 +795,6 @@ def run_full() -> int:
     print("running batched-vs-object core probe ...", flush=True)
     ev_b, dt_b = _best_of(lambda: engine_ring_events("batched"), 5)
     ev_o, dt_o = _best_of(lambda: engine_ring_events("object"), 5)
-    print("running SoA wide-lockstep probe ...", flush=True)
-    ev_s, dt_s = _best_of(lambda: engine_wide_events("soa"), 5)
-    ev_wb, dt_wb = _best_of(lambda: engine_wide_events("batched"), 5)
-    ev_sr, dt_sr = _best_of(lambda: engine_ring_events("soa"), 5)
-    print("running serial-chain chase probe ...", flush=True)
-    ev_c, dt_c = _best_of(lambda: engine_chain_events("soa"), 5)
-    chase_pairs, rate_nochase, rate_chase = _paired_ratios(
-        lambda: engine_chain_events("soa", chase=False),
-        lambda: engine_chain_events("soa", chase=True),
-        5,
-    )
-    chain_batched_pairs, _, rate_chain_b = _paired_rate_ratios(
-        lambda: engine_chain_events("soa"),
-        lambda: engine_chain_events("batched"),
-        5,
-    )
-    chase_stats = chain_chase_stats()
-    print("running SoA jit kernel probe ...", flush=True)
-    soa_jit = engine_soa_jit_probe()
-    if "skipped" in soa_jit:
-        print(f"  engine_soa_jit: skipped ({soa_jit['skipped']})", flush=True)
-    soa_pairs, _, _ = _paired_rate_ratios(
-        lambda: engine_wide_events("soa"),
-        lambda: engine_ring_events("batched"),
-        5,
-    )
-    soa_vs_ring = (
-        round(statistics.median(soa_pairs), 2) if soa_pairs else None
-    )
     print("running ring-traced observability probe ...", flush=True)
     traced_pairs, _, _ = _paired_ratios(
         lambda: engine_ring_events("batched", traced=True),
@@ -1175,55 +852,6 @@ def run_full() -> int:
             ),
             "events": ev_b,
         },
-        "engine_soa": {
-            "wide_events": ev_s,
-            "wide_seconds": dt_s,
-            "wide_events_per_second": ev_s / dt_s if dt_s > 0 else None,
-            "wide_batched_events_per_second": (
-                ev_wb / dt_wb if dt_wb > 0 else None
-            ),
-            "soa_vs_batched_wide_speedup": (
-                round((ev_s / dt_s) / (ev_wb / dt_wb), 2)
-                if dt_s > 0 and dt_wb > 0 else None
-            ),
-            # The tentpole gate number: median per-pair rate ratio of the
-            # wide SoA workload against the classic batched ring
-            # (acceptance bound >= 3.0; --check re-measures it).
-            "soa_wide_vs_batched_ring_ratio": soa_vs_ring,
-            # Honest worst case: the serial ring on the SoA core, where
-            # nothing vectorizes and the probe overhead is all cost.
-            "ring_events_per_second": ev_sr / dt_sr if dt_sr > 0 else None,
-            "ring_vs_batched_ring_speedup": (
-                round(dt_b / dt_sr, 2) if dt_sr > 0 else None
-            ),
-        },
-        "engine_serial_chain": {
-            # The genuinely serial token chain (one runnable thread at
-            # any instant) on the SoA core with the chain chase on:
-            # the workload the chase run-ahead targets.
-            "events": ev_c,
-            "seconds": dt_c,
-            "events_per_second": ev_c / dt_c if dt_c > 0 else None,
-            "nochase_events_per_second": rate_nochase,
-            # Median paired time ratio chase-off / chase-on: the
-            # feature's own drift-cancelled speedup on this container.
-            "chase_speedup_vs_nochase": (
-                round(statistics.median(chase_pairs), 2)
-                if chase_pairs else None
-            ),
-            "batched_events_per_second": rate_chain_b,
-            # Median paired rate ratio SoA(+chase) / batched on the same
-            # chain — the scalar-path parity number (was 0.86x on the
-            # classic ring before the chase landed).
-            "soa_vs_batched_chain_ratio": (
-                round(statistics.median(chain_batched_pairs), 2)
-                if chain_batched_pairs else None
-            ),
-            # How many of a short reference run's events each run-ahead
-            # path absorbed (chase: pure-python; jit: compiled kernel).
-            "chase_stats": chase_stats,
-        },
-        "engine_soa_jit": soa_jit,
         "engine_ring_traced": {
             "events": ev_t,
             "seconds": dt_t,
@@ -1267,7 +895,11 @@ def run_full() -> int:
     if speedups:
         record["mapping_speedup_vs_previous"] = speedups
     if previous is not None:
-        record["previous"] = previous
+        # Only what this tree still measures: a probe whose code is gone
+        # has nothing left to compare against.
+        record["previous"] = {
+            k: v for k, v in previous.items() if k in record
+        }
 
     with open(OUT_PATH, "w") as fh:
         json.dump(record, fh, indent=1)

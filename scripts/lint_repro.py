@@ -15,9 +15,10 @@ Runs, in order:
    image does not bake it in);
 4. ``python -m compileall src`` (exit 1 on syntax errors anywhere);
 5. the simulator smoke: ``bench_repro --check --quick`` (throughput
-   floor, SoA-vs-batched gate, tap overhead, shard fingerprint — a few
-   noise-robust paired samples each) plus the three-way differential
-   smoke (object/batched/SoA bit-identity on generated programs);
+   floor, batched-vs-object gate, tap overhead, shard fingerprint — a
+   few noise-robust paired samples each) plus the differential smoke
+   (object/batched bit-identity on generated app and serial-chain
+   programs);
 6. the adaptive-controller family: ``pytest -m adaptive`` (drift
    detector properties, warm-start contract, zero-remap differential).
 
@@ -65,7 +66,7 @@ def run_compileall() -> int:
 
 
 def run_sim_smoke() -> int:
-    """Quick bench gates + three-way differential smoke."""
+    """Quick bench gates + object-vs-batched differential smoke."""
     here = os.path.dirname(os.path.abspath(__file__))
     root = os.path.dirname(here)
     for extra in (here, os.path.join(root, "tests")):
@@ -80,10 +81,7 @@ def run_sim_smoke() -> int:
 
     n = difftest.run_smoke()
     print(f"lint_repro: difftest smoke — {n} program(s) bit-identical "
-          "across the object, batched and SoA cores")
-    n = difftest.run_chain_smoke()
-    print(f"lint_repro: chain difftest smoke — {n} serial-dependency "
-          "program(s) bit-identical (chain chase / run-ahead paths)")
+          "across the object and batched cores")
     return 0
 
 

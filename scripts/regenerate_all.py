@@ -60,9 +60,9 @@ def main(argv: list[str] | None = None) -> None:
     # Preflight: every app must lint clean and src must byte-compile
     # before we spend minutes regenerating figures from a broken tree.
     # lint_repro also runs the quick simulator smoke (bench gates on a
-    # few paired samples, plus the three-way object/batched/SoA
-    # differential smoke); the *full* noise-robust --check then gates
-    # with all probes, including the mapping-engine comparison.
+    # few paired samples, plus the object-vs-batched differential
+    # smoke); the *full* noise-robust --check then gates with all
+    # probes, including the mapping-engine comparison.
     import bench_repro
     import lint_repro
 

@@ -94,25 +94,23 @@ _RULE_CODES = {
 HOT_TARGETS: tuple[tuple[str, str, tuple[str, ...]], ...] = (
     ("repro/sim/machine.py", "SimMachine._run_batched",
      ("alloc", "self-attr", "tap")),
-    # The SoA core is one flat function whose drain loop carries the
-    # whole throughput target; every rule class applies.
-    ("repro/sim/soa.py", "run_soa", ("alloc", "tap")),
     # The sharded sync loop runs once per conservative epoch — far
     # cooler than per-event, but a per-message allocation inside it
     # scales with traffic, so it stays under the alloc rule with
     # amortized costs suppressed in place.
     ("repro/sim/shard.py", "run_sharded", ("alloc",)),
-    # The run-ahead kernel body: the exact code numba compiles (or
-    # CPython interprets as the fallback twin), so a stray allocation
-    # is either a compile error or a per-round cost. The wrapper module
-    # is import-time only; only the kernel function is hot.
-    ("repro/sim/jit.py", "_chain_runahead", ("alloc", "tap")),
     ("repro/sim/engine.py", "Engine.run", ("alloc", "tap")),
     ("repro/sim/engine.py", "BatchedQueue", ("alloc",)),
     ("repro/sim/cache.py", "L3State.install", ("alloc",)),
-    ("repro/sim/cache.py", "CacheSystem.touch", ("alloc", "tap")),
-    ("repro/sim/observe.py", "RingTrace._bind_add", ("alloc",)),
-    ("repro/sim/observe.py", "SimObserver.fold", ("alloc",)),
+    # The ring recorders _bind_add builds once per RingTrace: the
+    # batched core calls them per scheduling transition.
+    ("repro/sim/observe.py", "RingTrace._bind_add.add", ("alloc",)),
+    ("repro/sim/observe.py", "RingTrace._bind_add.add_raw", ("alloc",)),
+    # The simulator's random draws: one call per unbound Compute (OS
+    # jitter) and per wake-balance/churn decision. The block refill is
+    # a separate, amortized method.
+    ("repro/util/rng.py", "BlockRng.random", ("alloc",)),
+    ("repro/util/rng.py", "BlockRng.uniform", ("alloc",)),
     # Mapping-engine hot loops (ISSUE 7): the per-edge matching loop
     # runs O(|E|) times per coarsening level, greedy growing and the
     # grouping grow loop run O(n) selection steps per split.
@@ -126,6 +124,7 @@ HOT_TARGETS: tuple[tuple[str, str, tuple[str, ...]], ...] = (
     # per-event monitor dispatch, so every method stays under the lint.
     ("repro/affinity/controller.py", "AdaptiveController.run", ("alloc",)),
     ("repro/affinity/telemetry.py", "WindowTelemetry", ("alloc", "tap")),
+    ("repro/affinity/telemetry.py", "WindowTelemetry.on_touch", ("alloc",)),
     # OS placement runs on every dispatch attempt; its per-node free
     # masks exist so that no candidate list is built per call.
     ("repro/sim/scheduler.py", "OSScheduler.place", ("alloc",)),
@@ -133,8 +132,16 @@ HOT_TARGETS: tuple[tuple[str, str, tuple[str, ...]], ...] = (
 
 #: Hot targets called once per event instead of draining a loop of their
 #: own: the whole body is the hot path, so the rules apply outside
-#: ``while`` loops too.
-PER_CALL_TARGETS = frozenset({"OSScheduler.place"})
+#: ``while`` loops too. Every loop-free hot target belongs here — the
+#: other targets are scanned only inside their ``while`` loops.
+PER_CALL_TARGETS = frozenset({
+    "OSScheduler.place",
+    "WindowTelemetry.on_touch",
+    "RingTrace._bind_add.add",
+    "RingTrace._bind_add.add_raw",
+    "BlockRng.random",
+    "BlockRng.uniform",
+})
 
 #: Classes that must keep ``__slots__`` (path -> class names).
 SLOTS_REQUIRED: dict[str, tuple[str, ...]] = {
@@ -142,6 +149,7 @@ SLOTS_REQUIRED: dict[str, tuple[str, ...]] = {
     "repro/sim/cache.py": ("L3State", "CacheSystem"),
     "repro/sim/observe.py": ("Counter", "Gauge", "Histogram", "RingTrace"),
     "repro/affinity/telemetry.py": ("WindowTelemetry",),
+    "repro/util/rng.py": ("BlockRng",),
 }
 
 _SUPPRESS_RE = re.compile(

@@ -19,6 +19,7 @@ from __future__ import annotations
 import os
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 from repro.errors import ReproError
 from repro.parallel.cache import ResultCache
@@ -85,10 +86,18 @@ def run_jobs(
         if n_jobs > 1 and len(cold) > 1:
             workers = min(n_jobs, len(cold))
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                for i, payload in zip(
-                    cold, pool.map(run_cell, [jobs[i] for i in cold])
-                ):
-                    results[i] = payload
+                payloads = pool.map(run_cell, [jobs[i] for i in cold])
+                done = 0
+                try:
+                    for payload in payloads:
+                        results[cold[done]] = payload
+                        done += 1
+                except BrokenProcessPool as exc:
+                    raise ReproError(
+                        f"a worker process died before returning "
+                        f"{jobs[cold[done]]!r} ({len(cold) - done} of "
+                        f"{len(cold)} job(s) without a result)"
+                    ) from exc
         else:
             for i in cold:
                 results[i] = run_cell(jobs[i])

@@ -181,8 +181,8 @@ class CacheSystem:
     def pu_l3_list(self) -> list[int | None]:
         """PU→L3 map flattened to a dense list (``None`` for holes).
 
-        Same rationale as :meth:`MemorySystem.pu_numa_list`: the flat
-        cores index this with raw os indices inside the pump.
+        Same rationale as :meth:`MemorySystem.pu_numa_list`: the batched
+        core indexes this with raw os indices inside the pump.
         """
         flat: list[int | None] = [None] * (max(self._pu_l3) + 1)
         for k, v in self._pu_l3.items():

@@ -17,15 +17,15 @@ Two queue representations share this module:
 
 :class:`BatchedQueue`
     the queue of the machine's *batched core*: a calendar queue that
-    groups events by timestamp into structure-of-arrays buckets
-    (parallel ``seqs``/``kinds``/``payloads`` lists) ordered by a small
-    min-heap of *unique* timestamps. No closure is allocated per event,
-    popping is a list index instead of a heap sift, and a whole
-    same-instant bucket is exactly the batch the quantum-batched
-    dispatcher in :mod:`repro.sim.machine` vectorizes over. The machine
-    selects it automatically whenever no ``Engine.watchers`` tap is
-    installed; fixed-seed runs produce bit-identical counters and clocks
-    on either path (see ``tests/test_sim_batched_equivalence.py``).
+    groups events by timestamp into flat ``[seq, kind, payload, ...]``
+    buckets ordered by a small min-heap of *unique* timestamps. No
+    closure is allocated per event, popping is a list index instead of
+    a heap sift, and a whole same-instant bucket is exactly the batch
+    the quantum-batched dispatcher in :mod:`repro.sim.machine`
+    vectorizes over. The machine selects it automatically whenever no
+    ``Engine.watchers`` tap is installed; fixed-seed runs produce
+    bit-identical counters and clocks on either path (see
+    ``tests/test_sim_batched_equivalence.py``).
 
 This is the innermost loop of every experiment cell: a paper-scale
 regeneration drains hundreds of millions of events through the drain
@@ -48,7 +48,6 @@ __all__ = [
     "EV_STEP",
     "EV_BUSY",
     "EV_DRAIN",
-    "EV_VBUSY",
 ]
 
 #: Event kinds of the batched core. The payload is interpreted per kind:
@@ -59,25 +58,16 @@ EV_CALL = 0
 EV_STEP = 1
 EV_BUSY = 2
 EV_DRAIN = 3
-#: SoA-core vector busy completion: the payload is an int64 numpy array of
-#: thread ids whose busy chunks all end at this instant, emitted as ONE
-#: bucket triple by the vectorized drain. The k member events own the
-#: consecutive sequence numbers ``seq .. seq+k-1`` where ``seq`` is the
-#: triple's stored seq — exactly what a scalar emit loop in the same
-#: thread order would have allocated, so expanding a vector event back
-#: into scalar triples (or converting it to object-path events at exit)
-#: reproduces the batched core's (when, seq) order bit for bit.
-EV_VBUSY = 4
 
 
 class _ReStep:
-    """Object-path re-entry shim for a batched/SoA ``EV_STEP`` event.
+    """Object-path re-entry shim for a batched-core ``EV_STEP`` event.
 
     When a windowed run (``SimMachine.run_window``) exits, leftover bucket
     events are converted to ``(when, seq, callable)`` heap entries so the
     object engine — and the next window, whatever core it drains on — can
     resume them. Plain lambdas would be opaque; these typed shims let the
-    batched/SoA merge loops recognize a re-entering event and reconstruct
+    batched core's merge loop recognize a re-entering event and rebuild
     its kind-coded triple instead of demoting it to ``EV_CALL`` forever.
     """
 
@@ -92,7 +82,7 @@ class _ReStep:
 
 
 class _ReBusy:
-    """Re-entry shim for ``EV_BUSY`` / one lane of ``EV_VBUSY``."""
+    """Re-entry shim for ``EV_BUSY``."""
 
     __slots__ = ("m", "t")
 
@@ -160,30 +150,6 @@ class BatchedQueue:
 
     def peek_when(self) -> float | None:
         return self.when_heap[0] if self.when_heap else None
-
-    def pop_single(self) -> tuple[float, int, int, object] | None:
-        """Pop the earliest event *iff* it is alone in its bucket.
-
-        The single-ready fast pop: a serial dependency chain leaves
-        exactly one event per timestamp, and this is the O(1) shape
-        test for it — no slicing, no list-of-lists split. Returns
-        ``(when, seq, kind, payload)``, or None when the queue is empty
-        *or* the earliest bucket holds more than one event (the bucket
-        is left untouched; use :meth:`pop_batch`). The SoA core's
-        chain chase inlines this probe against the bound-local dict and
-        heap; this method is the convenience surface for drivers and
-        tests.
-        """
-        heap = self.when_heap
-        if not heap:
-            return None
-        when = heap[0]
-        b = self.buckets[when]
-        if len(b) != 3:
-            return None
-        heapq.heappop(heap)
-        del self.buckets[when]
-        return when, b[0], b[1], b[2]
 
     def pop_batch(self) -> tuple[float, list[int], list[int], list] | None:
         """Remove and return the earliest bucket ``(when, seqs, kinds,

@@ -21,20 +21,17 @@ Touch) occupy the thread's PU for a priced duration, chopped at the OS
 timeslice so preemption, hyperthread contention and rebalancing are
 re-evaluated at quantum boundaries. Blocking ops free the PU.
 
-Three run-loop implementations share these semantics:
+Two run-loop implementations share these semantics:
 
 * the **object path** — the small methods below (`_step`, `_busy_done`,
-  `_dispatch`, …) driven by closure events on :class:`Engine`.
+  `_dispatch`, …) driven by closure events on :class:`Engine`. It is
+  the readable reference oracle the equivalence tests compare against.
 * the **batched core** (:meth:`_run_batched`) — one flat interpreter
   over a :class:`~repro.sim.engine.BatchedQueue` of scalar kind-coded
   events, with the Touch/Compute pricing inlined against the
   precomputed ``(accessor, home)`` cost table and same-instant
-  busy-completion batches advanced in one vectorized pass.
-* the **SoA core** (:mod:`repro.sim.soa`) — the batched interpreter with
-  per-thread quantum state moved into struct-of-arrays columns for the
-  duration of the run; runs of same-instant busy completions are priced
-  in one numpy segment and re-emitted as single vector events. This is
-  the default (``core="auto"``).
+  busy-completion batches advanced in one vectorized pass. This is the
+  default (``core="auto"``).
 
 Observability works on **both** paths: ``SimMachine.monitors``,
 :class:`Trace`, ``OSScheduler.on_place`` and a
@@ -44,13 +41,13 @@ that still forces the object path is ``Engine.watchers`` — a callback
 after *every* processed event is exactly the per-event dispatch the
 batched core exists to eliminate.
 
-:meth:`run` selects the SoA core automatically whenever no watcher is
-installed; fixed-seed runs produce bit-identical counters and clocks on
-every path, with or without taps
+:meth:`run` selects the batched core automatically whenever no watcher
+is installed; fixed-seed runs produce bit-identical counters and clocks
+on both paths, with or without taps
 (``tests/test_sim_batched_equivalence.py`` and
 ``tests/test_sim_difftest.py`` prove it on the three paper
 applications plus a generated program family). When editing one path,
-mirror the others — the equivalence tests will catch any drift.
+mirror the other — the equivalence tests will catch any drift.
 
 :meth:`run_window` drains events only up to a virtual-time horizon and
 may be called repeatedly — the epoch primitive :mod:`repro.sim.shard`
@@ -106,21 +103,13 @@ from repro.sim.process import (
     YieldCPU,
 )
 from repro.sim.scheduler import OSScheduler
-from repro.sim.soa import run_soa
 from repro.sim.trace import Trace
 from repro.topology.binding import validate_cpuset
 from repro.topology.tree import Topology
 from repro.util.bitmap import Bitmap
-from repro.util.rng import make_rng
+from repro.util.rng import BlockRng, make_rng
 
 __all__ = ["SimMachine"]
-
-#: Back-compat aliases — these limits live in :class:`repro.sim.params.
-#: SimLimits` now; pass ``SimMachine(..., limits=SimLimits(...))`` instead
-#: of monkeypatching these module globals (the machine no longer reads
-#: them after construction).
-MAX_OPS_PER_STEP = SimLimits().max_ops_per_step
-DEFAULT_MAX_EVENTS = SimLimits().max_events
 
 #: topology -> {pu: [hyperthread sibling PUs]} (pure in the topology, and
 #: topology presets are memoized — share across the many machines a sweep
@@ -157,7 +146,7 @@ class SimMachine:
     """A virtual NUMA machine executing simulated threads."""
 
     #: Run-loop implementations selectable via the ``core`` kwarg.
-    CORES = ("auto", "soa", "batched", "object")
+    CORES = ("auto", "batched", "object")
 
     def __init__(
         self,
@@ -191,7 +180,9 @@ class SimMachine:
         self.engine = Engine()
         self.memory = MemorySystem(topology, self.model)
         self.caches = CacheSystem(topology, self.model, self.memory)
-        self._rng = make_rng(seed)
+        #: The machine's one random stream (OS jitter, wake-balance and
+        #: churn draws, in call order), served from blocks.
+        self._rng = BlockRng(make_rng(seed))
         self.scheduler = OSScheduler(
             topology,
             self.memory,
@@ -210,15 +201,9 @@ class SimMachine:
         #: Optional metrics/ring-trace observer (repro.sim.observe); works
         #: on both cores. Set here or via :meth:`attach_observer`.
         self.observer: SimObserver | None = observer
-        #: Which run loop :meth:`run` actually executed ("soa",
-        #: "soa+jit", "batched" or "object"); None before run().
-        #: "soa+jit" is the SoA loop with the compiled run-ahead kernel
-        #: of :mod:`repro.sim.jit` selected (``SimLimits.jit``).
+        #: Which run loop :meth:`run` actually executed ("batched" or
+        #: "object"); None before run().
         self.core_used: str | None = None
-        #: Diagnostic counters of the SoA core's run-ahead paths
-        #: (``chase_events``, ``jit_events``: events absorbed by the
-        #: chain chase / the run-ahead kernel). Empty on other cores.
-        self.core_stats: dict = {}
         self.clock_hz = float(topology.root.attrs.get("clock_hz", 2.6e9))
         self._ready: deque[SimThread] = deque()
         self._pu_last_tid: dict[int, int] = {}
@@ -227,11 +212,6 @@ class SimMachine:
         #: _on_signal routes wakeups through it so signals raised from
         #: generator code land in the batched queue, not the object heap.
         self._fast_signal = None
-        #: While the SoA core drains, this is its bound-flag column
-        #: (array('b') indexed by tid); bind_thread keeps it coherent so
-        #: affinity changes made from running generator code are seen by
-        #: the vectorized eligibility masks.
-        self._soa_bound = None
         #: Virtual time (cycles) at which the event queue last made
         #: progress. run_window() quantizes ``engine.now`` up to the
         #: epoch horizon even when the queue drained early, so windowed
@@ -287,9 +267,6 @@ class SimMachine:
         if cpuset is not None:
             validate_cpuset(self.topology, cpuset)
         thread.cpuset = cpuset
-        bound = self._soa_bound
-        if bound is not None and thread.tid < len(bound):
-            bound[thread.tid] = 0 if cpuset is None else 1
 
     def attach_sanitizer(self):
         """Attach the invariant sanitizer's live taps (idempotent).
@@ -337,7 +314,7 @@ class SimMachine:
     def _select_core(self) -> str:
         """Resolve the ``core`` kwarg to the loop that will execute."""
         unsupported = self._unsupported_taps()
-        if self.core in ("soa", "batched") and unsupported:
+        if self.core == "batched" and unsupported:
             raise SimulationError(
                 f"core={self.core!r} is incompatible with the "
                 f"{', '.join(unsupported)} tap — a per-event callback only "
@@ -346,27 +323,7 @@ class SimMachine:
             )
         if self.core == "object" or unsupported:
             return "object"
-        if self.core == "batched":
-            return "batched"
-        return "soa"  # "auto" and "soa"
-
-    def _use_jit(self) -> bool:
-        """Resolve ``SimLimits.jit`` against numba availability.
-
-        ``"auto"`` selects the compiled kernel only when the
-        ``repro[jit]`` extra is installed; ``"on"`` forces the kernel
-        (pure-python fallback without numba — slow, but it exercises
-        the exact kernel logic, which is how the equivalence tests
-        referee it); ``"off"`` never calls it.
-        """
-        jit = self.limits.jit
-        if jit == "on":
-            return True
-        if jit == "off":
-            return False
-        from repro.sim.jit import HAVE_NUMBA
-
-        return HAVE_NUMBA
+        return "batched"  # "auto" and "batched"
 
     def run(
         self,
@@ -378,18 +335,14 @@ class SimMachine:
         """Execute until every thread finishes; returns elapsed seconds.
 
         *max_events* defaults to ``self.limits.max_events``. Core
-        selection: ``core="auto"`` runs the SoA core unless an
+        selection: ``core="auto"`` runs the batched core unless an
         ``engine.watchers`` tap is installed (the one tap that needs the
         object path's per-event callback); ``core="object"`` forces the
-        compatibility path; ``core="soa"``/``core="batched"`` insist on
-        that flat core and raise if a watcher makes it impossible.
-        monitors/trace/on_place taps and
-        :class:`~repro.sim.observe.SimObserver` run natively on every
-        core. On the SoA core, ``SimLimits.jit`` additionally selects
-        the compiled run-ahead kernel (``"auto"`` — only when the
-        ``repro[jit]`` extra is installed). All cores are bit-identical
-        on fixed seeds; :attr:`core_used` records which one executed
-        (``"soa+jit"`` when the kernel was selected).
+        reference path; ``core="batched"`` insists on the flat core and
+        raises if a watcher makes it impossible. monitors/trace/on_place
+        taps and :class:`~repro.sim.observe.SimObserver` run natively on
+        both cores. Both cores are bit-identical on fixed seeds;
+        :attr:`core_used` records which one executed.
 
         Raises :class:`DeadlockError` if threads remain blocked with an
         empty event queue (unless *allow_incomplete*).
@@ -405,18 +358,12 @@ class SimMachine:
         if max_events is None:
             max_events = self.limits.max_events
         use = self._select_core()
-        jit = use == "soa" and self._use_jit()
-        self.core_used = "soa+jit" if jit else use
+        self.core_used = use
         observer = self.observer
         if observer is not None:
             observer.begin(self)
         try:
-            if use == "soa":
-                run_soa(
-                    self, max_cycles=max_cycles, max_events=max_events,
-                    jit=jit,
-                )
-            elif use == "batched":
+            if use == "batched":
                 self._run_batched(max_cycles=max_cycles, max_events=max_events)
             else:
                 for thread in self.threads:
@@ -456,8 +403,8 @@ class SimMachine:
         window depends on a message that arrives at a later one. Between
         windows the machine is quiescent at a well-defined virtual time:
         in-flight busy chunks and wakeups are parked as typed re-entry
-        shims on the object heap, and every core's merge loop restores
-        them natively on the next call.
+        shims on the object heap, and the batched core's merge loop
+        restores them natively on the next call.
 
         Differences from :meth:`run`: no deadlock check (threads are
         expected to be mid-flight between windows), no sanitizer attach,
@@ -473,18 +420,15 @@ class SimMachine:
         if max_events is None:
             max_events = self.limits.max_events
         use = self._select_core()
-        jit = use == "soa" and self._use_jit()
         first = not self._ran
         self._ran = True
         if first:
-            self.core_used = "soa+jit" if jit else use
+            self.core_used = use
             observer = self.observer
             if observer is not None:
                 observer.begin(self)
         ev0 = self.engine.events_processed
-        if use == "soa":
-            run_soa(self, max_cycles=until, max_events=max_events, jit=jit)
-        elif use == "batched":
+        if use == "batched":
             self._run_batched(max_cycles=until, max_events=max_events)
         else:
             if first:
@@ -761,9 +705,8 @@ class SimMachine:
 
         def finish(thread, crashed=False):
             thread.state = "done"
-            if notify_finish:
-                for fn in notify_finish:
-                    fn(thread)
+            if notify_finish is not None:
+                notify_finish(thread)
             if trace_rec is not None:
                 trace_rec(now, thread.tid, "crash" if crashed else "done", "")
             if ring_add is not None:
@@ -1176,11 +1119,10 @@ class SimMachine:
                         nbytes = op.nbytes
                         if nbytes is None:
                             nbytes = buf.size
-                        if notify_touch:
+                        if notify_touch is not None:
                             # Same observation point as _step: the request
                             # size before clamping, priced right after.
-                            for fn in notify_touch:
-                                fn(thread, buf, nbytes, op.write)
+                            notify_touch(thread, buf, nbytes, op.write)
                         pu = thread.pu
                         if nbytes <= 0:
                             if buf.home_numa is None:
@@ -1416,9 +1358,8 @@ class SimMachine:
                         thread.state = "blocked"
                         thread.waiting_on = event
                         event.waiters.append(thread)
-                        if notify_block:
-                            for fn in notify_block:
-                                fn(thread, event)
+                        if notify_block is not None:
+                            notify_block(thread, event)
                         if trace_rec is not None:
                             trace_rec(now, thread.tid, "block", event.name)
                         if ring_add is not None:
@@ -1458,8 +1399,8 @@ class SimMachine:
                 # A max_cycles/budget stop (or an app raise mid-bucket) can
                 # leave events in flight: convert them to typed re-entry
                 # shims so engine.pending, manual engine.run() and the
-                # next run_window() all keep working — the flat cores'
-                # merge loops recognize the shims and rebuild their
+                # next run_window() all keep working — the merge loop
+                # above recognizes the shims and rebuilds their
                 # kind-coded triples. The live bucket is still
                 # registered; only its undrained tail is in flight.
                 for w, b_l in buckets.items():
@@ -1531,17 +1472,29 @@ class SimMachine:
             if fn is not None:
                 fn(*args)
 
-    def _monitor_fns(self, method: str) -> list:
-        """Bound listeners for one monitor hook.
+    def _monitor_fns(self, method: str):
+        """One callable for a monitor hook, or None when no monitor has it.
 
-        The drain loops capture one list per hook at setup (rebuilt on
-        every ``run``/``run_window`` call, so attaching between windows
-        works), turning a hook nobody implements into a single falsy
-        branch per event instead of a getattr sweep over every monitor
-        — that sweep was the bulk of the tapped-run overhead.
+        The drain loop captures one per hook at setup (rebuilt on every
+        ``run``/``run_window`` call, so attaching between windows
+        works), turning a hook nobody implements into a single ``is
+        None`` branch per event instead of a getattr sweep over every
+        monitor. A lone listener is returned as is — the adaptive
+        controller's per-Touch telemetry tap is one call, not a loop —
+        and several are called in monitor order.
         """
-        return [fn for m in self.monitors
-                if (fn := getattr(m, method, None)) is not None]
+        fns = [fn for m in self.monitors
+               if (fn := getattr(m, method, None)) is not None]
+        if not fns:
+            return None
+        if len(fns) == 1:
+            return fns[0]
+
+        def fan_out(*args):
+            for fn in fns:
+                fn(*args)
+
+        return fan_out
 
     def _on_signal(self, event: SimEvent) -> None:
         # Called synchronously from app code; defer wakeups to the engine

@@ -135,7 +135,7 @@ class MemorySystem:
         """PU→NUMA map flattened to a dense list (``None`` for holes).
 
         OS indices are small and dense on every supported topology, and a
-        list index is the cheapest lookup the flat cores' pump can make.
+        list index is the cheapest lookup the batched core's pump can make.
         A fresh list per call — callers bind it to a local for one run.
         """
         flat: list[int | None] = [None] * (max(self._pu_numa) + 1)
@@ -146,7 +146,7 @@ class MemorySystem:
     def free_at_list(self) -> list[float]:
         """Node bandwidth horizons as a dense list snapshot.
 
-        The flat cores accumulate FIFO reservations into this snapshot
+        The batched core accumulates FIFO reservations into this snapshot
         during a run and write it back via :meth:`store_free_at` on exit,
         keeping the node-keyed dict authoritative between runs/windows.
         """

@@ -526,14 +526,9 @@ class SimObserver:
             for depth, count in enumerate(self.queue_depths):
                 if count:
                     hist.observe(depth, count)
-        if self.kind_counts is not None and machine.core_used in (
-            "batched", "soa", "soa+jit"
-        ):
+        if self.kind_counts is not None and machine.core_used == "batched":
             # Per-kind event split exists only where events are kind-coded
-            # — the object path drains opaque closures. The SoA core
-            # counts each lane of a vector busy completion as one busy
-            # event — and each chased or kernel-absorbed completion too —
-            # so the split is identical across the flat cores.
+            # — the object path drains opaque closures.
             for kind, name in enumerate(("call", "step", "busy", "drain")):
                 reg.counter("sim_events_by_kind_total", kind=name).inc(
                     self.kind_counts[kind]

@@ -19,11 +19,8 @@ __all__ = ["CostModel", "SimLimits"]
 class SimLimits:
     """Runaway guards and batching knobs of the simulation run loop.
 
-    Previously module constants in :mod:`repro.sim.machine`
-    (``MAX_OPS_PER_STEP`` / ``DEFAULT_MAX_EVENTS``); promoted here so
-    stress tests pass a custom :class:`SimLimits` to
-    :class:`~repro.sim.machine.SimMachine` instead of monkeypatching
-    module globals.
+    Pass a custom instance as ``SimMachine(..., limits=SimLimits(...))``
+    (the stress tests do).
 
     ``max_ops_per_step``: max zero-cost ops a thread may issue without
     consuming virtual time before the machine declares a livelock.
@@ -32,37 +29,11 @@ class SimLimits:
     before the batched core switches from scalar to vectorized (numpy)
     quantum advancement — below this the gather/scatter overhead beats
     the win.
-    ``vec_min``: minimum run length of same-instant busy completions
-    before the SoA core prices the run in one numpy segment instead of
-    scalar triples. Lower than ``batch_min`` because the SoA core keeps
-    its state in arrays already — the segment pays only the mask/gather,
-    not a per-thread attribute walk. Consulted both at drain entry and
-    when a vector event *narrows* mid-drain: a still-eligible prefix
-    below ``vec_min`` re-materializes as scalar triples instead of
-    paying the numpy setup per sub-batch.
-    ``chase``: enable the SoA core's chain-chasing run-ahead — when a
-    completion is provably the unique next event (empty calendar and
-    object heap past the live bucket), the scalar path follows the
-    dependency chain directly instead of round-tripping each hop
-    through the calendar queue. Bit-identical either way; the knob
-    exists for A/B tests and as an escape hatch.
-    ``jit``: compiled run-ahead kernel selection for the SoA core.
-    ``"auto"`` (default) uses the numba kernel when the ``repro[jit]``
-    extra is installed and silently stays pure-python otherwise;
-    ``"on"`` forces the kernel (the pure-python fallback of
-    :mod:`repro.sim.jit` when numba is absent — slow, but it exercises
-    the exact kernel logic, which is how the equivalence tests referee
-    it without numba); ``"off"`` never calls it.
-    :attr:`SimMachine.core_used` records ``"soa+jit"`` when the kernel
-    was active.
     """
 
     max_ops_per_step: int = 100_000
     max_events: int = 20_000_000
     batch_min: int = 16
-    vec_min: int = 8
-    chase: bool = True
-    jit: str = "auto"
 
     def __post_init__(self) -> None:
         if self.max_ops_per_step < 1:
@@ -71,12 +42,6 @@ class SimLimits:
             raise SimulationError("max_events must be >= 1")
         if self.batch_min < 2:
             raise SimulationError("batch_min must be >= 2")
-        if self.vec_min < 2:
-            raise SimulationError("vec_min must be >= 2")
-        if self.jit not in ("auto", "on", "off"):
-            raise SimulationError(
-                f"jit must be 'auto', 'on' or 'off', got {self.jit!r}"
-            )
 
 
 @dataclass(frozen=True)

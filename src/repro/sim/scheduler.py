@@ -68,7 +68,7 @@ class OSScheduler:
         self.on_place: list = []
         self._busy: dict[int, SimThread | None] = {p: None for p in self._all_pus}
         #: Int bitmasks per NUMA node (bit p = PU p): ``_node_pus`` all its
-        #: PUs, ``_node_free`` the free ones — the flat cores flip those
+        #: PUs, ``_node_free`` the free ones — the batched core flips those
         #: bits in place. A node's load is the popcount of the difference.
         self._node_pus = [0] * len(topology.numa_nodes)
         for pu, node in memory.pu_numa_map.items():
@@ -108,7 +108,7 @@ class OSScheduler:
         """Per-PU count of *compute* threads on hyperthread siblings.
 
         ``result[pu]`` is how many compute threads currently occupy PUs in
-        ``sibling_pus[pu]`` — the table both flat cores maintain
+        ``sibling_pus[pu]`` — the table the batched core maintains
         incrementally at occupy/release so the hyperthread-contention test
         is a single list index. This builds the starting snapshot from the
         busy map (placements at run entry, e.g. re-entering a window).

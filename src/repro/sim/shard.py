@@ -263,9 +263,9 @@ class ShardContext:
     def send(self, name: str) -> int:
         """Send one message on every out-channel named *name*.
 
-        Stamped with the engine's current virtual time (both flat cores
-        keep ``engine.now`` current per event bucket). Returns the
-        number of channels the message fanned out to.
+        Stamped with the engine's current virtual time (both cores keep
+        ``engine.now`` current per event). Returns the number of
+        channels the message fanned out to.
         """
         chans = self._out.get(name)
         if not chans:
@@ -289,8 +289,8 @@ def _build_halo_wide(ctx: ShardContext) -> None:
     ``iters`` rounds of Compute+Touch, then rendezvous with a control
     thread that emits a ``halo`` message and waits for every incoming
     ``halo`` before releasing the next round — a distributed-stencil
-    skeleton whose per-epoch work is wide enough to vectorize on the
-    SoA core and dwarf the barrier exchange.
+    skeleton whose per-epoch work is wide enough to fill the batched
+    core's same-instant batches and dwarf the barrier exchange.
     """
     m = ctx.machine
     width = int(ctx.params.get("width", 32))
@@ -507,6 +507,10 @@ def _worker_main(conn, scenario: Scenario, shard_idxs: list[int]) -> None:
         conn.close()
 
 
+#: What a pipe raises once the worker at its other end is gone.
+_PIPE_ERRORS = (BrokenPipeError, ConnectionResetError, EOFError)
+
+
 class _ProcessWorker:
     """A long-lived forked worker owning a subset of the shards."""
 
@@ -523,8 +527,26 @@ class _ProcessWorker:
         child.close()
         self._expect("ready")
 
+    def _died(self, exc: Exception) -> SimulationError:
+        """The typed error for a pipe that broke because the worker died."""
+        self._proc.join(timeout=5)
+        return SimulationError(
+            f"shard worker for shards {self.shard_idxs} died "
+            f"(exit code {self._proc.exitcode}; {type(exc).__name__} "
+            "on its pipe)"
+        )
+
+    def _send(self, msg: tuple) -> None:
+        try:
+            self._conn.send(msg)
+        except _PIPE_ERRORS as exc:
+            raise self._died(exc) from exc
+
     def _expect(self, want: str):
-        status, payload = self._conn.recv()
+        try:
+            status, payload = self._conn.recv()
+        except _PIPE_ERRORS as exc:
+            raise self._died(exc) from exc
         if status == "error":
             raise SimulationError(f"shard worker failed: {payload}")
         if status != want:  # pragma: no cover
@@ -535,13 +557,13 @@ class _ProcessWorker:
         mine = {
             i: deliveries_by_shard.get(i, []) for i in self.shard_idxs
         }
-        self._conn.send(("window", until, mine, max_events))
+        self._send(("window", until, mine, max_events))
 
     def collect(self) -> dict:
         return self._expect("ok")
 
     def finish(self) -> dict:
-        self._conn.send(("finish",))
+        self._send(("finish",))
         return self._expect("ok")
 
     def close(self) -> None:

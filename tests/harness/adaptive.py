@@ -23,7 +23,7 @@ __all__ = [
 ]
 
 #: Every simulator core the controller must behave identically on.
-CORES = ("object", "batched", "soa")
+CORES = ("object", "batched")
 
 
 def stable_setup(iters_per_phase: int = 4) -> AdaptSetup:

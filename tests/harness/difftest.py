@@ -1,11 +1,12 @@
-"""Differential-testing harness: object vs batched vs SoA, bit for bit.
+"""Differential-testing harness: object vs batched core, bit for bit.
 
-Generates seeded random ORWL programs over the three paper application
-skeletons (lk23 wavefront, matmul ring, video pipeline) at miniature
-problem sizes, runs each one on all three simulator cores, and asserts
-the full fingerprint — counters, final clock, event count, thread
-states, and (when taps are attached) every observation stream — is
-*identical*, not merely close.
+Generates seeded random programs — ORWL programs over the three paper
+application skeletons (lk23 wavefront, matmul ring, video pipeline) at
+miniature problem sizes, plus serial dependency chains straight on a
+:class:`~repro.sim.machine.SimMachine` — runs each one on both
+simulator cores, and asserts the full fingerprint — counters, final
+clock, event count, thread states, and (when taps are attached) every
+observation stream — is *identical*, not merely close.
 
 Each generated spec carries a tap mode:
 
@@ -42,11 +43,9 @@ __all__ = [
     "TAP_MODES",
     "ProgramSpec",
     "generate_programs",
-    "generate_chain_programs",
     "run_one",
     "check_program",
     "run_smoke",
-    "run_chain_smoke",
 ]
 
 APPS = ("lk23", "matmul", "video", "chain")
@@ -58,7 +57,7 @@ TOPOLOGIES = {
 }
 
 #: Snapshot keys excluded from cross-core comparison: the per-kind event
-#: split only exists where events are kind-coded (the flat cores).
+#: split only exists where events are kind-coded (the batched core).
 _CORE_ONLY_PREFIX = "sim_events_by_kind_total"
 
 
@@ -182,14 +181,13 @@ def build_chain_machine(spec: ProgramSpec, core: str, taps: Taps):
     """A dependency-chain program straight on a :class:`SimMachine`.
 
     The "chain" family exists because the three ORWL apps are all
-    pipeline-parallel: many threads are runnable at once, so the SoA
-    core's serial-chain fast paths (the chain chase and, with
-    ``SimLimits(jit="on")``, the run-ahead kernel's interpreted twin)
-    barely fire under difftest. These shapes pin them down:
+    pipeline-parallel: many threads are runnable at once, so a lone
+    runnable thread handing work to the next — every step a wakeup and
+    a fresh placement — is rare under them. These shapes pin it down:
 
     ``ring``
         a single token passed around *n_threads* stages — exactly one
-        runnable thread at any instant, the pure chase workload;
+        runnable thread at any instant;
     ``line``
         thread 0 produces *loops* tokens through a relay of stages — a
         filling pipeline that repeatedly narrows back to a chain;
@@ -327,60 +325,31 @@ def run_one(spec: ProgramSpec, core: str) -> dict:
 
 
 def check_program(spec: ProgramSpec) -> dict:
-    """Run *spec* on all three cores, assert bit-identical fingerprints.
+    """Run *spec* on both cores, assert bit-identical fingerprints.
 
     Returns the batched fingerprint (handy for further assertions).
-    Comparison is field by field so a failure names the drifting field,
-    the drifting core and the spec, not just "dicts differ".
+    Comparison is field by field so a failure names the drifting field
+    and the spec, not just "dicts differ".
     """
     fp_object = run_one(spec, "object")
-    fps = {core: run_one(spec, core) for core in ("batched", "soa")}
+    fp = run_one(spec, "batched")
     assert fp_object["core_used"] == "object", spec.describe()
-    for core, fp in fps.items():
-        assert fp["core_used"] == core, spec.describe()
-        for key in fp_object:
-            if key == "core_used":
-                continue
-            assert fp[key] == fp_object[key], (
-                f"{key} differs on {core} core for {spec.describe()}"
-            )
-    return fps["batched"]
-
-
-def run_smoke(n: int = 6, seed: int = 0) -> int:
-    """Preflight subset for tooling (regenerate_all): check the first *n*
-    generated programs; returns how many passed (raises on mismatch)."""
-    specs = generate_programs(n, seed=seed)
-    for spec in specs:
-        check_program(spec)
-    return len(specs)
-
-
-def generate_chain_programs(n: int, seed: int = 0) -> list[ProgramSpec]:
-    """*n* seeded chain-family specs, tap modes cycling — the serial
-    dependency programs that drive the SoA core's chase/run-ahead
-    paths, for focused smoke checks and threshold tests."""
-    rng = Random(seed)
-    return [
-        ProgramSpec(
-            index=i,
-            app="chain",
-            config=tuple(sorted(_draw_config("chain", rng).items())),
-            topology=rng.choice(tuple(TOPOLOGIES)),
-            affinity=rng.choice((False, True)),
-            seed=rng.randrange(10_000),
-            tap_mode=TAP_MODES[i % len(TAP_MODES)],
+    assert fp["core_used"] == "batched", spec.describe()
+    for key in fp_object:
+        if key == "core_used":
+            continue
+        assert fp[key] == fp_object[key], (
+            f"{key} differs on the batched core for {spec.describe()}"
         )
-        for i in range(n)
-    ]
+    return fp
 
 
-def run_chain_smoke(n: int = 6, seed: int = 0) -> int:
-    """Chain-heavy preflight: bit-identity of the serial-chain fast
-    paths across cores, taps off/on/sampled. The lint preflight runs
-    this next to :func:`run_smoke` so a chase regression can't hide
-    behind the pipeline-parallel app programs."""
-    specs = generate_chain_programs(n, seed=seed)
+def run_smoke(n: int = 12, seed: int = 0) -> int:
+    """Preflight subset for tooling (lint_repro): check the first *n*
+    generated programs — apps cycle every four specs, so the default
+    covers each of lk23, matmul, video and chain three times; returns
+    how many passed (raises on mismatch)."""
+    specs = generate_programs(n, seed=seed)
     for spec in specs:
         check_program(spec)
     return len(specs)
@@ -389,5 +358,5 @@ def run_chain_smoke(n: int = 6, seed: int = 0) -> int:
 if __name__ == "__main__":  # pragma: no cover - manual smoke entry point
     import sys
 
-    count = int(sys.argv[1]) if len(sys.argv) > 1 else 6
-    print(f"difftest smoke: {run_smoke(count)} program(s) bit-identical")
+    n = run_smoke(int(sys.argv[1])) if len(sys.argv) > 1 else run_smoke()
+    print(f"difftest smoke: {n} program(s) bit-identical")

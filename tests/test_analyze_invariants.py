@@ -114,7 +114,7 @@ class TestRemapEpochBoundary:
         machine.sanitizer.verify(machine)
         return machine
 
-    @pytest.mark.parametrize("core", ["object", "batched", "soa"])
+    @pytest.mark.parametrize("core", ["object", "batched"])
     def test_occupancy_holds_across_rebind(self, core):
         machine = self._windowed_remap(core)
         assert all(t.state == "done" for t in machine.threads)
@@ -123,12 +123,12 @@ class TestRemapEpochBoundary:
 
     def test_checked_remap_matches_between_cores(self):
         fps = []
-        for core in ("batched", "object", "soa"):
+        for core in ("batched", "object"):
             fp = fingerprint(self._windowed_remap(core))
             fp.pop("core_used")
             fp.pop("elapsed_cycles")  # windowed clock sits on the horizon
             fps.append(fp)
-        assert fps[0] == fps[1] == fps[2]
+        assert fps[0] == fps[1]
 
 
 class TestViolationDetection:
@@ -181,7 +181,7 @@ class TestViolationDetection:
         machine.run()
         return machine
 
-    @pytest.mark.parametrize("core", ["object", "batched", "soa"])
+    @pytest.mark.parametrize("core", ["object", "batched"])
     def test_flipped_mask_bit_of_placed_pu_fires(self, core, monkeypatch):
         # PU 0 keeps being re-placed after the flip, so the live on_place
         # check sees its bit set while t0 occupies it.
@@ -189,7 +189,7 @@ class TestViolationDetection:
         with pytest.raises(InvariantViolation, match="occupancy.*free mask"):
             self._flip_mid_run(core, 0)
 
-    @pytest.mark.parametrize("core", ["object", "batched", "soa"])
+    @pytest.mark.parametrize("core", ["object", "batched"])
     def test_flipped_mask_bit_of_idle_pu_fails_drain(self, core, monkeypatch):
         # Nothing is ever placed on PU 100: only the drain check sees it.
         monkeypatch.setenv("REPRO_SANITIZE", "1")

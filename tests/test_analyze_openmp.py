@@ -31,7 +31,7 @@ class TestMonitoredRun:
     def test_completes_and_records_core(self, result):
         assert result.completed
         assert result.error == ""
-        assert result.core in ("soa", "batched", "object")
+        assert result.core in ("batched", "object")
 
     def test_regions_fork_join_in_order(self, result):
         assert result.forked  # at least one parallel_for fired the hook
@@ -85,6 +85,6 @@ class TestAnalysisPackaging:
     def test_analyze_openmp_records_dynamic_core(self):
         a = analyze_openmp("omp-lk23")
         assert a.name == "omp-lk23"
-        assert a.dynamic_core in ("soa", "batched", "object")
+        assert a.dynamic_core in ("batched", "object")
         assert a.static.findings == []
         assert a.exit_code() == 0

@@ -227,3 +227,37 @@ class TestPerCallTargets:
                 ("alloc",)) in HOT_TARGETS
         assert "OSScheduler.place" in PER_CALL_TARGETS
         assert "hotlint:" not in Path(scheduler.__file__).read_text()
+
+    def test_loop_free_function_targets_are_per_call(self):
+        # Outside PER_CALL_TARGETS only while bodies are scanned, so a
+        # loop-free function target would be checked for nothing.
+        import ast
+        from pathlib import Path
+
+        import repro
+        from repro.analyze.hotlint import (
+            HOT_TARGETS,
+            PER_CALL_TARGETS,
+            _resolve_qualname,
+        )
+
+        root = Path(repro.__file__).resolve().parent.parent
+        for rel_path, qualname, _rules in HOT_TARGETS:
+            node = _resolve_qualname(
+                ast.parse((root / rel_path).read_text()), qualname
+            )
+            if isinstance(node, ast.ClassDef):
+                continue
+            has_loop = any(isinstance(n, ast.While) for n in ast.walk(node))
+            assert has_loop or qualname in PER_CALL_TARGETS, qualname
+
+    def test_block_rng_draws_guarded_without_suppressions(self):
+        from pathlib import Path
+
+        import repro.util.rng as rng
+        from repro.analyze.hotlint import HOT_TARGETS, PER_CALL_TARGETS
+
+        for draw in ("BlockRng.random", "BlockRng.uniform"):
+            assert ("repro/util/rng.py", draw, ("alloc",)) in HOT_TARGETS
+            assert draw in PER_CALL_TARGETS
+        assert "hotlint:" not in Path(rng.__file__).read_text()

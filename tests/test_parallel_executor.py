@@ -164,6 +164,19 @@ class TestRunJobs:
         parallel = run_jobs(jobs, n_jobs=4, cache=False)
         assert parallel == serial
 
+    def test_dead_worker_raises_repro_error(self, monkeypatch):
+        monkeypatch.setitem(CELLS, "_test-exit", _exit_cell)
+        jobs = [make_job("_test-exit", TINY, {"k": k}, 1) for k in (1, 2)]
+        with pytest.raises(ReproError, match=r"_test-exit\(k=1\)"):
+            run_jobs(jobs, n_jobs=2, cache=False)
+
+
+def _exit_cell(*, scale, seed, **params):
+    """A cell whose worker process dies without a word."""
+    import os
+
+    os._exit(1)
+
 
 class TestFigureDeterminism:
     def test_jobs_1_jobs_4_and_warm_cache_identical(self, tmp_path):

@@ -1,13 +1,12 @@
-"""Golden-trace equivalence: object vs batched vs SoA cores, bit for bit.
+"""Golden-trace equivalence: object vs batched core, bit for bit.
 
-The batched core (:meth:`SimMachine._run_batched`) and the SoA core
-(:func:`repro.sim.soa.run_soa`) are from-scratch rewrites of the
-simulator hot path; their contract is that a fixed-seed run is
-*bit-identical* to the object path — same counter floats, same final
+The batched core (:meth:`SimMachine._run_batched`) is a from-scratch
+rewrite of the simulator hot path; its contract is that a fixed-seed run
+is *bit-identical* to the object path — same counter floats, same final
 clock, same number of events processed, same per-kind split. These tests
-pin that contract three ways on the three paper applications plus
-targeted machine micro-scenarios (quantum batching, unbound-thread rng
-parity, oversubscribed preemption, event budgets). Any drift — a
+pin that contract on the three paper applications plus targeted machine
+micro-scenarios (quantum batching, serial dependency chains,
+unbound-thread rng parity, oversubscribed preemption, event budgets). Any drift — a
 reordered float add, a different (when, seq) event order, an extra rng
 draw — shows up here as an exact-compare failure, not a tolerance miss.
 """
@@ -57,7 +56,7 @@ class TestAppGoldenTraces:
         runs = [
             run_orwl_lk23(smp12e5(), cfg, affinity=affinity, seed=11,
                           core=core)
-            for core in ("object", "batched", "soa")
+            for core in ("object", "batched")
         ]
         assert_identical(*[machine_fingerprint(r.machine) for r in runs])
 
@@ -67,7 +66,7 @@ class TestAppGoldenTraces:
         runs = [
             run_openmp_lk23(smp12e5(), cfg, binding=binding, seed=7,
                             core=core)
-            for core in ("object", "batched", "soa")
+            for core in ("object", "batched")
         ]
         assert_identical(*[machine_fingerprint(r.machine) for r in runs])
 
@@ -77,7 +76,7 @@ class TestAppGoldenTraces:
         runs = [
             run_orwl_matmul(smp20e7(), cfg, affinity=affinity, seed=3,
                             core=core)
-            for core in ("object", "batched", "soa")
+            for core in ("object", "batched")
         ]
         assert_identical(*[machine_fingerprint(r.machine) for r in runs])
 
@@ -87,7 +86,7 @@ class TestAppGoldenTraces:
         runs = [
             run_orwl_video(smp12e5(), cfg, affinity=affinity, seed=5,
                            core=core)[0]
-            for core in ("object", "batched", "soa")
+            for core in ("object", "batched")
         ]
         assert_identical(*[machine_fingerprint(r.machine) for r in runs])
 
@@ -117,7 +116,7 @@ def ring_machine(core: str, *, bound: bool, topo=smp12e5, seed: int = 0):
 
 
 def serial_chain_machine(core: str, *, shape: str = "ring",
-                         bound: bool = True, seed: int = 0, limits=None):
+                         bound: bool = True, seed: int = 0):
     """A genuinely serial dependency chain: every stage waits FIRST.
 
     ``ring`` passes one token around 8 stages (exactly one runnable
@@ -125,7 +124,7 @@ def serial_chain_machine(core: str, *, shape: str = "ring",
     relay; ``stages`` adds writes to buffers shared by adjacent relay
     stages so chain hand-offs interleave with cache traffic.
     """
-    machine = SimMachine(smp12e5(), seed=seed, core=core, limits=limits)
+    machine = SimMachine(smp12e5(), seed=seed, core=core)
     n = 8
     loops = 30
     events = [machine.event(f"e{i}") for i in range(n)]
@@ -169,7 +168,7 @@ class TestMachineGoldenTraces:
     @pytest.mark.parametrize("bound", [True, False])
     def test_ring(self, bound):
         machines = []
-        for core in ("object", "batched", "soa"):
+        for core in ("object", "batched"):
             m = ring_machine(core, bound=bound)
             m.run()
             machines.append(m)
@@ -178,22 +177,13 @@ class TestMachineGoldenTraces:
     @pytest.mark.parametrize("bound", [True, False])
     @pytest.mark.parametrize("shape", ["ring", "line", "stages"])
     def test_serial_chain(self, shape, bound):
-        """Chain-heavy programs: the serial-dependency shapes the chain
-        chase targets (unlike the classic ring above, whose stages all
-        compute before their first Wait and stay 24-wide). The SoA core
-        runs each shape three more ways — chase disabled, and with the
-        run-ahead kernel forced on (its interpreted twin when numba is
-        absent) — and every fingerprint must match the object core."""
+        """Chain-heavy programs: one runnable thread at a time (unlike
+        the classic ring above, whose stages all compute before their
+        first Wait and stay 24-wide), so every hand-off goes through a
+        wakeup and a fresh placement."""
         fps = []
-        for core, limits in (
-            ("object", None),
-            ("batched", None),
-            ("soa", None),
-            ("soa", SimLimits(chase=False)),
-            ("soa", SimLimits(jit="on")),
-        ):
-            m = serial_chain_machine(core, shape=shape, bound=bound,
-                                     limits=limits)
+        for core in ("object", "batched"):
+            m = serial_chain_machine(core, shape=shape, bound=bound)
             m.run()
             fps.append(machine_fingerprint(m))
         assert_identical(*fps)
@@ -203,7 +193,7 @@ class TestMachineGoldenTraces:
         # from the rng (os jitter, wakeup migration) — exercises that both
         # cores consume the stream in the same order.
         machines = []
-        for core in ("object", "batched", "soa"):
+        for core in ("object", "batched"):
             m = ring_machine(core, bound=False, topo=smp20e7, seed=17)
             m.run()
             machines.append(m)
@@ -233,7 +223,6 @@ class TestMachineGoldenTraces:
         assert_identical(
             machine_fingerprint(build("object")),
             machine_fingerprint(build("batched")),
-            machine_fingerprint(build("soa")),
         )
 
     def test_oversubscribed_preemption_parity(self):
@@ -259,14 +248,13 @@ class TestMachineGoldenTraces:
         assert_identical(
             machine_fingerprint(build("object")),
             machine_fingerprint(build("batched")),
-            machine_fingerprint(build("soa")),
         )
 
     def test_event_budget_parity(self):
         # Both cores must stop at exactly the same processed-event count
         # and leave the same partial clock behind.
         results = []
-        for core in ("object", "batched", "soa"):
+        for core in ("object", "batched"):
             m = ring_machine(core, bound=True)
             with pytest.raises(SimulationError, match="event budget"):
                 m.run(max_events=500)
@@ -274,18 +262,18 @@ class TestMachineGoldenTraces:
                 (m.engine.events_processed, m.elapsed_cycles,
                  m.total_counters().snapshot())
             )
-        assert results[0] == results[1] == results[2]
+        assert results[0] == results[1]
 
     def test_max_cycles_parity(self):
         results = []
-        for core in ("object", "batched", "soa"):
+        for core in ("object", "batched"):
             m = ring_machine(core, bound=True)
             m.run(max_cycles=2e5, allow_incomplete=True)
             results.append(
                 (m.engine.events_processed, m.elapsed_cycles,
                  m.total_counters().snapshot())
             )
-        assert results[0] == results[1] == results[2]
+        assert results[0] == results[1]
 
 
 # -- core selection rules --------------------------------------------------------
@@ -296,7 +284,7 @@ class TestCoreSelection:
         with pytest.raises(SimulationError, match="unknown core"):
             SimMachine(smp12e5(), core="vectorized")
 
-    @pytest.mark.parametrize("core", ["batched", "soa"])
+    @pytest.mark.parametrize("core", ["batched"])
     def test_flat_cores_refuse_watchers(self, core):
         # Only engine.watchers (a per-event callback with no flat-core
         # equivalent) still forces the object path; the error names it.
@@ -329,7 +317,7 @@ class TestCoreSelection:
         records = {}
         monitors = {}
         placements = {}
-        for core in ("object", "batched", "soa"):
+        for core in ("object", "batched"):
             from repro.sim.trace import Trace
 
             m = ring_machine(core, bound=True)
@@ -347,10 +335,9 @@ class TestCoreSelection:
             ]
             monitors[core] = (mon.touches, mon.blocks, mon.finishes)
             placements[core] = placed
-        for core in ("batched", "soa"):
-            assert records[core] == records["object"], core
-            assert monitors[core] == monitors["object"], core
-            assert placements[core] == placements["object"], core
+        assert records["batched"] == records["object"]
+        assert monitors["batched"] == monitors["object"]
+        assert placements["batched"] == placements["object"]
         assert records["batched"]  # the taps actually observed something
         assert monitors["batched"][0] > 0
 

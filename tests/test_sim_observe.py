@@ -194,19 +194,18 @@ class TestObserverLifecycle:
 
     def test_snapshot_parity_across_cores(self):
         snaps = {}
-        for core in ("object", "batched", "soa"):
+        for core in ("object", "batched"):
             _, obs = observed_run(core)
             snaps[core] = {
                 k: v for k, v in obs.snapshot().items()
                 if not k.startswith("sim_events_by_kind_total")
             }
         assert snaps["object"] == snaps["batched"]
-        assert snaps["object"] == snaps["soa"]
 
     def test_event_kind_split_only_on_flat_cores(self):
-        # Both flat cores tally per-kind event counts in their drain
-        # loops; the object path does not.
-        for core, expect in (("object", 0), ("batched", 1), ("soa", 1)):
+        # The batched core tallies per-kind event counts in its drain
+        # loop; the object path does not.
+        for core, expect in (("object", 0), ("batched", 1)):
             _, obs = observed_run(core)
             keys = [
                 k for k in obs.snapshot()
@@ -284,6 +283,6 @@ class TestChromeSchema:
     def test_identical_across_cores(self):
         docs = [
             observed_run(core)[1].chrome_trace()
-            for core in ("object", "batched", "soa")
+            for core in ("object", "batched")
         ]
-        assert docs[0] == docs[1] == docs[2]
+        assert docs[0] == docs[1]

@@ -21,7 +21,7 @@ from repro.sim import (
     halo_ring_scenario,
     run_sharded,
 )
-from repro.sim.shard import SHARD_PROGRAMS, register_program
+from repro.sim.shard import SHARD_PROGRAMS, _fork_available, register_program
 
 
 def small_ring(n_shards: int = 2, *, seed: int = 0, latency: float = 5e7):
@@ -224,3 +224,59 @@ class TestValidation:
                 run_sharded(scenario, workers=1)
         finally:
             del SHARD_PROGRAMS["_test_bad_send"]
+
+
+def _kill(worker) -> None:
+    import os
+    import signal
+
+    os.kill(worker._proc.pid, signal.SIGKILL)
+    worker._proc.join(timeout=10)
+
+
+@pytest.mark.skipif(
+    not _fork_available(), reason="process workers need the fork start method"
+)
+class TestDeadWorker:
+    """A worker killed mid-run fails the run with a typed error, fast,
+    and leaves no child process behind."""
+
+    def test_killed_worker_fails_the_run(self, monkeypatch):
+        import multiprocessing
+        import time
+
+        from repro.sim import shard
+
+        submit = shard._ProcessWorker.submit_window
+        epochs: dict[int, int] = {}
+
+        def submit_or_die(self, *args):
+            key = id(self)
+            epochs[key] = epochs.get(key, 0) + 1
+            if self.shard_idxs == [0, 2] and epochs[key] == 3:
+                _kill(self)
+            submit(self, *args)
+
+        monkeypatch.setattr(shard._ProcessWorker, "submit_window", submit_or_die)
+        t0 = time.monotonic()
+        with pytest.raises(
+            SimulationError, match=r"shards \[0, 2\] died \(exit code -9"
+        ):
+            run_sharded(small_ring(4), workers=2)
+        assert time.monotonic() - t0 < 30
+        assert multiprocessing.active_children() == []
+
+    def test_both_pipe_directions_are_typed(self):
+        from repro.sim.shard import _ProcessWorker
+
+        worker = _ProcessWorker(small_ring(2), [0])
+        try:
+            _kill(worker)
+            # Reading from the dead worker: EOFError underneath.
+            with pytest.raises(SimulationError, match=r"shards \[0\] died"):
+                worker.collect()
+            # Writing to it: BrokenPipeError underneath.
+            with pytest.raises(SimulationError, match=r"exit code -9"):
+                worker.submit_window(1e7, {}, None)
+        finally:
+            worker.close()

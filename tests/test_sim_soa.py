@@ -1,11 +1,13 @@
-"""SoA-core specifics: selection, preallocation limits, windowed runs.
+"""Flat-core specifics: selection, live thread state, windowed runs.
 
 The cross-core bit-identity contract itself is pinned by
 ``test_sim_batched_equivalence.py`` and ``test_sim_difftest.py``; this
-module covers what is *unique* to the struct-of-arrays core — core
-selection defaults, the fixed-capacity column arrays, bound-flag
-coherence, and :meth:`SimMachine.run_window` (the shard-protocol epoch
-primitive) agreeing with a one-shot run on every core.
+module covers core selection defaults, per-thread state the batched
+core reads live rather than from columns sized at run entry (threads
+registered and bindings changed while it drains), and
+:meth:`SimMachine.run_window` (the shard-protocol epoch primitive)
+agreeing with a one-shot run on both cores, including bindings changed
+between windows.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ pytestmark = pytest.mark.simcore
 
 from repro.errors import SimulationError
 from repro.sim import Compute, SimMachine, Spawn, Touch, Wait, YieldCPU
-from repro.sim.machine import SimLimits
 from repro.topology import smp12e5
 from repro.util.bitmap import Bitmap
 
@@ -58,39 +59,24 @@ def fingerprint(m: SimMachine) -> tuple:
 
 class TestCoreSelection:
     def test_auto_resolves_to_soa(self):
-        from repro.sim.jit import HAVE_NUMBA
-
+        # ``auto`` picks the fastest flat core. The struct-of-arrays
+        # core this test is named for was removed, so that is now the
+        # batched core.
         m = mixed_machine("auto")
         m.run()
-        # With the repro[jit] extra installed, auto additionally picks
-        # up the compiled run-ahead kernel and records it.
-        assert m.core_used == ("soa+jit" if HAVE_NUMBA else "soa")
+        assert m.core_used == "batched"
 
     def test_explicit_cores_honoured(self):
-        for core in ("soa", "batched", "object"):
+        for core in ("batched", "object"):
             m = mixed_machine(core)
             m.run()
             assert m.core_used == core
 
 
 class TestPreallocatedColumns:
-    def test_mid_run_thread_registration_rejected(self):
-        # The SoA core sizes its columns at entry; a thread registered
-        # from generator code lands beyond them and must fail loudly
-        # with a pointer at the batched core, not corrupt state.
-        m = SimMachine(smp12e5(), core="soa")
-
-        def parent():
-            yield Compute(1e4)
-            late = m.add_thread("late", child(), start=False)
-            yield Spawn(late)
-
-        def child():
-            yield Compute(1e4)
-
-        m.add_thread("parent", parent(), cpuset=Bitmap.single(0))
-        with pytest.raises(SimulationError, match="after run\\(\\) started"):
-            m.run()
+    """The batched core sizes no per-thread columns at run entry: a
+    thread registered from generator code joins the run, and a binding
+    changed from generator code reaches the next placement decision."""
 
     def test_batched_core_allows_mid_run_registration(self):
         m = SimMachine(smp12e5(), core="batched")
@@ -107,41 +93,52 @@ class TestPreallocatedColumns:
         m.run()
         assert [t.state for t in m.threads] == ["done", "done"]
 
-    def test_bound_column_follows_rebind(self):
-        # bind_thread during an SoA run must update the live bound
-        # column (the vectorized eligibility masks read it), exercised
-        # here via a thread that re-binds a peer mid-run.
-        m = SimMachine(smp12e5(), core="soa")
-        target = None
+    @staticmethod
+    def _rebind_mid_run(core: str) -> tuple:
+        # A lockstep gang of bound multi-quantum computes opens every
+        # quantum-boundary bucket with a run long enough for the
+        # vectorized batch, whose eligibility reads thread.cpuset live;
+        # a peer unbinds one gang member mid-run.
+        m = SimMachine(smp12e5(), core=core)
+        gang = []
 
         def rebinder():
             yield Compute(3e7)
-            m.bind_thread(target, None)  # unbind mid-run
+            m.bind_thread(gang[5], None)  # unbind mid-run
             yield Compute(3e7)
 
-        def victim():
-            for _ in range(6):
-                yield Compute(3e7)
+        def worker():
+            for _ in range(4):
+                yield Compute(2e8)
 
-        t0 = m.add_thread("rebinder", rebinder(), cpuset=Bitmap.single(0))
-        target = m.add_thread("victim", victim(), cpuset=Bitmap.single(2))
+        m.add_thread("rebinder", rebinder(), cpuset=Bitmap.single(1))
+        for i in range(20):
+            gang.append(
+                m.add_thread(f"w{i}", worker(), cpuset=Bitmap.single(2 * i))
+            )
         m.run()
         assert {t.state for t in m.threads} == {"done"}
-        assert target.cpuset is None
-        assert m._soa_bound is None  # column detached after the run
+        assert gang[5].cpuset is None
+        return fingerprint(m) + ([t.pu for t in m.threads],)
+
+    def test_bound_column_follows_rebind(self):
+        # Had the batched core snapshotted the binding at run entry, the
+        # unbound thread would stay in the vectorized batch (which skips
+        # the rebalance path) and the cores would part ways.
+        assert self._rebind_mid_run("batched") == \
+            self._rebind_mid_run("object")
 
 
 class TestRunWindow:
-    @pytest.mark.parametrize("core", ["object", "batched", "soa"])
+    @pytest.mark.parametrize("core", ["object", "batched"])
     def test_windowed_equals_one_shot(self, core):
         one = mixed_machine(core)
         one.run()
 
         win = mixed_machine(core)
         horizon = 0.0
-        # Small windows slice straight through in-flight busy chunks and
-        # vectorized EV_VBUSY groups, forcing the leftover-event shim
-        # conversion at every boundary.
+        # Small windows slice straight through in-flight busy chunks,
+        # forcing the leftover-event shim conversion at every boundary.
         for _ in range(40):
             horizon += 3e8
             win.run_window(horizon)
@@ -154,7 +151,7 @@ class TestRunWindow:
         assert win.elapsed_cycles == 1e13
 
     def test_window_cannot_go_backwards(self):
-        m = mixed_machine("soa")
+        m = mixed_machine("batched")
         m.run_window(1e9)
         with pytest.raises(SimulationError, match="before now"):
             m.run_window(1e8)
@@ -163,12 +160,12 @@ class TestRunWindow:
         # Even a drained machine reports the horizon: the shard protocol
         # equates machine time with the epoch boundary so messages
         # stamped inside (T_{k-1}, T_k] are always schedulable.
-        m = mixed_machine("soa")
+        m = mixed_machine("batched")
         m.run_window(1e13)  # everything completes well before this
         assert m.engine.now == 1e13
 
     def test_window_respects_event_budget(self):
-        m = mixed_machine("soa")
+        m = mixed_machine("batched")
         with pytest.raises(SimulationError, match="event budget"):
             for _ in range(1000):
                 m.run_window(m.engine.now + 3e8, max_events=10)
@@ -176,12 +173,12 @@ class TestRunWindow:
     def test_observer_folds_once_after_last_window(self):
         from repro.sim.observe import SimObserver
 
-        one = mixed_machine("soa")
+        one = mixed_machine("batched")
         obs_one = SimObserver()
         one.attach_observer(obs_one)
         one.run()
 
-        win = mixed_machine("soa")
+        win = mixed_machine("batched")
         obs_win = SimObserver()
         win.attach_observer(obs_win)
         horizon = 0.0
@@ -216,9 +213,8 @@ class TestBetweenWindowRebind:
         m = SimMachine(smp12e5(), core=core)
 
         def worker(i):
-            # The yield forces a real redispatch per chunk: the serial
-            # run-ahead paths would otherwise commit a thread's whole
-            # future at window 0, leaving a later rebind nothing to move.
+            # The yield forces a real redispatch per chunk, so a later
+            # rebind always has placements left to move.
             for _ in range(24):
                 yield Compute(3e7)
                 yield YieldCPU()
@@ -231,10 +227,8 @@ class TestBetweenWindowRebind:
     def _drain(m: SimMachine, rebind_to: Bitmap | None) -> SimMachine:
         m.run_window(1.5e8)
         if rebind_to is not None:
-            # The SoA bound column only lives inside run_soa — between
-            # epochs the rebind goes through thread.cpuset and must be
-            # picked up when the next window rebuilds its columns.
-            assert m._soa_bound is None
+            # Between epochs the rebind goes through thread.cpuset and
+            # must be picked up by the next window's placements.
             m.bind_thread(m.threads[1], rebind_to)
             assert m.threads[1].cpuset == rebind_to
         horizon = 3e8
@@ -249,20 +243,20 @@ class TestBetweenWindowRebind:
         # Moving w1 (PU 2) onto w2's PU 4 forces the two to timeshare:
         # the drain point must move out vs the undisturbed run — proof
         # the new binding is enforced, not just recorded.
-        free = self._drain(self._long_machine("soa"), None)
-        packed = self._drain(self._long_machine("soa"), Bitmap.single(4))
+        free = self._drain(self._long_machine("batched"), None)
+        packed = self._drain(self._long_machine("batched"), Bitmap.single(4))
         assert packed.window_drained_at > free.window_drained_at
         assert packed.threads[1].cpuset == Bitmap.single(4)
 
     def test_rebind_agrees_across_cores(self):
         prints = []
-        for core in ("object", "batched", "soa"):
+        for core in ("object", "batched"):
             m = self._drain(self._long_machine(core), Bitmap.single(4))
             prints.append(fingerprint(m)[1:])  # clock sits on the horizon
-        assert prints[0] == prints[1] == prints[2]
+        assert prints[0] == prints[1]
 
     def test_unbind_between_windows_frees_thread(self):
-        bound = self._drain(self._long_machine("soa"), None)
+        bound = self._drain(self._long_machine("batched"), None)
 
         def loose_run(core):
             loose = self._long_machine(core)
@@ -283,154 +277,6 @@ class TestBetweenWindowRebind:
         # enforced, not just recorded. And it stays deterministic and
         # core-independent.
         prints = [fingerprint(loose_run(c))[1:]
-                  for c in ("object", "batched", "soa")]
-        assert prints[0] == prints[1] == prints[2]
+                  for c in ("object", "batched")]
+        assert prints[0] == prints[1]
         assert prints[-1] != fingerprint(bound)[1:]
-
-
-class TestLimitsValidation:
-    def test_vec_min_validated(self):
-        with pytest.raises(SimulationError):
-            SimLimits(vec_min=1)
-        assert SimLimits(vec_min=2).vec_min == 2
-
-    def test_jit_knob_validated(self):
-        with pytest.raises(SimulationError):
-            SimLimits(jit="maybe")
-        for mode in ("auto", "on", "off"):
-            assert SimLimits(jit=mode).jit == mode
-
-
-def token_ring(core: str, *, limits=None, stages: int = 8,
-               loops: int = 40):
-    """Wait-first single-token ring: exactly one runnable thread at any
-    virtual instant — the chain chase's target workload."""
-    m = SimMachine(smp12e5(), core=core, limits=limits)
-    evs = [m.event(f"e{i}") for i in range(stages)]
-
-    def stage(i):
-        nxt = evs[(i + 1) % stages]
-        for _ in range(loops):
-            yield Wait(evs[i])
-            yield Compute(1e4)
-            nxt.signal()
-
-    for i in range(stages):
-        m.add_thread(f"s{i}", stage(i), cpuset=Bitmap.single(2 * i))
-    evs[0].signal()
-    return m
-
-
-def lockstep_gang(core: str, *, limits=None, threads: int = 16):
-    """All threads bound, identical multi-quantum computes: uniform
-    VBUSY gangs — the run-ahead kernel's target workload."""
-    m = SimMachine(smp12e5(), core=core, limits=limits)
-
-    def worker():
-        for _ in range(4):
-            yield Compute(2e8)
-
-    for i in range(threads):
-        m.add_thread(f"w{i}", worker(), cpuset=Bitmap.single(2 * i))
-    return m
-
-
-class TestChainChase:
-    def test_chase_engages_on_serial_chain(self):
-        m = token_ring("soa")
-        m.run()
-        assert m.core_stats["chase_events"] > 0
-        # Most of the ring's BUSY completions are provably-next events;
-        # the chase should absorb a substantial share, not a token few.
-        assert m.core_stats["chase_events"] * 4 >= m.engine.events_processed
-
-    def test_chase_off_is_untaken_and_bit_identical(self):
-        on = token_ring("soa")
-        on.run()
-        off = token_ring("soa", limits=SimLimits(chase=False))
-        off.run()
-        assert off.core_stats["chase_events"] == 0
-        assert fingerprint(off) == fingerprint(on)
-
-    def test_chase_does_not_fire_on_wide_workload(self):
-        # Every PU busy in lockstep: the calendar always holds pending
-        # buckets, so the provably-next probe must reject every emit.
-        m = lockstep_gang("soa")
-        m.run()
-        assert m.core_stats["chase_events"] == 0
-
-    def test_chase_honours_run_window(self):
-        one = token_ring("soa")
-        one.run()
-        win = token_ring("soa")
-        horizon = 0.0
-        for _ in range(12):
-            horizon += one.elapsed_cycles / 10
-            win.run_window(horizon)
-        win.run_window(1e15)
-        # The windowed clock lands on the final horizon (epoch-boundary
-        # semantics); everything else must match the one-shot run.
-        assert fingerprint(win)[1:] == fingerprint(one)[1:]
-        assert win.core_stats["chase_events"] > 0
-
-
-class TestJitKernel:
-    def test_forced_interpreted_kernel_engages_and_matches(self):
-        # jit="on" without numba runs the kernel's pure-python twin —
-        # slower, but it must take the same decisions bit for bit.
-        off = lockstep_gang("soa", limits=SimLimits(jit="off"))
-        off.run()
-        on = lockstep_gang("soa", limits=SimLimits(jit="on"))
-        on.run()
-        assert on.core_used == "soa+jit"
-        assert off.core_used == "soa"
-        assert on.core_stats["jit_events"] > 0
-        assert off.core_stats["jit_events"] == 0
-        assert fingerprint(on) == fingerprint(off)
-
-    def test_forced_kernel_matches_on_serial_chain(self):
-        # A serial chain never forms a gang, so the kernel must simply
-        # stay out of the way (zero absorbed events, identical run).
-        plain = token_ring("soa")
-        plain.run()
-        jit = token_ring("soa", limits=SimLimits(jit="on"))
-        jit.run()
-        assert jit.core_stats["jit_events"] == 0
-        assert fingerprint(jit) == fingerprint(plain)
-
-    def test_auto_matches_numba_availability(self):
-        from repro.sim.jit import HAVE_NUMBA
-
-        m = lockstep_gang("auto")
-        m.run()
-        assert m.core_used == ("soa+jit" if HAVE_NUMBA else "soa")
-
-
-class TestPopSingle:
-    def test_single_event_bucket_pops(self):
-        from repro.sim.engine import BatchedQueue, EV_STEP
-
-        q = BatchedQueue()
-        q.push(5.0, 1, EV_STEP, "a")
-        assert q.pop_single() == (5.0, 1, EV_STEP, "a")
-        assert q.pop_single() is None
-
-    def test_multi_event_bucket_refused(self):
-        from repro.sim.engine import BatchedQueue, EV_STEP
-
-        q = BatchedQueue()
-        q.push(5.0, 1, EV_STEP, "a")
-        q.push(5.0, 2, EV_STEP, "b")
-        assert q.pop_single() is None
-        assert len(q) == 2  # untouched
-        when, seqs, _, payloads = q.pop_batch()
-        assert (when, seqs, payloads) == (5.0, [1, 2], ["a", "b"])
-
-    def test_later_bucket_does_not_mask_earliest(self):
-        from repro.sim.engine import BatchedQueue, EV_STEP
-
-        q = BatchedQueue()
-        q.push(7.0, 2, EV_STEP, "later")
-        q.push(3.0, 1, EV_STEP, "first")
-        assert q.pop_single() == (3.0, 1, EV_STEP, "first")
-        assert q.pop_single() == (7.0, 2, EV_STEP, "later")

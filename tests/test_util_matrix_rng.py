@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.util.matrix import check_square, submatrix, symmetrize, zero_diagonal
-from repro.util.rng import derive_rng, make_rng
+from repro.util.rng import BlockRng, derive_rng, make_rng
 
 squareish = arrays(
     np.float64,
@@ -67,3 +67,56 @@ class TestRng:
         root2 = make_rng(0)
         b = derive_rng(root2, "b")
         assert a.integers(0, 1 << 30) != b.integers(0, 1 << 30)
+
+
+def _interleave(seed: int, block: int, n_draws: int) -> int:
+    """Drive *n_draws* seeded-random draws through a BlockRng and a plain
+    Generator of the same seed in lockstep; returns the integers count.
+
+    ``integers`` ranges include a span of 1 (no draw at all), small
+    spans served by 32-bit draws — which can leave a cached 32-bit half
+    behind — and a span above 2**32."""
+    import random
+
+    plain = np.random.default_rng(seed)
+    blocked = BlockRng(np.random.default_rng(seed), block)
+    pick = random.Random(seed)
+    n_integers = 0
+    for _ in range(n_draws):
+        r = pick.random()
+        if r < 0.45:
+            got, want = blocked.random(), plain.random()
+        elif r < 0.9:
+            low = pick.choice((-0.02, 0.0, -1.5))
+            high = pick.choice((0.02, 1.0, 3.25))
+            got, want = blocked.uniform(low, high), plain.uniform(low, high)
+        else:
+            low = pick.randrange(4)
+            high = low + pick.choice((1, 2, 3, 7, 30, 1 << 33))
+            got, want = blocked.integers(low, high), plain.integers(low, high)
+            n_integers += 1
+            assert blocked.generator.bit_generator.state == \
+                plain.bit_generator.state
+        assert got == want and type(got) is type(want)
+    return n_integers
+
+
+class TestBlockRng:
+    @pytest.mark.parametrize("block", [1, 2, 3, 7, BlockRng.BLOCK])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_plain_generator(self, seed, block):
+        assert _interleave(seed, block, 3000) > 100
+
+    def test_cached_half_survives_resync(self):
+        # An odd number of 32-bit draws leaves a cached half; doubles
+        # from a block taken after it, then another integers draw, must
+        # still see that half.
+        plain = np.random.default_rng(5)
+        blocked = BlockRng(np.random.default_rng(5), 8)
+        assert blocked.integers(0, 7) == plain.integers(0, 7)
+        assert plain.bit_generator.state["has_uint32"] == 1
+        for _ in range(3):
+            assert blocked.random() == plain.random()
+        assert blocked.integers(0, 7) == plain.integers(0, 7)
+        assert blocked.generator.bit_generator.state == \
+            plain.bit_generator.state
