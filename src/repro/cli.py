@@ -86,9 +86,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="synthetic communication pattern (default: "
                             "stencil = 2-D 5-point halo exchange)")
     p_map.add_argument("--engine", choices=("optimal", "greedy"), default=None,
-                       help="pin the grouping engine (default: size-based)")
+                       help="pin the grouping engine of the greedy "
+                            "strategy (default: size-based)")
     p_map.add_argument("--no-refine", action="store_true",
-                       help="skip the swap-refinement pass after grouping")
+                       help="skip the swap-refinement pass after grouping "
+                            "(greedy strategy only)")
     p_map.add_argument("--strategy", choices=("auto", "greedy", "multilevel"),
                        default="auto",
                        help="mapping engine: greedy = dense group+refine, "
@@ -306,6 +308,16 @@ def _cmd_map(
     from repro.treematch.mapping import multilevel_map, treematch_map
     from repro.treematch.strategies import mapping_strategy
 
+    resolved = mapping_strategy(strategy, threads)
+    if resolved == "multilevel":
+        for flag, given in (("--engine", engine is not None),
+                            ("--no-refine", not refine)):
+            if given:
+                raise ReproError(
+                    f"{flag} only applies to the greedy strategy, but this "
+                    f"map runs multilevel ({threads} tasks, --strategy "
+                    f"{strategy})"
+                )
     topo = machine_by_name(machine)
     if pattern == "stencil":
         comm = CommunicationMatrix.stencil2d(threads)
@@ -316,7 +328,6 @@ def _cmd_map(
             if threads > 1 else {},
         )
 
-    resolved = mapping_strategy(strategy, comm.order)
     t0 = time.perf_counter()
     if resolved == "multilevel":
         placement = multilevel_map(topo, comm, n_jobs=jobs)

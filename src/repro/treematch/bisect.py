@@ -137,11 +137,12 @@ def _attraction_rows(
     attr = np.zeros((nc, k))
     if nc == 0:
         return attr
-    spans = [
-        np.arange(indptr[v], indptr[v + 1]) for v in cand.tolist()
-    ]
-    idx = np.concatenate(spans) if spans else np.empty(0, dtype=np.int64)
-    rows = np.repeat(np.arange(nc), indptr[cand + 1] - indptr[cand])
+    # One gather of every candidate's CSR span, in candidate order:
+    # span r starts at indptr[cand[r]] and sits at ends[r] - lens[r].
+    lens = indptr[cand + 1] - indptr[cand]
+    ends = np.cumsum(lens)
+    rows = np.repeat(np.arange(nc), lens)
+    idx = np.arange(ends[-1]) + np.repeat(indptr[cand] - (ends - lens), lens)
     np.add.at(attr, (rows, asg[indices[idx]]), data[idx])
     return attr
 
@@ -178,6 +179,7 @@ def _rebalance_exact(
         gain = to_under[rows, dest_pos] - attr[rows, asg[cand]]
         order = np.argsort(-gain, kind="stable")
         moved = False
+        left = int(excess[over].sum())
         for oi in order:
             v = int(cand[oi])
             src = int(asg[v])
@@ -188,6 +190,9 @@ def _rebalance_exact(
             loads[src] -= 1
             loads[dst] += 1
             moved = True
+            left -= 1
+            if left == 0:  # no part is over-full: nothing later can move
+                break
         if not moved:
             # Every preferred destination filled up this pass; force one
             # move to the first open part so the excess still shrinks.

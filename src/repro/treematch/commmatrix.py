@@ -98,6 +98,14 @@ class _DefaultLabels(Sequence):
         return f"<_DefaultLabels n={self._n} base={self._base}>"
 
 
+def _check_dense(m, *, name: str = "matrix") -> np.ndarray:
+    """:func:`repro.util.matrix.check_square`, failing with MappingError."""
+    try:
+        return check_square(m, name=name)
+    except ValueError as exc:
+        raise MappingError(str(exc)) from exc
+
+
 def _check_csr(m, *, name: str = "matrix"):
     """CSR analogue of :func:`repro.util.matrix.check_square`."""
     csr = _sp.csr_array(m, dtype=np.float64)
@@ -133,13 +141,12 @@ class CommunicationMatrix:
     ) -> None:
         if HAVE_SPARSE and _sp.issparse(data):
             if sparse is False:
-                self._m = check_square(data.toarray(),
+                self._m = _check_dense(data.toarray(),
                                        name="communication matrix")
             else:
                 self._m = _check_csr(data, name="communication matrix")
         else:
-            dense = check_square(np.asarray(data, dtype=np.float64),
-                                 name="communication matrix")
+            dense = _check_dense(data, name="communication matrix")
             if sparse and HAVE_SPARSE:
                 self._m = _check_csr(_sp.csr_array(dense),
                                      name="communication matrix")

@@ -105,10 +105,12 @@ def group_processes(
 
     *force* pins the engine (``"optimal"`` or ``"greedy"``); by default the
     exhaustive engine is used whenever :func:`partition_count` stays under
-    ``OPTIMAL_SEARCH_LIMIT``. Groups and their members are returned in a
-    canonical order (each group led by its smallest member, groups sorted
-    by leader) so results are deterministic. *stats* is forwarded to
-    :func:`refine_groups` when the refinement pass runs.
+    ``OPTIMAL_SEARCH_LIMIT``; a forced ``"optimal"`` above that limit
+    raises :class:`MappingError` rather than run an exponential search.
+    Groups and their members are returned in a canonical order (each
+    group led by its smallest member, groups sorted by leader) so results
+    are deterministic. *stats* is forwarded to :func:`refine_groups` when
+    the refinement pass runs.
     """
     a = check_square(m, name="affinity matrix")
     p = a.shape[0]
@@ -122,6 +124,12 @@ def group_processes(
         return [list(range(p))]
 
     if force == "optimal":
+        if partition_count_exceeds(p, arity, OPTIMAL_SEARCH_LIMIT):
+            raise MappingError(
+                f"optimal grouping of {p} processes into groups of {arity} "
+                f"exceeds OPTIMAL_SEARCH_LIMIT ({OPTIMAL_SEARCH_LIMIT} "
+                f"partitions); use the greedy engine"
+            )
         groups = group_optimal(a, arity)
     elif force == "greedy":
         groups = group_greedy(a, arity)
@@ -278,9 +286,14 @@ def group_greedy(m: np.ndarray, arity: int) -> list[list[int]]:
 
 # -- refinement -------------------------------------------------------------------
 
-#: Row-block size for the vectorized gain evaluation; bounds the size of
-#: the temporary gain blocks to block x p.
-_REFINE_BLOCK = 512
+#: Row-block size for the vectorized gain evaluation. Each block's
+#: temporaries are block x n floats, so 32 rows keep them in cache (1 MB
+#: at n = 4160; 2 MB L2 per core on the 2-CPU Xeon measured). A whole
+#: sweep at n = 4160, k = 160 took 130 ms here against 606 ms with the
+#: old 512-row blocks. 16 rows was 13% faster at that size but 15% slower
+#: on the order-160 calls of adaptive remaps; 64 rows or more was slower
+#: at n = 4160 and no faster on the small calls.
+_REFINE_BLOCK = 32
 
 
 def refine_groups(
@@ -345,18 +358,20 @@ def refine_groups(
         sweeps += 1
         own = attraction[rows, asg]
         delta = attraction - own[:, None]
+        # delta_t[g, j] = delta[j, g], contiguous so that each block
+        # gathers whole rows of it.
+        delta_t = np.ascontiguousarray(delta.T)
         best_gain = np.full(n, -np.inf)
         best_j = np.zeros(n, dtype=np.intp)
         for start in range(0, n, _REFINE_BLOCK):
-            stop = min(start + _REFINE_BLOCK, n)
-            blk = slice(start, stop)
-            gain_blk = (
-                delta[blk][:, asg] + delta[:, asg[blk]].T - 2.0 * sub[blk]
-            )
-            gain_blk[asg[blk, None] == asg[None, :]] = -np.inf
+            blk = slice(start, start + _REFINE_BLOCK)
+            gain_blk = np.take(delta[blk], asg, axis=1)
+            gain_blk += delta_t[asg[blk]]
+            gain_blk -= 2.0 * sub[blk]
+            np.putmask(gain_blk, asg[blk, None] == asg, -np.inf)
             arg = gain_blk.argmax(axis=1)
             best_j[blk] = arg
-            best_gain[blk] = gain_blk[np.arange(stop - start), arg]
+            best_gain[blk] = gain_blk[rows[: arg.size], arg]
 
         order = np.argsort(-best_gain, kind="stable")
         touched = np.zeros(n, dtype=bool)

@@ -394,6 +394,7 @@ def treematch_map(
     # Pad with dummy (zero-communication) threads up to the leaf count.
     m_cur = np.zeros((lv, lv))
     m_cur[:p_ext, :p_ext] = ext
+    del aff, ext  # p x p and dead from here: free it before grouping
 
     # Lines 4-7: group bottom-up, aggregating between levels.
     clusters: list[list[int]] = [[i] for i in range(lv)]

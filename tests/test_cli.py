@@ -1,5 +1,10 @@
 """Tests for the repro-paper command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -130,6 +135,33 @@ class TestMapCommand:
     def test_map_unknown_machine(self, capsys):
         assert main(["map", "--machine", "CRAY-1"]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_map_forced_optimal_too_large_exits_fast(self):
+        # 5 threads pad to SMP20E7's 160 PUs: an exhaustive grouping of
+        # that level would never return, so the CLI must refuse it.
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "map", "--threads", "5",
+             "--engine", "optimal"],
+            capture_output=True, text=True, timeout=10,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 2
+        assert "OPTIMAL_SEARCH_LIMIT" in proc.stderr
+        assert "160 processes into groups of 8" in proc.stderr
+
+    @pytest.mark.parametrize("route", [
+        ["--threads", "9000"],                            # auto cutover
+        ["--threads", "128", "--strategy", "multilevel"],  # explicit
+    ], ids=["auto", "explicit"])
+    @pytest.mark.parametrize("flag", [["--engine", "greedy"], ["--no-refine"]],
+                             ids=["engine", "no-refine"])
+    def test_map_greedy_flags_rejected_on_multilevel(self, capsys, route,
+                                                     flag):
+        assert main(["map", *route, *flag, "--json"]) == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert f"{flag[0]} only applies to the greedy strategy" in captured.err
 
 
 class TestLintCommand:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.errors import MappingError
 from repro.treematch.aggregate import aggregate_comm_matrix
 from repro.treematch.grouping import (
+    OPTIMAL_SEARCH_LIMIT,
     group_greedy,
     group_optimal,
     group_processes,
@@ -79,6 +80,18 @@ class TestGroupProcesses:
         m = symmetric(4, np.random.default_rng(0))
         with pytest.raises(MappingError):
             group_processes(m, 2, force="magic")
+
+    def test_forced_optimal_refused_above_search_limit(self):
+        # 16 in pairs: 2,027,025 partitions, over the limit.
+        assert partition_count_exceeds(16, 2, OPTIMAL_SEARCH_LIMIT)
+        with pytest.raises(MappingError, match=r"16 processes into groups "
+                           r"of 2 exceeds OPTIMAL_SEARCH_LIMIT \(200000"):
+            group_processes(np.ones((16, 16)), 2, force="optimal")
+        # Order 12 in threes (15,400 partitions) stays searchable.
+        assert not partition_count_exceeds(12, 3, OPTIMAL_SEARCH_LIMIT)
+        groups = group_processes(symmetric(12, np.random.default_rng(2)), 3,
+                                 force="optimal")
+        assert sorted(i for g in groups for i in g) == list(range(12))
 
     def test_obvious_pairs_found(self):
         # Threads (0,1) and (2,3) communicate heavily; optimal pairing is clear.

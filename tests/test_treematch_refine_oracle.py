@@ -1,0 +1,208 @@
+"""Differential family: refinement and exact rebalance against their oracle.
+
+``tests/harness/refine_oracle.py`` keeps the 512-row gain evaluation of
+``refine_groups``, the per-vertex ``_attraction_rows`` and the move loop
+of ``_rebalance_exact`` without its early stop. The library versions
+must make the same choices on every seeded instance: the same groups,
+the same sweep and swap counts, the same assignments.
+
+The instances cover the ways a rewrite of the gain evaluation could
+drift: dense random floats (signed too, so an own-group entry that
+escapes the mask can outrank every real partner), integer stencil and
+ring weights (many exact gain ties, so argmax tie-breaks show),
+weights spread from 1 to 1e15 (rounding differences show), member
+subsets (the ``local_of`` path), group sizes from 1 upward, and orders
+below, at and not a multiple of the row-block size.
+"""
+
+import numpy as np
+import pytest
+
+from repro.treematch import bisect as bisect_mod
+from repro.treematch.commmatrix import CommunicationMatrix
+from repro.treematch.grouping import _REFINE_BLOCK, refine_groups
+from tests.harness import refine_oracle
+
+try:
+    from scipy import sparse as sp
+except ImportError:  # pragma: no cover - scipy is a test dependency
+    sp = None
+
+B = _REFINE_BLOCK
+#: Orders below, at and around the row block, plus one past the oracle's
+#: 512-row block.
+ORDERS = (6, B - 2, B, B + 1, 2 * B + 7, 3 * B + 20, 520)
+
+
+def _sym(a: np.ndarray) -> np.ndarray:
+    m = a + a.T
+    np.fill_diagonal(m, 0.0)
+    return m
+
+
+def _uniform(n, rng):
+    return _sym(rng.random((n, n)))
+
+
+def _signed(n, rng):
+    return _sym(rng.standard_normal((n, n)))
+
+
+def _stencil(n, rng):
+    return CommunicationMatrix.stencil2d(n, sparse=False).affinity()
+
+
+def _ring(n, rng):
+    m = np.zeros((n, n))
+    idx = np.arange(n)
+    m[idx, (idx + 1) % n] = 100.0
+    m[idx, (idx + 3) % n] = 40.0
+    return _sym(m)
+
+
+def _wide(n, rng):
+    # Sparse-ish integer weights, log-uniform over 1 .. 1e15.
+    w = np.round(10.0 ** rng.uniform(0.0, 15.0, size=(n, n)))
+    w[rng.random((n, n)) < 0.7] = 0.0
+    return _sym(w)
+
+
+MATRICES = {"uniform": _uniform, "signed": _signed, "stencil": _stencil,
+            "ring": _ring, "wide": _wide}
+
+
+def _partition(members, rng, sizes):
+    """Split *members* (shuffled) into consecutive groups of *sizes*."""
+    perm = list(rng.permutation(members))
+    out, pos = [], 0
+    for s in sizes:
+        out.append([int(x) for x in perm[pos : pos + s]])
+        pos += s
+    return out
+
+
+def _equal_sizes(n, rng):
+    divisors = [a for a in range(1, n) if n % a == 0 and n // a >= 2]
+    a = divisors[int(rng.integers(len(divisors)))]
+    return [a] * (n // a)
+
+
+def _mixed_sizes(n, rng):
+    cuts = np.sort(rng.choice(np.arange(1, n), size=min(n - 1, 5), replace=False))
+    return np.diff(np.concatenate(([0], cuts, [n]))).tolist()
+
+
+def _assert_same_refine(m, groups):
+    want_stats, got_stats = {}, {}
+    want = refine_oracle.refine_groups(m, groups, stats=want_stats)
+    got = refine_groups(m, groups, stats=got_stats)
+    assert got == want
+    assert got_stats == want_stats
+    return want_stats
+
+
+class TestRefineAgainstOracle:
+    @pytest.mark.parametrize("kind", sorted(MATRICES))
+    @pytest.mark.parametrize("n", ORDERS)
+    def test_full_member_set(self, kind, n):
+        rng = np.random.default_rng([n, sorted(MATRICES).index(kind)])
+        m = MATRICES[kind](n, rng)
+        for sizes in (_equal_sizes(n, rng), _mixed_sizes(n, rng)):
+            _assert_same_refine(m, _partition(np.arange(n), rng, sizes))
+
+    @pytest.mark.parametrize("kind", sorted(MATRICES))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_member_subset(self, kind, seed):
+        # Groups over a shuffled subset of a larger matrix: the search
+        # runs on the member submatrix (the local_of path).
+        rng = np.random.default_rng([seed, 17, sorted(MATRICES).index(kind)])
+        p = int(rng.integers(B + 5, 3 * B))
+        m = MATRICES[kind](p, rng)
+        n = int(rng.integers(B // 2, p))
+        members = rng.choice(p, size=n, replace=False)
+        for sizes in (_equal_sizes(n, rng), _mixed_sizes(n, rng)):
+            _assert_same_refine(m, _partition(members, rng, sizes))
+
+    @pytest.mark.parametrize("arity", [1, 2, 3, 4, 7, 13, 26])
+    def test_group_sizes(self, arity):
+        rng = np.random.default_rng(arity)
+        n = arity * max(2, (3 * B) // arity)
+        for kind in ("uniform", "stencil", "wide"):
+            m = MATRICES[kind](n, rng)
+            groups = _partition(np.arange(n), rng, [arity] * (n // arity))
+            _assert_same_refine(m, groups)
+
+    def test_family_exercises_swaps(self):
+        # The comparisons above are only as strong as the work done in
+        # them: random starts must need several sweeps and many swaps.
+        rng = np.random.default_rng(99)
+        n = 3 * B
+        totals = {"sweeps": 0, "swaps": 0}
+        for kind in sorted(MATRICES):
+            m = MATRICES[kind](n, rng)
+            st = _assert_same_refine(
+                m, _partition(np.arange(n), rng, [n // 8] * 8)
+            )
+            assert st["sweeps"] >= 2, kind
+            for key in totals:
+                totals[key] += st[key]
+        assert totals["swaps"] >= 100
+
+
+def _csr_graph(n, rng, *, integer):
+    """Random symmetric zero-diagonal CSR graph, some vertices isolated."""
+    e = 4 * n
+    rows = rng.integers(0, n, size=e)
+    cols = rng.integers(0, n, size=e)
+    vals = rng.integers(1, 6, size=e).astype(float) if integer else rng.random(e)
+    isolated = rng.choice(n, size=max(1, n // 20), replace=False)
+    keep = (rows != cols) & ~np.isin(rows, isolated) & ~np.isin(cols, isolated)
+    coo = sp.coo_array((vals[keep], (rows[keep], cols[keep])), shape=(n, n))
+    csr = sp.csr_array(coo + coo.T)
+    csr.sum_duplicates()
+    csr.sort_indices()
+    return csr
+
+
+def _skewed_assignment(n, k, rng):
+    """Assignment of *n* vertices to *k* parts with uneven loads."""
+    weights = rng.random(k) ** 3 + 0.01
+    return rng.choice(k, size=n, p=weights / weights.sum()).astype(np.intp)
+
+
+@pytest.mark.skipif(sp is None, reason="scipy not installed")
+class TestRebalanceAgainstOracle:
+    @pytest.mark.parametrize("integer", [True, False])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_same_assignment(self, seed, integer):
+        rng = np.random.default_rng([seed, integer])
+        k = int(rng.integers(2, 12))
+        size = int(rng.integers(1, 40))
+        n = k * size
+        g = _csr_graph(n, rng, integer=integer)
+        asg = _skewed_assignment(n, k, rng)
+        want = refine_oracle.rebalance_exact(
+            g.indptr, g.indices, g.data, asg.copy(), k, size
+        )
+        got = bisect_mod._rebalance_exact(
+            g.indptr, g.indices, g.data, asg.copy(), k, size
+        )
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.bincount(got, minlength=k), [size] * k)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_attraction_rows(self, seed):
+        rng = np.random.default_rng([seed, 5])
+        n, k = 150, 7
+        g = _csr_graph(n, rng, integer=bool(seed % 2))
+        asg = rng.integers(0, k, size=n).astype(np.intp)
+        for nc in (0, 1, 37, n):
+            cand = np.sort(rng.choice(n, size=nc, replace=False)).astype(np.intp)
+            want = refine_oracle.attraction_rows(
+                g.indptr, g.indices, g.data, asg, k, cand
+            )
+            got = bisect_mod._attraction_rows(
+                g.indptr, g.indices, g.data, asg, k, cand
+            )
+            assert np.array_equal(got, want)
+

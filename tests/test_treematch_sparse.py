@@ -88,6 +88,17 @@ class TestBackendSelection:
         with pytest.raises(MappingError):
             CommunicationMatrix(sp.csr_array(m), sparse=True)
 
+    @pytest.mark.parametrize("backend", ["dense", "csr"])
+    @pytest.mark.parametrize("bad,message", [
+        (np.array([[0.0, np.nan], [np.nan, 0.0]]), "non-finite"),
+        (np.array([[0.0, -1.0], [-1.0, 0.0]]), "negative"),
+        (np.zeros((2, 3)), "square 2-D"),
+    ], ids=["nan", "negative", "non-square"])
+    def test_malformed_raises_mapping_error(self, backend, bad, message):
+        data = bad if backend == "dense" else sp.csr_array(bad)
+        with pytest.raises(MappingError, match=message):
+            CommunicationMatrix(data)
+
 
 class TestBitForBitEquivalence:
     @settings(max_examples=20, deadline=None)
