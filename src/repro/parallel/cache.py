@@ -119,12 +119,13 @@ class ResultCache:
         try:
             with open(path) as fh:
                 entry = json.load(fh)
-            payload = entry["payload"]
-        except (OSError, ValueError, KeyError):
+        except (OSError, ValueError):
+            entry = None
+        if not isinstance(entry, dict) or "payload" not in entry:
             self.misses += 1
             return None
         self.hits += 1
-        return payload
+        return entry["payload"]
 
     def put(self, job, payload) -> None:
         """Store *payload*; atomic rename so readers never see partials."""

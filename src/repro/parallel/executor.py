@@ -64,12 +64,15 @@ def run_jobs(
 ) -> list:
     """Execute *jobs*; returns their payloads in job order.
 
-    ``n_jobs``: worker processes (None ⇒ ``REPRO_JOBS``, 1 ⇒ inline).
+    ``n_jobs``: worker processes (None ⇒ ``REPRO_JOBS``, 1 ⇒ inline,
+    0 ⇒ one per CPU; negative counts raise :class:`ReproError`).
     ``cache``: a :class:`ResultCache`, True (default cache), False
     (disabled), or None (``REPRO_CACHE``/``REPRO_CACHE_DIR`` decide).
     """
     n_jobs = default_jobs() if n_jobs is None else n_jobs
-    if n_jobs < 1:
+    if n_jobs < 0:
+        raise ReproError(f"n_jobs must be >= 0, got {n_jobs}")
+    if n_jobs == 0:
         n_jobs = os.cpu_count() or 1
     store = _resolve_cache(cache)
 

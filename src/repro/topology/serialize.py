@@ -54,28 +54,48 @@ def topology_to_dict(topology: Topology) -> dict[str, Any]:
     }
 
 
-def _obj_from_dict(d: dict[str, Any]) -> TopoObject:
+def _obj_from_dict(d: Any, where: str = "root") -> TopoObject:
+    """Rebuild the object record *d*; *where* names it in errors."""
+    if not isinstance(d, dict):
+        raise TopologyError(f"{where}: object record must be a JSON object, "
+                            f"got {type(d).__name__}")
     try:
         obj_type = ObjType(d["type"])
-    except (KeyError, ValueError) as exc:
-        raise TopologyError(f"bad object record {d!r}") from exc
-    cache = None
-    if "cache" in d:
-        c = d["cache"]
-        cache = CacheAttrs(
-            size=int(c["size"]),
-            line=int(c.get("line", 64)),
-            associativity=int(c.get("associativity", 8)),
+    except (KeyError, TypeError, ValueError) as exc:
+        raise TopologyError(
+            f"{where}: bad object type {d.get('type')!r}"
+        ) from exc
+    for key, kind, json_kind in (
+        ("cache", dict, "object"), ("attrs", dict, "object"),
+        ("children", list, "array"),
+    ):
+        if key in d and not isinstance(d[key], kind):
+            raise TopologyError(
+                f"{where}: {key!r} of this {obj_type.value} must be a JSON "
+                f"{json_kind}, got {type(d[key]).__name__}"
+            )
+    try:
+        cache = None
+        if "cache" in d:
+            c = d["cache"]
+            cache = CacheAttrs(
+                size=int(c["size"]),
+                line=int(c.get("line", 64)),
+                associativity=int(c.get("associativity", 8)),
+            )
+        obj = TopoObject(
+            obj_type,
+            os_index=int(d.get("os_index", -1)),
+            name=str(d.get("name", "")),
+            attrs=dict(d.get("attrs", {})),
+            cache=cache,
         )
-    obj = TopoObject(
-        obj_type,
-        os_index=int(d.get("os_index", -1)),
-        name=str(d.get("name", "")),
-        attrs=dict(d.get("attrs", {})),
-        cache=cache,
-    )
-    for child_d in d.get("children", []):
-        obj.add_child(_obj_from_dict(child_d))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise TopologyError(
+            f"{where}: bad {obj_type.value} record: {exc!r}"
+        ) from exc
+    for i, child_d in enumerate(d.get("children", [])):
+        obj.add_child(_obj_from_dict(child_d, f"{where}.children[{i}]"))
     return obj
 
 
@@ -94,7 +114,14 @@ def load_topology(path: str | Path) -> Topology:
 
 
 def topology_from_dict(data: dict[str, Any]) -> Topology:
-    """Rebuild a finalized topology from :func:`topology_to_dict` output."""
+    """Rebuild a finalized topology from :func:`topology_to_dict` output.
+
+    Malformed records raise :class:`TopologyError` naming the record.
+    """
+    if not isinstance(data, dict):
+        raise TopologyError(
+            f"topology record must be a JSON object, got {type(data).__name__}"
+        )
     if data.get("format") != FORMAT_VERSION:
         raise TopologyError(f"unsupported topology format {data.get('format')!r}")
     if "root" not in data:

@@ -134,17 +134,19 @@ def _attraction_rows(
 ) -> np.ndarray:
     """Attraction of each candidate vertex to every part (|cand| × k)."""
     nc = cand.size
-    attr = np.zeros((nc, k))
     if nc == 0:
-        return attr
+        return np.zeros((0, k))
     # One gather of every candidate's CSR span, in candidate order:
     # span r starts at indptr[cand[r]] and sits at ends[r] - lens[r].
     lens = indptr[cand + 1] - indptr[cand]
     ends = np.cumsum(lens)
     rows = np.repeat(np.arange(nc), lens)
     idx = np.arange(ends[-1]) + np.repeat(indptr[cand] - (ends - lens), lens)
-    np.add.at(attr, (rows, asg[indices[idx]]), data[idx])
-    return attr
+    # Like np.add.at, bincount adds each bin's weights in input order.
+    flat = np.bincount(
+        rows * k + asg[indices[idx]], weights=data[idx], minlength=nc * k
+    )
+    return flat.reshape(nc, k)
 
 
 def _rebalance_exact(
@@ -174,26 +176,31 @@ def _rebalance_exact(
         attr = _attraction_rows(indptr, indices, data, asg, k, cand)
         to_under = attr[:, under]
         dest_pos = to_under.argmax(axis=1)
-        best_dest = under[dest_pos]
         rows = np.arange(cand.size)
         gain = to_under[rows, dest_pos] - attr[rows, asg[cand]]
         order = np.argsort(-gain, kind="stable")
-        moved = False
+        # The move loop runs on plain ints. A vertex appears once per
+        # pass, so the part read for it here is current when it moves.
+        ranked = cand[order]
+        load = loads.tolist()
+        moved, dests = [], []
         left = int(excess[over].sum())
-        for oi in order:
-            v = int(cand[oi])
-            src = int(asg[v])
-            dst = int(best_dest[oi])
-            if loads[src] <= size or loads[dst] >= size:
+        for v, src, dst in zip(  # hotlint: ok(alloc) one conversion per pass
+            ranked.tolist(), asg[ranked].tolist(), under[dest_pos[order]].tolist()
+        ):
+            if load[src] <= size or load[dst] >= size:
                 continue
-            asg[v] = dst
-            loads[src] -= 1
-            loads[dst] += 1
-            moved = True
+            load[src] -= 1
+            load[dst] += 1
+            moved.append(v)
+            dests.append(dst)
             left -= 1
             if left == 0:  # no part is over-full: nothing later can move
                 break
-        if not moved:
+        if moved:
+            asg[moved] = dests
+            loads[:] = load
+        else:
             # Every preferred destination filled up this pass; force one
             # move to the first open part so the excess still shrinks.
             v = int(cand[0])

@@ -295,6 +295,10 @@ def group_greedy(m: np.ndarray, arity: int) -> list[list[int]]:
 #: at n = 4160 and no faster on the small calls.
 _REFINE_BLOCK = 32
 
+#: A swap is applied only when its gain exceeds this; rows whose gains
+#: are bounded by it are not evaluated at all.
+_MIN_GAIN = 1e-12
+
 
 def refine_groups(
     m: np.ndarray,
@@ -310,11 +314,18 @@ def refine_groups(
     *i* to group *g* (one matrix product to build, updated incrementally
     after each applied swap), the gain of exchanging *i* and *j* is
     ``A[i, gj] + A[j, gi] - A[i, gi] - A[j, gj] - 2 m[i, j]``. Each sweep
-    evaluates every cross-group pair vectorized (in row blocks), then
-    applies the best non-conflicting swaps in descending-gain order,
-    re-checking each candidate's exact gain against the current state so
-    the objective never decreases. Sweeps repeat until none improves
-    (bounded by ``8 * max_rounds`` as a safety stop).
+    finds every element's best partner, then applies the best
+    non-conflicting swaps in descending-gain order, re-checking each
+    candidate's exact gain against the current state so the objective
+    never decreases. Sweeps repeat until none improves (bounded by
+    ``8 * max_rounds`` as a safety stop).
+
+    Best partners are kept from sweep to sweep. A row is evaluated in
+    full (vectorized, in row blocks) only when the last sweep's swaps
+    changed its attraction or its best partner's, and only when a cheap
+    upper bound on its gains exceeds the swap threshold; every other row
+    merges just its gains toward the changed rows. The choices, ties
+    included, are those of evaluating every pair each sweep.
 
     Only the listed members move; elements of *m* outside *groups* are
     untouched (the search then runs on the member submatrix).
@@ -352,6 +363,13 @@ def refine_groups(
     attraction = sub @ indicator
 
     rows = np.arange(n)
+    # Row r's pair term -2 m[r, c] never exceeds -low[r].
+    low = 2.0 * np.minimum(sub.min(axis=1), 0.0)
+    # Kept across sweeps: best_gain[r] and best_j[r] are exact when
+    # best_gain[r] > _MIN_GAIN; otherwise no gain of row r exceeds it.
+    best_gain = np.full(n, -np.inf)
+    best_j = np.zeros(n, dtype=np.intp)
+    dirty = np.ones(n, dtype=bool)
     sweeps = 0
     swaps = 0
     for _ in range(max(8 * max_rounds, 16)):
@@ -361,10 +379,37 @@ def refine_groups(
         # delta_t[g, j] = delta[j, g], contiguous so that each block
         # gathers whole rows of it.
         delta_t = np.ascontiguousarray(delta.T)
-        best_gain = np.full(n, -np.inf)
-        best_j = np.zeros(n, dtype=np.intp)
-        for start in range(0, n, _REFINE_BLOCK):
-            blk = slice(start, start + _REFINE_BLOCK)
+        # The gain of a pair of clean rows is unchanged since the last
+        # sweep, so a clean row only merges its gains toward the dirty
+        # columns, unless its best partner is one of them.
+        full = dirty | ((best_gain > _MIN_GAIN) & dirty[best_j])
+        clean = np.flatnonzero(~full)
+        if clean.size:
+            cols = np.flatnonzero(dirty)
+            gain = np.take(delta[clean], asg[cols], axis=1)
+            gain += delta_t[asg[clean, None], cols]
+            gain -= 2.0 * sub[clean[:, None], cols]
+            np.putmask(gain, asg[clean, None] == asg[cols], -np.inf)
+            arg = gain.argmax(axis=1)
+            new_gain = gain[np.arange(clean.size), arg]
+            new_j = cols[arg]
+            old_gain = best_gain[clean]
+            # A tie goes to the lower column index, as in a full argmax.
+            win = (new_gain > old_gain) | (
+                (new_gain == old_gain) & (new_j < best_j[clean])
+            )
+            best_gain[clean[win]] = new_gain[win]
+            best_j[clean[win]] = new_j[win]
+        # No gain of row r exceeds its best other-group delta, plus the
+        # largest delta an outsider has toward r's group, plus -low[r];
+        # rounding is monotone, so neither does any computed gain.
+        outer = delta.copy()
+        outer[rows, asg] = -np.inf
+        bound = (outer.max(axis=1) + outer.max(axis=0)[asg]) - low
+        best_gain[full] = -np.inf
+        todo = np.flatnonzero(full & (bound > _MIN_GAIN))
+        for start in range(0, todo.size, _REFINE_BLOCK):
+            blk = todo[start : start + _REFINE_BLOCK]
             gain_blk = np.take(delta[blk], asg, axis=1)
             gain_blk += delta_t[asg[blk]]
             gain_blk -= 2.0 * sub[blk]
@@ -373,13 +418,11 @@ def refine_groups(
             best_j[blk] = arg
             best_gain[blk] = gain_blk[rows[: arg.size], arg]
 
-        order = np.argsort(-best_gain, kind="stable")
+        cand = np.flatnonzero(best_gain > _MIN_GAIN)
         touched = np.zeros(n, dtype=bool)
+        dirty = np.zeros(n, dtype=bool)
         improved = False
-        for i in order:
-            if best_gain[i] <= 1e-12:
-                break
-            i = int(i)
+        for i in cand[np.argsort(-best_gain[cand], kind="stable")].tolist():
             j = int(best_j[i])
             if touched[i] or touched[j]:
                 continue
@@ -393,12 +436,16 @@ def refine_groups(
                 - attraction[j, gj]
                 - 2.0 * sub[i, j]
             )
-            if gain <= 1e-12:
+            if gain <= _MIN_GAIN:
                 continue
-            attraction[:, gi] += sub[:, j] - sub[:, i]
-            attraction[:, gj] += sub[:, i] - sub[:, j]
+            # -= diff is bit for bit += sub[:, i] - sub[:, j]. Only rows
+            # with diff != 0 get new gains.
+            diff = sub[:, j] - sub[:, i]
+            attraction[:, gi] += diff
+            attraction[:, gj] -= diff
+            dirty |= diff != 0
             asg[i], asg[j] = gj, gi
-            touched[i] = touched[j] = True
+            touched[i] = touched[j] = dirty[i] = dirty[j] = True
             swaps += 1
             improved = True
         if not improved:

@@ -89,8 +89,8 @@ class Placement:
                     for level in data.get("groups_per_level", ())
                 ),
             )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MappingError(f"bad placement record: {exc}") from exc
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise MappingError(f"bad placement record: {exc!r}") from exc
 
     def violations(
         self,
@@ -221,35 +221,37 @@ class Placement:
             return all(c in self.control_to_pu for c in range(n_control))
         return True
 
-    def _bound_threads(self, order: int) -> np.ndarray:
-        """Thread ids < *order* that have a PU binding, ascending."""
-        return np.asarray(
-            sorted(t for t in self.thread_to_pu if 0 <= t < order),
-            dtype=np.intp,
+    def _bound_arrays(self, order: int) -> tuple[np.ndarray, np.ndarray]:
+        """Thread ids < *order* that have a PU binding, ascending, and
+        their PUs."""
+        count = len(self.thread_to_pu)
+        tids = np.fromiter(self.thread_to_pu, dtype=np.intp, count=count)
+        pus = np.fromiter(
+            self.thread_to_pu.values(), dtype=np.intp, count=count
         )
+        keep = (tids >= 0) & (tids < order)
+        tids, pus = tids[keep], pus[keep]
+        by_tid = np.argsort(tids)
+        return tids[by_tid], pus[by_tid]
 
     def _pairwise_cost(
-        self, comm: CommunicationMatrix, pu_metric: dict[int, int],
+        self, comm: CommunicationMatrix, tids: np.ndarray, midx: np.ndarray,
         metric_matrix: np.ndarray,
     ) -> float:
-        """Half the sum of ``affinity[i, j] * metric[m(pu_i), m(pu_j)]``.
+        """Half the sum of ``affinity[i, j] * metric[midx_i, midx_j]``.
 
-        Shared engine of :meth:`cost` and :meth:`slit_cost`: threads are
-        gathered into index arrays once and the weighted sum runs in row
-        blocks of the affinity matrix, so a 4096-thread evaluation is a
-        handful of vectorized passes instead of p^2 dict lookups.
+        Shared engine of :meth:`cost` and :meth:`slit_cost`: *tids* are
+        the bound threads (see :meth:`_bound_arrays`) and *midx* their
+        rows of *metric_matrix*; the weighted sum runs in row blocks of
+        the affinity matrix, so a 4096-thread evaluation is a handful of
+        vectorized passes instead of p^2 dict lookups.
         """
-        tids = self._bound_threads(comm.order)
         if tids.size < 2:
             return 0.0
         if getattr(comm, "is_sparse", False):
             # O(nnz) path: walk the stored affinity entries once instead
             # of densifying (a million-task matrix never fits dense).
             coo = comm.affinity_sparse().tocoo()
-            midx_s = np.asarray(
-                [pu_metric[self.thread_to_pu[int(t)]] for t in tids],
-                dtype=np.intp,
-            )
             pos = np.full(comm.order, -1, dtype=np.int64)
             pos[tids] = np.arange(tids.size)
             pr = pos[coo.row]
@@ -257,14 +259,10 @@ class Placement:
             ok = (pr >= 0) & (pc >= 0)
             total = float(
                 (coo.data[ok]
-                 * metric_matrix[midx_s[pr[ok]], midx_s[pc[ok]]]).sum()
+                 * metric_matrix[midx[pr[ok]], midx[pc[ok]]]).sum()
             )
             return total / 2.0
         aff = comm.affinity()
-        midx = np.asarray(
-            [pu_metric[self.thread_to_pu[int(t)]] for t in tids],
-            dtype=np.intp,
-        )
         total = 0.0
         block = 1024
         for start in range(0, tids.size, block):
@@ -286,11 +284,14 @@ class Placement:
         from repro.topology.distance import numa_distance_matrix
 
         dist = numa_distance_matrix(topology)
-        node_of: dict[int, int] = {}
-        for pu in set(self.thread_to_pu.values()):
+        tids, pus = self._bound_arrays(comm.order)
+        used, slot = np.unique(pus, return_inverse=True)
+        node = np.zeros(used.size, dtype=np.intp)
+        for i, pu in enumerate(used.tolist()):
             numa = topology.numa_of_pu(pu)
-            node_of[pu] = numa.logical_index if numa is not None else 0
-        return self._pairwise_cost(comm, node_of, dist)
+            if numa is not None:
+                node[i] = numa.logical_index
+        return self._pairwise_cost(comm, tids, node[slot], dist)
 
     def cost(self, topology: Topology, comm: CommunicationMatrix) -> float:
         """Communication-distance objective: sum of traffic × tree distance.
@@ -301,20 +302,19 @@ class Placement:
         (at most n_pus^2, independent of the thread count), then the
         traffic-weighted sum is evaluated vectorized.
         """
-        max_depth = topology.tree_depth - 1
-        used = sorted({
-            pu for t, pu in self.thread_to_pu.items() if 0 <= t < comm.order
-        })
-        nd = len(used)
-        dmat = np.zeros((nd, nd))
-        for a in range(nd):
-            for b in range(a + 1, nd):
-                d = max_depth - topology.common_ancestor_depth(
-                    used[a], used[b]
-                )
-                dmat[a, b] = dmat[b, a] = d
-        slot_of = {pu: i for i, pu in enumerate(used)}
-        return self._pairwise_cost(comm, slot_of, dmat)
+        tids, pus = self._bound_arrays(comm.order)
+        used, slot = np.unique(pus, return_inverse=True)
+        # Ancestor chains, all of one length since the tree is balanced:
+        # two PUs sit as many levels apart as their chains differ in
+        # entries.
+        chains = np.array([
+            [id(o) for o in (pu, *pu.ancestors())]
+            for pu in map(topology.pu, used.tolist())
+        ], dtype=np.uint64).reshape(used.size, topology.tree_depth)
+        dmat = np.zeros((used.size, used.size))
+        for level in chains.T:
+            dmat += level[:, None] != level[None, :]
+        return self._pairwise_cost(comm, tids, slot, dmat)
 
 
 def treematch_map(
@@ -690,6 +690,8 @@ def multilevel_map(
     per-thread control slots are noise; use :func:`treematch_map` below
     the cutover when control placement matters.
     """
+    if n_jobs is not None and n_jobs < 0:
+        raise MappingError(f"n_jobs must be >= 0, got {n_jobs}")
     p = comm.order
     if p == 0:
         raise MappingError("empty communication matrix")

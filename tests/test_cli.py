@@ -164,6 +164,22 @@ class TestMapCommand:
         assert f"{flag[0]} only applies to the greedy strategy" in captured.err
 
 
+class TestJobsOption:
+    @pytest.mark.parametrize("argv", [
+        ["fig", "4", "--jobs", "-1"],
+        ["table", "2", "--jobs", "-1"],
+        ["map", "--threads", "128", "--strategy", "multilevel",
+         "--jobs", "-1"],
+    ], ids=["fig", "table", "map"])
+    def test_negative_jobs_rejected(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("REPRO_SCALE", "tiny")
+        monkeypatch.setenv("REPRO_CACHE", "off")
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert "n_jobs must be >= 0, got -1" in captured.err
+
+
 class TestLintCommand:
     def test_lint_needs_app_or_all(self, capsys):
         assert main(["lint"]) == 2

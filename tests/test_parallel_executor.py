@@ -87,6 +87,10 @@ class TestDefaultJobs:
         with pytest.raises(ReproError, match=JOBS_ENV):
             default_jobs()
 
+    def test_negative_worker_count_rejected(self):
+        with pytest.raises(ReproError, match="n_jobs must be >= 0, got -1"):
+            run_jobs([tiny_job()], n_jobs=-1, cache=False)
+
 
 class TestResultCache:
     def test_put_get_roundtrip(self, tmp_path):
@@ -110,6 +114,16 @@ class TestResultCache:
         cache.put(job, {"seconds": 1.0})
         cache.path_for(job).write_text("{ not json")
         assert cache.get(job) is None
+
+    @pytest.mark.parametrize("text", ["{ not json", "", "[1, 2]", '"s"'],
+                             ids=["garbage", "empty", "list", "string"])
+    def test_malformed_entry_is_a_miss(self, tmp_path, text):
+        cache = ResultCache(tmp_path, digest="g")
+        job = tiny_job()
+        cache.put(job, {"seconds": 1.0})
+        cache.path_for(job).write_text(text)
+        assert cache.get(job) is None
+        assert cache.hits == 0 and cache.misses == 1
 
     def test_key_distinguishes_jobs(self, tmp_path):
         cache = ResultCache(tmp_path, digest="g")

@@ -1,9 +1,11 @@
 """Tests for distances, binding helpers, rendering and serialization."""
 
+import json
+
 import numpy as np
 import pytest
 
-from repro.errors import BindingError, TopologyError
+from repro.errors import BindingError, MappingError, TopologyError
 from repro.topology import (
     fig2_machine,
     numa_distance_matrix,
@@ -15,6 +17,8 @@ from repro.topology import (
 )
 from repro.topology.binding import full_cpuset, singlify, validate_cpuset
 from repro.topology.distance import LOCAL_DISTANCE, router_hops
+from repro.topology.serialize import load_topology
+from repro.treematch.mapping import Placement
 from repro.util.bitmap import Bitmap
 
 
@@ -92,6 +96,16 @@ class TestRender:
         assert "<control>" in text
 
 
+def _topology_record(core=None, l3=None, root=None):
+    """A one-core topology record, each level's fields overridden."""
+    pu = {"type": "PU", "os_index": 0}
+    core_d = {"type": "Core", "children": [pu], **(core or {})}
+    l3_d = {"type": "L3", "cache": {"size": 1024}, "children": [core_d],
+            **(l3 or {})}
+    return {"format": 1, "name": "m",
+            "root": {"type": "Machine", "children": [l3_d], **(root or {})}}
+
+
 class TestSerialize:
     def test_roundtrip_preserves_shape(self):
         topo = smp12e5()
@@ -116,3 +130,30 @@ class TestSerialize:
     def test_missing_root_rejected(self):
         with pytest.raises(TopologyError):
             topology_from_dict({"format": 1})
+
+    @pytest.mark.parametrize("record, error, where", [
+        ([1, 2], TopologyError, "JSON object"),
+        ({**_topology_record(), "root": "x"}, TopologyError, "root"),
+        (_topology_record(l3={"children": ["x"]}), TopologyError,
+         "root.children[0].children[0]"),
+        (_topology_record(l3={"cache": {"line": 64}}), TopologyError,
+         "root.children[0]"),
+        (_topology_record(core={"os_index": "x"}), TopologyError,
+         "root.children[0].children[0]"),
+        (_topology_record(root={"children": 3}), TopologyError, "root"),
+        (_topology_record(root={"attrs": [1, 2]}), TopologyError, "root"),
+        ({"thread_to_pu": [1, 2]}, MappingError, "placement"),
+    ], ids=["list-top-level", "string-root", "string-child",
+            "cache-without-size", "string-os-index", "int-children",
+            "list-attrs", "list-thread-to-pu"])
+    def test_malformed_records_raise_typed_errors(
+        self, tmp_path, record, error, where
+    ):
+        path = tmp_path / "record.json"
+        path.write_text(json.dumps(record))
+        with pytest.raises(error) as info:
+            if error is MappingError:
+                Placement.from_dict(json.loads(path.read_text()))
+            else:
+                load_topology(path)
+        assert where in str(info.value)

@@ -13,6 +13,13 @@ ring weights (many exact gain ties, so argmax tie-breaks show),
 weights spread from 1 to 1e15 (rounding differences show), member
 subsets (the ``local_of`` path), group sizes from 1 upward, and orders
 below, at and not a multiple of the row-block size.
+
+``TestIncrementalSweeps`` targets the state ``refine_groups`` keeps
+between sweeps: sparse integer matrices that need several sweeps and
+whose swaps leave most rows clean, signed entries (the bound's
+negative-entry term), two groups, groups of one and member subsets,
+plus two hand-built inputs where a dirty column ties a clean row's
+stored best gain.
 """
 
 import numpy as np
@@ -206,3 +213,94 @@ class TestRebalanceAgainstOracle:
             )
             assert np.array_equal(got, want)
 
+
+# -- incremental sweeps ------------------------------------------------------------
+
+
+def _sparse_ints(n, rng, *, signed):
+    """Sparse symmetric integer weights: many exact gain ties. Signed
+    weights lean negative: a swap out of a repelling group can gain
+    although no row is attracted to the other group, which only the
+    bound's negative-entry term admits."""
+    lo, hi = (-3, 2) if signed else (1, 4)
+    w = rng.integers(lo, hi, size=(n, n)).astype(float)
+    w[rng.random((n, n)) < rng.uniform(0.75, 0.97)] = 0.0
+    return _sym(np.triu(w, 1))
+
+
+def _incremental_case(seed):
+    """One seeded instance: matrix, groups (maybe over a member subset)."""
+    rng = np.random.default_rng([seed, 31])
+    p = int(rng.integers(8, 3 * B))
+    m = _sparse_ints(p, rng, signed=bool(seed % 2))
+    members = np.arange(p)
+    if seed % 3 == 0:
+        members = rng.choice(p, size=int(rng.integers(4, p + 1)), replace=False)
+    n = members.size
+    shape = seed % 4
+    if shape == 0 and n % 2 == 0:
+        sizes = [n // 2, n // 2]
+    elif shape == 1:
+        sizes = [1] * n
+    elif shape == 2:
+        sizes = _mixed_sizes(n, rng)
+    else:
+        sizes = _equal_sizes(n, rng) if n > 2 else [1] * n
+    return m, _partition(members, rng, sizes)
+
+
+def _from_edges(n, edges):
+    m = np.zeros((n, n))
+    for (i, j), w in edges.items():
+        m[i, j] = m[j, i] = w
+    return m
+
+
+#: Row 0 of the first case and row 12 of the second have a 2**53 edge
+#: into each group, so their attraction to both groups is 2**53. The
+#: exact recheck of a swap with such a row adds a small attraction to
+#: 2**53, which rounds away, so the row keeps a positive stored gain
+#: through the sweep while neither row of the pair changes. The next
+#: sweep a dirty column ties that stored gain exactly: in the first case
+#: its index is higher than the stored partner's and it must lose, in
+#: the second it is lower and must win, as in a full evaluation.
+_BIG = 2.0 ** 53
+TIE_CASES = [
+    (
+        _from_edges(11, {
+            (0, 5): _BIG, (0, 6): _BIG, (6, 8): _BIG, (1, 7): 1.0,
+            (2, 3): -1.0, (2, 10): -1.0, (3, 4): -1.0, (3, 9): -1.0,
+            (4, 7): 2.0, (4, 10): 2.0,
+        }),
+        [[0, 2, 4, 5, 7], [1, 3, 6, 8, 9, 10]],
+    ),
+    (
+        _from_edges(14, {
+            (3, 7): _BIG, (3, 12): _BIG, (8, 12): _BIG, (0, 4): -1.0,
+            (1, 11): 2.0, (2, 5): 2.0, (2, 6): 1.0, (2, 9): 1.0,
+            (2, 10): -1.0, (4, 10): 1.0, (4, 13): -1.0, (10, 13): -1.0,
+        }),
+        [[2, 4, 5, 8, 11, 12], [0, 1, 3, 6, 7, 9, 10, 13]],
+    ),
+]
+
+
+class TestIncrementalSweeps:
+    @pytest.mark.parametrize("seed", range(48))
+    def test_sparse_integer_family(self, seed):
+        _assert_same_refine(*_incremental_case(seed))
+
+    @pytest.mark.parametrize("case", range(len(TIE_CASES)))
+    def test_dirty_column_ties_stored_best(self, case):
+        m, groups = TIE_CASES[case]
+        stats = _assert_same_refine(m, groups)
+        assert stats["sweeps"] >= 2
+
+    def test_family_runs_several_sweeps(self):
+        # Clean rows only carry state from one sweep to the next, so the
+        # family must run many sweeps after the first.
+        sweeps = [
+            _assert_same_refine(*_incremental_case(seed))["sweeps"]
+            for seed in range(48)
+        ]
+        assert sum(s >= 3 for s in sweeps) >= 16
