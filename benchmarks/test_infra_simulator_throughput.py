@@ -4,9 +4,9 @@ Not a paper experiment — a regression guard for the substrate itself:
 the discrete-event engine must sustain enough events/second that the
 paper-scale regenerations stay in minutes. This is the figure to watch
 when touching sim/machine internals. The ring runs on the batched core
-by default (no taps installed); ``test_simcore_smoke`` pins that both
-cores still run the same workload to the same answer without the
-benchmark fixture, so it is cheap enough for any pytest invocation.
+by default; ``test_simcore_smoke`` pins that both cores still run the
+same workload to the same answer without the benchmark fixture, so it
+is cheap enough for any pytest invocation.
 """
 
 import pytest
@@ -16,7 +16,7 @@ from repro.topology import smp12e5
 from repro.util.bitmap import Bitmap
 
 
-def run_ring(core: str = "auto") -> tuple[int, float, dict]:
+def run_ring(core: str = "batched") -> tuple[int, float, dict]:
     machine = SimMachine(smp12e5(), core=core)
     bufs = [machine.allocate(1 << 16, f"b{i}") for i in range(32)]
     events = [machine.event(f"e{i}") for i in range(32)]

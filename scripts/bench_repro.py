@@ -91,12 +91,12 @@ if str(SRC) not in sys.path:
 
 
 def engine_ring_events(
-    core: str = "auto", *, traced: bool = False
+    core: str = "batched", *, traced: bool = False
 ) -> tuple[int, float]:
     """The ``test_engine_event_throughput`` workload, inline.
 
     Returns (events processed, wall-clock seconds). ``core`` selects the
-    simulator core ("auto" resolves to the batched one). ``traced``
+    simulator core (batched by default). ``traced``
     attaches the full observability stack — metrics plus a ring trace
     with 1-in-16 busy sampling, the docs/OBSERVABILITY.md reference
     configuration — to measure tap overhead on the same workload.
@@ -548,7 +548,7 @@ def run_check(
     per-pair ratios on this machine, right now, after an untimed warmup
     pass of each probe:
 
-    1. absolute floor — the auto core must process more than
+    1. absolute floor — the batched core must process more than
        ``ENGINE_EVENTS_FLOOR`` events (best-of-*pairs* after warmup);
     2. core gate — the batched core must stay genuinely faster than the
        object core. The required edge derives from the recorded

@@ -238,7 +238,9 @@ class AdaptiveController:
         Returns the adopted runtime's result object (via the finish
         callback) or, for a bare machine, elapsed seconds at the honest
         drain point (``machine.window_drained_at``), not the quantized
-        window horizon.
+        window horizon. Raises :class:`~repro.errors.DeadlockError` as
+        soon as a window ends with every unfinished thread blocked and
+        nothing in flight.
         """
         if self._ran:
             raise AffinityError("AdaptiveController.run may only be called once")
@@ -248,6 +250,7 @@ class AdaptiveController:
         if machine.sanitize:
             machine.attach_sanitizer()
         run_window = machine.run_window
+        raise_if_deadlocked = machine.raise_if_deadlocked
         all_done = self._all_done
         observe = self._observe_window
         window_cycles = self.config.window_cycles
@@ -261,6 +264,7 @@ class AdaptiveController:
             if all_done():
                 done = True
                 break
+            raise_if_deadlocked()
             observe(windows)
             horizon += window_cycles
         self.windows_run = windows

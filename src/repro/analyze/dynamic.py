@@ -11,9 +11,8 @@ to two taps the simulator serves on *both* run-loop cores:
   placements and migrations are derived independently of the counters.
 
 Event/time progress for the run summary is read off the engine after
-the run (an ``Engine.watchers`` per-event callback would force the
-slow object path); :attr:`DynamicResult.core` records which core
-actually executed — normally ``"batched"``.
+the run; :attr:`DynamicResult.core` records which core executed —
+normally ``"batched"``.
 
 ``cross_check`` then reconciles: a statically predicted deadlock that
 manifests as a :class:`DeadlockError` (or a predicted race observed as

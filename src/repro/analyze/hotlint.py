@@ -28,8 +28,8 @@ Rules (finding codes):
     Attribute walks in the per-event path undo the hoisting.
 
 ``hot-tap-unguarded``
-    A call to an observability tap (``notify_monitors``, ``trace_rec``,
-    ``ring_add``, ``ring_add_raw``) inside a ``while`` loop that is not
+    A call to an observability tap (``notify_monitors``, ``ring_add``,
+    ``ring_add_raw``) inside a ``while`` loop that is not
     nested under any ``if`` — i.e. it runs unconditionally per event,
     reintroducing tracing overhead for untraced runs.
 
@@ -78,7 +78,7 @@ _ALLOC_BUILTINS = frozenset({
 #: the object core's generic path.
 _TAP_NAMES = frozenset({
     "notify_monitors", "notify_touch", "notify_block", "notify_finish",
-    "trace_rec", "ring_add", "ring_add_raw",
+    "ring_add", "ring_add_raw",
 })
 
 #: Short rule keys (used in specs and suppression comments) -> codes.
@@ -100,7 +100,6 @@ HOT_TARGETS: tuple[tuple[str, str, tuple[str, ...]], ...] = (
     # amortized costs suppressed in place.
     ("repro/sim/shard.py", "run_sharded", ("alloc",)),
     ("repro/sim/engine.py", "Engine.run", ("alloc", "tap")),
-    ("repro/sim/engine.py", "BatchedQueue", ("alloc",)),
     ("repro/sim/cache.py", "L3State.install", ("alloc",)),
     # The ring recorders _bind_add builds once per RingTrace: the
     # batched core calls them per scheduling transition.
@@ -145,7 +144,7 @@ PER_CALL_TARGETS = frozenset({
 
 #: Classes that must keep ``__slots__`` (path -> class names).
 SLOTS_REQUIRED: dict[str, tuple[str, ...]] = {
-    "repro/sim/engine.py": ("Engine", "BatchedQueue"),
+    "repro/sim/engine.py": ("Engine",),
     "repro/sim/cache.py": ("L3State", "CacheSystem"),
     "repro/sim/observe.py": ("Counter", "Gauge", "Histogram", "RingTrace"),
     "repro/affinity/telemetry.py": ("WindowTelemetry",),
@@ -298,7 +297,7 @@ class _HotScanner:
                     f"tap call {name}(...) runs unconditionally in a hot "
                     "while loop",
                     fix_hint="guard it (`if monitors:` / "
-                             "`if trace_rec is not None:`) so untraced "
+                             "`if ring_add is not None:`) so untraced "
                              "runs pay nothing",
                 )
             return

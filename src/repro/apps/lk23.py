@@ -500,7 +500,7 @@ def run_orwl_lk23(
     model: CostModel | None = None,
     seed: int = 0,
     arrays: dict[str, np.ndarray] | None = None,
-    core: str = "auto",
+    core: str = "batched",
 ) -> RunResult:
     """Build and execute the ORWL LK23 on *topology*."""
     runtime = Runtime(topology, affinity=affinity, model=model, seed=seed,
@@ -520,7 +520,7 @@ def run_openmp_lk23(
     model: CostModel | None = None,
     seed: int = 0,
     arrays: dict[str, np.ndarray] | None = None,
-    core: str = "auto",
+    core: str = "batched",
     attach: Callable[[OpenMPRuntime], None] | None = None,
 ) -> OMPResult:
     """The paper's OpenMP version: ``parallel for`` over row chunks with

@@ -145,7 +145,7 @@ def run_orwl_matmul(
     model: CostModel | None = None,
     seed: int = 0,
     data: dict[str, np.ndarray] | None = None,
-    core: str = "auto",
+    core: str = "batched",
 ) -> RunResult:
     """Build and execute the block-cyclic matmul; see :class:`RunResult`.
 

@@ -377,7 +377,7 @@ def run_orwl_video(
     affinity: bool,
     model: CostModel | None = None,
     seed: int = 0,
-    core: str = "auto",
+    core: str = "batched",
 ) -> tuple[RunResult, dict]:
     """Execute the ORWL pipeline; returns (result, outputs).
 
@@ -428,7 +428,7 @@ def run_openmp_video(
     binding: str | None,
     model: CostModel | None = None,
     seed: int = 0,
-    core: str = "auto",
+    core: str = "batched",
     attach: Callable[[OpenMPRuntime], None] | None = None,
 ) -> OMPResult:
     """Fork-join variant: per frame, each heavy stage is a parallel_for

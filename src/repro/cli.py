@@ -166,8 +166,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--sample-busy", type=int, default=16,
                          help="keep 1-in-N busy-completion records "
                               "(0 drops them, 1 keeps all; default: 16)")
-    p_trace.add_argument("--core", default="auto",
-                         help="simulator core: auto, batched, object")
+    p_trace.add_argument("--core", default="batched",
+                         help="simulator core: batched (default) or "
+                              "object")
     return parser
 
 

@@ -254,6 +254,7 @@ def run_windowed(declared: str, setup: AdaptSetup | None = None,
                 f"uncontrolled windowed run exceeded {max_windows} windows"
             )
         machine.run_window(horizon)
+        machine.raise_if_deadlocked()
         horizon += window_cycles
         windows += 1
     result = rt._build_result(machine.window_drained_at / machine.clock_hz)

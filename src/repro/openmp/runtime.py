@@ -59,8 +59,7 @@ class OpenMPRuntime:
         model: CostModel | None = None,
         os_policy: str | None = None,
         seed: int = 0,
-        trace: bool = False,
-        core: str = "auto",
+        core: str = "batched",
         observer=None,
     ) -> None:
         """*binding* accepts the standard knobs of
@@ -77,8 +76,8 @@ class OpenMPRuntime:
         self.n_threads = n_threads
         self.binding = binding
         self.machine = SimMachine(
-            topology, model, os_policy=os_policy, seed=seed, trace=trace,
-            core=core, observer=observer,
+            topology, model, os_policy=os_policy, seed=seed, core=core,
+            observer=observer,
         )
         if binding == "treematch":
             if comm is None:

@@ -123,8 +123,7 @@ class Runtime:
         model: CostModel | None = None,
         os_policy: str | None = None,
         seed: int = 0,
-        trace: bool = False,
-        core: str = "auto",
+        core: str = "batched",
         observer=None,
     ) -> None:
         if affinity is None:
@@ -132,8 +131,8 @@ class Runtime:
         self.affinity_enabled = bool(affinity)
         self.topology = topology
         self.machine = SimMachine(
-            topology, model, os_policy=os_policy, seed=seed, trace=trace,
-            core=core, observer=observer,
+            topology, model, os_policy=os_policy, seed=seed, core=core,
+            observer=observer,
         )
         self.tasks: list[Task] = []
         self.operations: list[Operation] = []

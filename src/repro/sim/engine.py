@@ -5,33 +5,13 @@ live above it in :mod:`repro.sim.machine`. Events at equal times fire in
 scheduling order (a monotonically increasing sequence number breaks ties),
 which keeps every simulation deterministic.
 
-Two queue representations share this module:
-
-:class:`Engine`
-    the *object* queue — a heap of ``(when, seq, callback)`` closures.
-    This is the compatibility path, and the one external code talks to
-    (``machine.engine.schedule`` keeps working on both paths). Its
-    per-event :attr:`Engine.watchers` callback is the only tap that
-    still requires it — monitors, traces and the
-    :mod:`repro.sim.observe` layer run natively on either path.
-
-:class:`BatchedQueue`
-    the queue of the machine's *batched core*: a calendar queue that
-    groups events by timestamp into flat ``[seq, kind, payload, ...]``
-    buckets ordered by a small min-heap of *unique* timestamps. No
-    closure is allocated per event, popping is a list index instead of
-    a heap sift, and a whole same-instant bucket is exactly the batch
-    the quantum-batched dispatcher in :mod:`repro.sim.machine`
-    vectorizes over. The machine selects it automatically whenever no
-    ``Engine.watchers`` tap is installed; fixed-seed runs produce
-    bit-identical counters and clocks on either path (see
-    ``tests/test_sim_batched_equivalence.py``).
-
-This is the innermost loop of every experiment cell: a paper-scale
-regeneration drains hundreds of millions of events through the drain
-loops, so both classes are slotted and the hot loops bind their names
-locally; :meth:`Engine.run` additionally skips the watcher dispatch
-entirely while no watcher is registered.
+:class:`Engine` is a heap of ``(when, seq, callback)`` closures. The
+machine's object path drains it directly; the batched core keeps its own
+calendar of kind-coded events and merges whatever external code put on
+this heap (``machine.engine.schedule`` works on both cores). Both share
+:attr:`Engine._seq`, so their (when, seq) orders agree. The ``EV_*``
+kind codes and the ``_Re*`` re-entry shims below are the batched core's
+side of that contract.
 """
 
 from __future__ import annotations
@@ -43,7 +23,6 @@ from repro.errors import SimulationError
 
 __all__ = [
     "Engine",
-    "BatchedQueue",
     "EV_CALL",
     "EV_STEP",
     "EV_BUSY",
@@ -107,90 +86,28 @@ class _ReDrain:
         self.m._drain_event(self.e)
 
 
-class BatchedQueue:
-    """Calendar-bucket event queue for the batched simulator core.
-
-    Events are grouped by exact timestamp: ``buckets[when]`` is one flat
-    list interleaving ``seq, kind, payload`` triples (stride 3) — most
-    buckets hold a single event, and one 3-element list is a lot cheaper
-    to allocate than three 1-element lists — and :attr:`when_heap` is a
-    min-heap of the *unique* timestamps (plain floats, so sifts compare
-    natively). Sequence numbers are allocated monotonically
-    (``Engine._seq``), therefore append order within a bucket *is* seq
-    order and popping degenerates to indexing a list: no per-event tuple
-    allocation, no per-event heap sift. Events scheduled at the
-    timestamp currently draining land at the tail of the live bucket
-    with higher seqs, so exact ``(when, seq)`` order is preserved for
-    free.
-
-    The hot loop in :mod:`repro.sim.machine` deliberately reaches into
-    :attr:`buckets`/:attr:`when_heap` directly (bound to locals); the
-    methods here are the convenience surface for setup and tests.
-    """
-
-    __slots__ = ("buckets", "when_heap")
-
-    def __init__(self) -> None:
-        #: when -> flat [seq, kind, payload, ...] triples in seq order.
-        self.buckets: dict[float, list] = {}
-        self.when_heap: list[float] = []
-
-    def __len__(self) -> int:
-        return sum(len(b) for b in self.buckets.values()) // 3
-
-    def push(self, when: float, seq: int, kind: int, payload) -> None:
-        b = self.buckets.get(when)
-        if b is None:
-            self.buckets[when] = [seq, kind, payload]
-            heapq.heappush(self.when_heap, when)
-        else:
-            b.append(seq)
-            b.append(kind)
-            b.append(payload)
-
-    def peek_when(self) -> float | None:
-        return self.when_heap[0] if self.when_heap else None
-
-    def pop_batch(self) -> tuple[float, list[int], list[int], list] | None:
-        """Remove and return the earliest bucket ``(when, seqs, kinds,
-        payloads)``, or None when empty. Batch semantics are exact: every
-        event the simulation will ever see at this timestamp that was
-        scheduled *before* this call is in the bucket, in seq order."""
-        if not self.when_heap:
-            return None
-        when = heapq.heappop(self.when_heap)
-        b = self.buckets.pop(when)
-        return when, b[0::3], b[1::3], b[2::3]
-
-
 class Engine:
     """A deterministic event queue over a virtual clock (in cycles)."""
 
-    __slots__ = ("now", "_heap", "_seq", "_events_processed", "watchers")
+    __slots__ = ("now", "_heap", "_seq", "_events_processed")
 
     def __init__(self) -> None:
         self.now: float = 0.0
         self._heap: list[tuple[float, int, Callable[[], None]]] = []
         self._seq = 0
         self._events_processed = 0
-        #: Observers called as ``watcher(now)`` after every processed
-        #: event. Keep them cheap: they run inside the hot loop. This is
-        #: the one tap the batched core cannot serve (it forces the
-        #: object path — see SimMachine._unsupported_taps); prefer the
-        #: repro.sim.observe layer, which works on both cores. Register
-        #: before :meth:`run`; the drain loop snapshots the list object.
-        self.watchers: list[Callable[[float], None]] = []
 
     def schedule(self, delay: float, fn: Callable[[], None]) -> None:
         """Run *fn* at ``now + delay`` (delay may be 0, never negative)."""
-        if delay < 0:
+        # `not >=` so a NaN delay fails too.
+        if not delay >= 0:
             raise SimulationError(f"negative delay {delay}")
         self._seq += 1
         heapq.heappush(self._heap, (self.now + delay, self._seq, fn))
 
     def schedule_at(self, when: float, fn: Callable[[], None]) -> None:
         """Run *fn* at absolute time *when* (>= now)."""
-        if when < self.now:
+        if not when >= self.now:
             raise SimulationError(
                 f"cannot schedule in the past (when={when}, now={self.now})"
             )
@@ -215,16 +132,12 @@ class Engine:
         self.now = when
         self._events_processed += 1
         fn()
-        if self.watchers:
-            for watcher in self.watchers:
-                watcher(self.now)
         return True
 
     def run(self, *, max_cycles: float | None = None, max_events: int | None = None) -> None:
         """Drain the queue, optionally stopping at a time/event budget."""
         heap = self._heap
         pop = heapq.heappop
-        watchers = self.watchers
         budget = None
         if max_events is not None:
             budget = self._events_processed + max_events
@@ -242,7 +155,3 @@ class Engine:
             self.now = when
             self._events_processed += 1
             fn()
-            if watchers:
-                now = self.now
-                for watcher in watchers:
-                    watcher(now)

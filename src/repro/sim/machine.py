@@ -23,29 +23,21 @@ re-evaluated at quantum boundaries. Blocking ops free the PU.
 
 Two run-loop implementations share these semantics:
 
-* the **object path** — the small methods below (`_step`, `_busy_done`,
-  `_dispatch`, …) driven by closure events on :class:`Engine`. It is
-  the readable reference oracle the equivalence tests compare against.
-* the **batched core** (:meth:`_run_batched`) — one flat interpreter
-  over a :class:`~repro.sim.engine.BatchedQueue` of scalar kind-coded
-  events, with the Touch/Compute pricing inlined against the
-  precomputed ``(accessor, home)`` cost table and same-instant
-  busy-completion batches advanced in one vectorized pass. This is the
-  default (``core="auto"``).
+* the **batched core** (:meth:`_run_batched`, the default) — one flat
+  interpreter over a calendar of scalar kind-coded events, with the
+  Touch/Compute pricing inlined against the precomputed ``(accessor,
+  home)`` cost table.
+* the **object path** (``core="object"``) — the small methods below
+  (`_step`, `_busy_done`, `_dispatch`, …) driven by closure events on
+  :class:`Engine`. It is the readable reference oracle the equivalence
+  tests compare against.
 
-Observability works on **both** paths: ``SimMachine.monitors``,
-:class:`Trace`, ``OSScheduler.on_place`` and a
-:class:`~repro.sim.observe.SimObserver` (metrics registry + sampled ring
-trace) are instrumented natively in the batched interpreter. The one tap
-that still forces the object path is ``Engine.watchers`` — a callback
-after *every* processed event is exactly the per-event dispatch the
-batched core exists to eliminate.
-
-:meth:`run` selects the batched core automatically whenever no watcher
-is installed; fixed-seed runs produce bit-identical counters and clocks
-on both paths, with or without taps
-(``tests/test_sim_batched_equivalence.py`` and
-``tests/test_sim_difftest.py`` prove it on the three paper
+Observability works the same on both: ``SimMachine.monitors``,
+``OSScheduler.on_place`` and a :class:`~repro.sim.observe.SimObserver`
+(metrics registry + sampled ring trace) are instrumented natively in
+each. Fixed-seed runs produce bit-identical counters and clocks on both
+cores, with or without taps (``tests/test_sim_batched_equivalence.py``
+and ``tests/test_sim_difftest.py`` prove it on the three paper
 applications plus a generated program family). When editing one path,
 mirror the other — the equivalence tests will catch any drift.
 
@@ -62,8 +54,6 @@ import weakref
 from collections import deque
 from collections.abc import Iterable
 
-import numpy as np
-
 from repro.errors import DeadlockError, SimulationError
 from repro.sim.cache import CacheSystem
 from repro.sim.counters import Counters
@@ -72,7 +62,6 @@ from repro.sim.engine import (
     EV_CALL,
     EV_DRAIN,
     EV_STEP,
-    BatchedQueue,
     Engine,
     _ReBusy,
     _ReDrain,
@@ -103,7 +92,6 @@ from repro.sim.process import (
     YieldCPU,
 )
 from repro.sim.scheduler import OSScheduler
-from repro.sim.trace import Trace
 from repro.topology.binding import validate_cpuset
 from repro.topology.tree import Topology
 from repro.util.bitmap import Bitmap
@@ -146,7 +134,7 @@ class SimMachine:
     """A virtual NUMA machine executing simulated threads."""
 
     #: Run-loop implementations selectable via the ``core`` kwarg.
-    CORES = ("auto", "batched", "object")
+    CORES = ("batched", "object")
 
     def __init__(
         self,
@@ -155,8 +143,7 @@ class SimMachine:
         *,
         os_policy: str | None = None,
         seed: int = 0,
-        trace: bool = False,
-        core: str = "auto",
+        core: str = "batched",
         limits: SimLimits | None = None,
         observer: SimObserver | None = None,
         sanitize: bool | None = None,
@@ -197,12 +184,11 @@ class SimMachine:
         #: ``on_block(thread, event)``, ``on_finish(thread)`` is called
         #: when present. Empty for normal runs — zero overhead.
         self.monitors: list = []
-        self.trace: Trace | None = Trace() if trace else None
         #: Optional metrics/ring-trace observer (repro.sim.observe); works
         #: on both cores. Set here or via :meth:`attach_observer`.
         self.observer: SimObserver | None = observer
-        #: Which run loop :meth:`run` actually executed ("batched" or
-        #: "object"); None before run().
+        #: Which run loop executed ("batched" or "object"); None before
+        #: the first :meth:`run` / :meth:`run_window`.
         self.core_used: str | None = None
         self.clock_hz = float(topology.root.attrs.get("clock_hz", 2.6e9))
         self._ready: deque[SimThread] = deque()
@@ -300,31 +286,6 @@ class SimMachine:
 
     # -- run loop -------------------------------------------------------------
 
-    def _unsupported_taps(self) -> list[str]:
-        """Tap kinds only the object path can serve.
-
-        monitors, :class:`Trace` and ``scheduler.on_place`` are
-        instrumented natively in both cores; ``engine.watchers`` — a
-        callback after *every* processed event — is exactly the
-        per-event dispatch the batched core optimizes away, so it alone
-        still forces the object path.
-        """
-        return ["engine.watchers"] if self.engine.watchers else []
-
-    def _select_core(self) -> str:
-        """Resolve the ``core`` kwarg to the loop that will execute."""
-        unsupported = self._unsupported_taps()
-        if self.core == "batched" and unsupported:
-            raise SimulationError(
-                f"core={self.core!r} is incompatible with the "
-                f"{', '.join(unsupported)} tap — a per-event callback only "
-                "exists on the object path; use core='auto'/'object', or "
-                "the repro.sim.observe layer which works on every core"
-            )
-        if self.core == "object" or unsupported:
-            return "object"
-        return "batched"  # "auto" and "batched"
-
     def run(
         self,
         *,
@@ -334,14 +295,9 @@ class SimMachine:
     ) -> float:
         """Execute until every thread finishes; returns elapsed seconds.
 
-        *max_events* defaults to ``self.limits.max_events``. Core
-        selection: ``core="auto"`` runs the batched core unless an
-        ``engine.watchers`` tap is installed (the one tap that needs the
-        object path's per-event callback); ``core="object"`` forces the
-        reference path; ``core="batched"`` insists on the flat core and
-        raises if a watcher makes it impossible. monitors/trace/on_place
-        taps and :class:`~repro.sim.observe.SimObserver` run natively on
-        both cores. Both cores are bit-identical on fixed seeds;
+        *max_events* defaults to ``self.limits.max_events``; a
+        *max_cycles* horizon stops the run early without a deadlock
+        check. Both cores are bit-identical on fixed seeds;
         :attr:`core_used` records which one executed.
 
         Raises :class:`DeadlockError` if threads remain blocked with an
@@ -349,6 +305,11 @@ class SimMachine:
         """
         if self._ran:
             raise SimulationError("SimMachine.run may only be called once")
+        # `not >=` so a NaN horizon fails too.
+        if max_cycles is not None and not max_cycles >= self.engine.now:
+            raise SimulationError(
+                f"max_cycles {max_cycles} is before now={self.engine.now}"
+            )
         self._ran = True
         if self.sanitize:
             # Checked mode: the sanitizer rides the native monitor and
@@ -357,8 +318,7 @@ class SimMachine:
             self.attach_sanitizer()
         if max_events is None:
             max_events = self.limits.max_events
-        use = self._select_core()
-        self.core_used = use
+        use = self.core_used = self.core
         observer = self.observer
         if observer is not None:
             observer.begin(self)
@@ -376,17 +336,9 @@ class SimMachine:
             # still observable (the registry reports partial progress).
             if observer is not None:
                 observer.fold(self)
-        leftover = [t for t in self.threads if t.state not in ("done", "unstarted")]
+        leftover = self._unfinished()
         if leftover and not allow_incomplete and max_cycles is None:
-            blocked = ", ".join(
-                f"{t.name}({t.state}"
-                + (f" on {t.waiting_on.name!r}" if t.waiting_on else "")
-                + ")"
-                for t in leftover[:12]
-            )
-            raise DeadlockError(
-                f"{len(leftover)} thread(s) never finished: {blocked}"
-            )
+            raise self._deadlock_error(leftover)
         if self.sanitizer is not None and not leftover:
             self.sanitizer.verify(self)
         self.window_drained_at = self.engine.now
@@ -413,13 +365,13 @@ class SimMachine:
         idempotent). *max_events* is a per-window budget. Returns
         elapsed seconds at the window boundary.
         """
-        if until < self.engine.now:
+        if not until >= self.engine.now:
             raise SimulationError(
                 f"window horizon {until} is before now={self.engine.now}"
             )
         if max_events is None:
             max_events = self.limits.max_events
-        use = self._select_core()
+        use = self.core
         first = not self._ran
         self._ran = True
         if first:
@@ -450,6 +402,38 @@ class SimMachine:
             self.engine.now = until
         return self.elapsed_seconds
 
+    def raise_if_deadlocked(self) -> None:
+        """Raise :meth:`run`'s :class:`DeadlockError` when every
+        unfinished thread is blocked and no event is in flight.
+
+        For windowed loops whose machine gets nothing from outside
+        between windows (the adaptive controller and its uncontrolled
+        baseline): after such a window nothing can wake the blocked
+        threads again. :meth:`run_window` does not check this itself — a
+        shard's machine legitimately idles until a cross-shard message
+        arrives.
+        """
+        if self.engine.pending:
+            return
+        leftover = self._unfinished()
+        if leftover and all(t.state == "blocked" for t in leftover):
+            raise self._deadlock_error(leftover)
+
+    def _unfinished(self) -> list[SimThread]:
+        return [t for t in self.threads if t.state not in ("done", "unstarted")]
+
+    @staticmethod
+    def _deadlock_error(leftover: list[SimThread]) -> DeadlockError:
+        blocked = ", ".join(
+            f"{t.name}({t.state}"
+            + (f" on {t.waiting_on.name!r}" if t.waiting_on else "")
+            + ")"
+            for t in leftover[:12]
+        )
+        return DeadlockError(
+            f"{len(leftover)} thread(s) never finished: {blocked}"
+        )
+
     def _run_batched(
         self, *, max_cycles: float | None, max_events: int | None
     ) -> None:
@@ -457,22 +441,16 @@ class SimMachine:
 
         A straight transcription of the object path (`_step`, `_busy_done`,
         `_dispatch`, …) with everything inlined: no closure per event, op
-        dispatch through `_OP_CODE`, Touch pricing directly against the
-        precomputed miss-cost rows, and same-instant busy-completion
-        batches advanced in one vectorized numpy pass. Must stay
-        *bit-identical* to the object path — same float expressions, same
+        dispatch through `_OP_CODE` and Touch pricing directly against
+        the precomputed miss-cost rows. Must stay *bit-identical* to the
+        object path — same float expressions, same
         (when, seq) event order, same rng call order. When changing either
         path, mirror the other; ``tests/test_sim_batched_equivalence.py``
         is the referee.
         """
         eng = self.engine
         model = self.model
-        limits = self.limits
-        max_ops = limits.max_ops_per_step
-        batch_min = limits.batch_min
-        # Flat buckets interleave seq/kind/payload, so the cheap size
-        # gate compares against 3x the event count.
-        batch_min3 = batch_min * 3
+        max_ops = self.limits.max_ops_per_step
 
         # -- hoisted model constants and subsystem internals ----------------
         timeslice = model.timeslice_cycles
@@ -526,14 +504,11 @@ class SimMachine:
         # (bit-identical across tap configurations). Metric sites update
         # flat arrays *unconditionally* — without a tap the increments
         # land in throwaway arrays, which beats a per-site branch on the
-        # tapped path and costs <1% on the untapped one. Ring/trace
-        # records keep their guards: a call per transition is worth
-        # skipping.
+        # tapped path and costs <1% on the untapped one. Ring records keep
+        # their guards: a call per transition is worth skipping.
         notify_touch = self._monitor_fns("on_touch")
         notify_block = self._monitor_fns("on_block")
         notify_finish = self._monitor_fns("on_finish")
-        trace_tap = self.trace
-        trace_rec = trace_tap.record if trace_tap is not None else None
         on_place = sched.on_place or None
         obs = self.observer
         ring_add = None
@@ -568,9 +543,11 @@ class SimMachine:
             obs_preempts = [0]
         depth_last = QUEUE_DEPTH_BUCKETS - 1
 
-        queue = BatchedQueue()
-        buckets = queue.buckets
-        when_heap = queue.when_heap
+        # The calendar: buckets[when] is one flat [seq, kind, payload, ...]
+        # list in seq order (stride 3), and when_heap a min-heap of the
+        # unique timestamps, so popping an event is a list index.
+        buckets: dict[float, list] = {}
+        when_heap: list[float] = []
         push = heapq.heappush
         pop = heapq.heappop
         eheap = eng._heap
@@ -603,8 +580,6 @@ class SimMachine:
                 )
             thread.state = "ready"
             ready.append(thread)
-            if trace_rec is not None:
-                trace_rec(now, thread.tid, "ready", "")
             if ring_add is not None:
                 ring_add(TR_READY, now, thread.tid, thread.pu)
 
@@ -644,8 +619,6 @@ class SimMachine:
             thread.state = "running"
             thread.pu = pu
             thread.last_pu = pu
-            if trace_rec is not None:
-                trace_rec(now, thread.tid, "run", f"pu={pu}")
             if ring_add is not None:
                 ring_add(TR_RUN, now, thread.tid, pu)
             if thread.kind == "compute":
@@ -707,8 +680,6 @@ class SimMachine:
             thread.state = "done"
             if notify_finish is not None:
                 notify_finish(thread)
-            if trace_rec is not None:
-                trace_rec(now, thread.tid, "crash" if crashed else "done", "")
             if ring_add is not None:
                 ring_add(TR_CRASH if crashed else TR_DONE, now, thread.tid,
                          thread.pu)
@@ -760,8 +731,6 @@ class SimMachine:
             if rebalance_due or contender:
                 thread.needs_rebalance = rebalance_due
                 obs_preempts[0] += 1
-                if trace_rec is not None:
-                    trace_rec(now, thread.tid, "preempt", "")
                 if ring_add is not None:
                     ring_add(TR_PREEMPT, now, thread.tid, thread.pu)
                 release_pu(thread)
@@ -772,6 +741,38 @@ class SimMachine:
                 advance(thread, thread.pending_busy)
                 return False
             return True
+
+        def merge_external():
+            # External engine.schedule traffic into the calendar. Delays
+            # are >= 0 and seqs are fresh, so entries land at the live
+            # bucket's tail or in future buckets — global (when, seq)
+            # order is preserved because eng._seq is shared. Re-entry
+            # shims (from a previous window's exit conversion) are
+            # recognized by type and restored to their kind-coded
+            # triples; other callables stay CALL events.
+            while eheap:
+                w, s, fn = pop(eheap)
+                tf = fn.__class__
+                if tf is cls_rebusy:
+                    kind = EV_BUSY
+                    pl = fn.t
+                elif tf is cls_restep:
+                    kind = EV_STEP
+                    pl = fn.t
+                elif tf is cls_redrain:
+                    kind = EV_DRAIN
+                    pl = fn.e
+                else:
+                    kind = EV_CALL
+                    pl = fn
+                b = buckets.get(w)
+                if b is None:
+                    buckets[w] = [s, kind, pl]
+                    push(when_heap, w)
+                else:
+                    b.append(s)
+                    b.append(kind)
+                    b.append(pl)
 
         # -- run ------------------------------------------------------------
         self._fast_signal = fast_signal
@@ -797,39 +798,7 @@ class SimMachine:
                     # store per event. Anything processing schedules at
                     # `now` appends behind `bi` and is drained in turn.
                     if eheap:
-                        # External engine.schedule traffic: merge into the
-                        # calendar. Delays are >= 0 and
-                        # their seqs are fresh, so entries land at the
-                        # live bucket's tail or in future buckets —
-                        # global (when, seq) order is preserved because
-                        # eng._seq is shared.
-                        while eheap:
-                            w, s, fn = pop(eheap)
-                            # Re-entry shims (from a previous window's
-                            # exit conversion) are recognized by type and
-                            # restored to their kind-coded triples; other
-                            # callables stay CALL events.
-                            tf = fn.__class__
-                            if tf is cls_rebusy:
-                                kind = EV_BUSY
-                                pl = fn.t
-                            elif tf is cls_restep:
-                                kind = EV_STEP
-                                pl = fn.t
-                            elif tf is cls_redrain:
-                                kind = EV_DRAIN
-                                pl = fn.e
-                            else:
-                                kind = EV_CALL
-                                pl = fn
-                            b = buckets_l.get(w)
-                            if b is None:
-                                buckets_l[w] = [s, kind, pl]
-                                push(wheap_l, w)
-                            else:
-                                b.append(s)
-                                b.append(kind)
-                                b.append(pl)
+                        merge_external()
                     if processed >= budget:
                         eng._events_processed = processed
                         raise SimulationError(
@@ -843,33 +812,7 @@ class SimMachine:
                     obs_kinds[ev_kind] += 1
                 else:
                     if eheap:
-                        while eheap:
-                            w, s, fn = pop(eheap)
-                            # Re-entry shims (from a previous window's
-                            # exit conversion) are recognized by type and
-                            # restored to their kind-coded triples; other
-                            # callables stay CALL events.
-                            tf = fn.__class__
-                            if tf is cls_rebusy:
-                                kind = EV_BUSY
-                                pl = fn.t
-                            elif tf is cls_restep:
-                                kind = EV_STEP
-                                pl = fn.t
-                            elif tf is cls_redrain:
-                                kind = EV_DRAIN
-                                pl = fn.e
-                            else:
-                                kind = EV_CALL
-                                pl = fn
-                            b = buckets_l.get(w)
-                            if b is None:
-                                buckets_l[w] = [s, kind, pl]
-                                push(wheap_l, w)
-                            else:
-                                b.append(s)
-                                b.append(kind)
-                                b.append(pl)
+                        merge_external()
                         if bi < len(bb):
                             # Zero-delay traffic landed in the live bucket.
                             continue
@@ -894,105 +837,6 @@ class SimMachine:
                     blive = True
                     now = w0
                     eng.now = w0
-                    # Vectorized quantum batch: a bucket opening with a
-                    # run of pure busy continuations of bound threads (the
-                    # full-machine steady state: every PU's chunk expiring
-                    # at the same quantum boundary) advances in one numpy
-                    # pass. Eligibility is strict so the scalar semantics
-                    # are provably untouched: no ready contender, no
-                    # rebalance (bound), no generator resumption (pending
-                    # work remains).
-                    if not ready and len(bb) >= batch_min3:
-                        t = bb[2]
-                        if (
-                            bb[1] == EV_BUSY
-                            and t.pending_busy > 0.0
-                            and t.cpuset is not None
-                        ):
-                            k = 1
-                            j = 4  # kind slot of the second triple
-                            n_b = len(bb)
-                            while j < n_b:
-                                if bb[j] != EV_BUSY:
-                                    break
-                                t = bb[j + 1]
-                                if t.cpuset is None or t.pending_busy <= 0.0:
-                                    break
-                                k += 1
-                                j += 3
-                            if k >= batch_min and processed + k <= budget:
-                                threads_b = bb[2:3 * k:3]
-                                # hotlint: ok(alloc) — the genexps and the
-                                # enumerate below amortize over k >= batch_min
-                                # events per allocation; that is the point of
-                                # the vectorized batch.
-                                cur = np.fromiter(
-                                    (t.cur_chunk for t in threads_b),  # hotlint: ok(alloc)
-                                    dtype=np.float64, count=k,
-                                )
-                                su = np.fromiter(
-                                    (t.slice_used for t in threads_b),  # hotlint: ok(alloc)
-                                    dtype=np.float64, count=k,
-                                )
-                                su += cur
-                                boundary = su >= ts_edge
-                                if boundary.any():
-                                    su = np.where(boundary, 0.0, su)
-                                    bl = boundary.tolist()
-                                else:
-                                    bl = None
-                                pend = np.fromiter(
-                                    (t.pending_busy for t in threads_b),  # hotlint: ok(alloc)
-                                    dtype=np.float64, count=k,
-                                )
-                                chunk = np.minimum(pend, timeslice - su)
-                                su_l = su.tolist()
-                                chunk_l = chunk.tolist()
-                                pend_l = (pend - chunk).tolist()
-                                when_l = (now + chunk).tolist()
-                                s = eng._seq
-                                for i, t in enumerate(threads_b):  # hotlint: ok(alloc)
-                                    if ring_busy_period:
-                                        # Same interleave as the scalar
-                                        # EV_BUSY handler: record, then
-                                        # process, per completion.
-                                        if ring_busy_period == 1:
-                                            ring_add_raw(
-                                                TR_BUSY, now, t.tid, t.pu
-                                            )
-                                        else:
-                                            left = ring_cd[TR_BUSY] - 1
-                                            if left:
-                                                ring_cd[TR_BUSY] = left
-                                            else:
-                                                ring_cd[TR_BUSY] = (
-                                                    ring_busy_period
-                                                )
-                                                ring_add_raw(
-                                                    TR_BUSY, now, t.tid, t.pu
-                                                )
-                                    t.slice_used = su_l[i]
-                                    if bl is not None and bl[i]:
-                                        t.slices_run += 1
-                                    t.pending_busy = pend_l[i]
-                                    c = chunk_l[i]
-                                    t.cur_chunk = c
-                                    t.counters.busy_cycles += c
-                                    obs_pu_busy[t.pu] += c
-                                    s += 1
-                                    w = when_l[i]
-                                    b = buckets_l.get(w)
-                                    if b is None:
-                                        buckets_l[w] = [s, EV_BUSY, t]
-                                        push(wheap_l, w)
-                                    else:
-                                        b.append(s)
-                                        b.append(EV_BUSY)
-                                        b.append(t)
-                                eng._seq = s
-                                bi = 3 * k
-                                processed += k
-                                obs_kinds[EV_BUSY] += k
                     continue
                 if ev_kind == EV_BUSY:
                     # The hottest kind: a busy chunk ended. Either the
@@ -1360,8 +1204,6 @@ class SimMachine:
                         event.waiters.append(thread)
                         if notify_block is not None:
                             notify_block(thread, event)
-                        if trace_rec is not None:
-                            trace_rec(now, thread.tid, "block", event.name)
                         if ring_add is not None:
                             ring_add(TR_BLOCK, now, thread.tid, thread.pu)
                         release_pu(thread)
@@ -1382,8 +1224,6 @@ class SimMachine:
                         # The object path routes this through _requeue, so
                         # it counts and traces as a preemption there too.
                         obs_preempts[0] += 1
-                        if trace_rec is not None:
-                            trace_rec(now, thread.tid, "preempt", "")
                         if ring_add is not None:
                             ring_add(TR_PREEMPT, now, thread.tid, thread.pu)
                         release_pu(thread)
@@ -1451,19 +1291,14 @@ class SimMachine:
 
     # -- internals: readiness and dispatch ----------------------------------------
 
-    def _trace(self, tag: str, thread: SimThread | None, detail: str = "") -> None:
+    def _trace(self, tag: str, thread: SimThread) -> None:
         # Every scheduling transition of the object path funnels through
-        # here, so this one site feeds both the legacy Trace and the
-        # observer's ring (the batched core instruments the same points
-        # inline in _run_batched).
-        tid = thread.tid if thread is not None else -1
-        if self.trace is not None:
-            self.trace.record(self.engine.now, tid, tag, detail)
+        # here into the observer's ring (the batched core instruments the
+        # same points inline in _run_batched).
         obs = self.observer
         if obs is not None and obs.ring is not None:
             obs.ring.add(
-                KIND_BY_NAME[tag], self.engine.now, tid,
-                thread.pu if thread is not None else None,
+                KIND_BY_NAME[tag], self.engine.now, thread.tid, thread.pu
             )
 
     def _notify_monitors(self, method: str, *args) -> None:
@@ -1556,7 +1391,7 @@ class SimMachine:
         thread.state = "running"
         thread.pu = pu
         thread.last_pu = pu
-        self._trace("run", thread, f"pu={pu}")
+        self._trace("run", thread)
         self.engine.schedule(overhead, lambda: self._step(thread))
 
     def _release_pu(self, thread: SimThread) -> None:
@@ -1645,7 +1480,7 @@ class SimMachine:
                 event.waiters.append(thread)
                 if self.monitors:
                     self._notify_monitors("on_block", thread, event)
-                self._trace("block", thread, event.name)
+                self._trace("block", thread)
                 self._release_pu(thread)
                 self._dispatch()
                 return

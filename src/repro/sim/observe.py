@@ -13,7 +13,8 @@ and the object compatibility path):
     sampling periods (``0`` disables a kind, ``1`` records every event,
     ``N`` records 1-in-N), exportable as Chrome ``trace_event`` JSON
     (``chrome://tracing`` / Perfetto): ``pid`` is the PU, ``tid`` the
-    simulated thread.
+    simulated thread; :meth:`RingTrace.gantt` renders it as an ASCII
+    chart.
 
 :class:`SimObserver`
     the glue the machine understands: ``SimMachine(..., observer=obs)``
@@ -41,7 +42,6 @@ Usage::
 from __future__ import annotations
 
 from repro.errors import SimulationError
-from repro.sim.trace import TAGS as _SCHED_TAGS
 
 __all__ = [
     "MetricsRegistry",
@@ -62,10 +62,8 @@ __all__ = [
     "QUEUE_DEPTH_BUCKETS",
 ]
 
-#: Ring-trace event kinds. The first six are exactly the legacy
-#: :class:`~repro.sim.trace.Trace` tags (scheduling transitions, imported
-#: so the vocabularies cannot drift); BUSY is one completed busy chunk
-#: (the hot kind — the one worth sampling).
+#: Ring-trace event kinds: six scheduling transitions, then BUSY, one
+#: completed busy chunk (the hot kind — the one worth sampling).
 TR_READY = 0
 TR_RUN = 1
 TR_BLOCK = 2
@@ -74,8 +72,11 @@ TR_DONE = 4
 TR_CRASH = 5
 TR_BUSY = 6
 
-TRACE_KINDS = _SCHED_TAGS + ("busy",)
+TRACE_KINDS = ("ready", "run", "block", "preempt", "done", "crash", "busy")
 KIND_BY_NAME = {name: i for i, name in enumerate(TRACE_KINDS)}
+
+#: The kinds that end a running stretch in :meth:`RingTrace.gantt`.
+_LEAVE_PU = (TR_BLOCK, TR_PREEMPT, TR_DONE, TR_CRASH)
 
 #: Queue-depth histogram resolution: exact counts for depths 0..63, one
 #: overflow bucket for 64+.
@@ -360,6 +361,51 @@ class RingTrace:
         if buf[i] is None:  # never wrapped
             return [r for r in buf[:i]]
         return [r for r in buf[i:] + buf[:i] if r is not None]
+
+    def gantt(
+        self,
+        *,
+        names: dict[int, str] | None = None,
+        width: int = 80,
+        max_threads: int = 40,
+    ) -> str:
+        """ASCII Gantt chart of the live records: one row per thread,
+        ``#`` while running.
+
+        Time is bucketed into *width* columns between the first and last
+        record; a bucket is marked if the thread was in the running state
+        at any point inside it. Needs the run and the four leave-the-PU
+        kinds (block, preempt, done, crash) unsampled.
+        """
+        recs = self.records()
+        if not recs:
+            return "(empty trace)"
+        t0 = recs[0][1]
+        span = (recs[-1][1] - t0) or 1.0  # timestamps are nondecreasing
+        by_tid: dict[int, list] = {}
+        for kind, ts, tid, _ in recs:
+            if tid >= 0:
+                by_tid.setdefault(tid, []).append((kind, ts))
+        rows = []
+        for tid in sorted(by_tid)[:max_threads]:
+            cells = [" "] * width
+            running_since: float | None = None
+            for kind, ts in by_tid[tid]:
+                if kind == TR_RUN:
+                    running_since = ts
+                elif kind in _LEAVE_PU and running_since is not None:
+                    lo = int((running_since - t0) / span * (width - 1))
+                    hi = int((ts - t0) / span * (width - 1))
+                    for c in range(lo, hi + 1):
+                        cells[c] = "#"
+                    running_since = None
+            if running_since is not None:
+                lo = int((running_since - t0) / span * (width - 1))
+                for c in range(lo, width):
+                    cells[c] = "#"
+            label = (names or {}).get(tid, f"t{tid}")
+            rows.append(f"{label:>14.14} |{''.join(cells)}|")
+        return "\n".join(rows)
 
     def to_chrome(
         self,

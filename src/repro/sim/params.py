@@ -17,7 +17,7 @@ __all__ = ["CostModel", "SimLimits"]
 
 @dataclass(frozen=True)
 class SimLimits:
-    """Runaway guards and batching knobs of the simulation run loop.
+    """Runaway guards of the simulation run loop.
 
     Pass a custom instance as ``SimMachine(..., limits=SimLimits(...))``
     (the stress tests do).
@@ -25,23 +25,16 @@ class SimLimits:
     ``max_ops_per_step``: max zero-cost ops a thread may issue without
     consuming virtual time before the machine declares a livelock.
     ``max_events``: default event budget for ``SimMachine.run``.
-    ``batch_min``: minimum number of same-instant busy-completion events
-    before the batched core switches from scalar to vectorized (numpy)
-    quantum advancement — below this the gather/scatter overhead beats
-    the win.
     """
 
     max_ops_per_step: int = 100_000
     max_events: int = 20_000_000
-    batch_min: int = 16
 
     def __post_init__(self) -> None:
         if self.max_ops_per_step < 1:
             raise SimulationError("max_ops_per_step must be >= 1")
         if self.max_events < 1:
             raise SimulationError("max_events must be >= 1")
-        if self.batch_min < 2:
-            raise SimulationError("batch_min must be >= 2")
 
 
 @dataclass(frozen=True)

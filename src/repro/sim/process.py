@@ -45,6 +45,8 @@ __all__ = [
 
 ThreadGen = Generator["Op", Any, None]
 
+_INF = float("inf")
+
 # Ops are slotted, identity-compared plain classes rather than
 # dataclasses: applications construct one per simulated operation —
 # hundreds of millions per paper-scale sweep — and the handwritten
@@ -65,8 +67,12 @@ class Compute:
     __slots__ = ("flops", "efficiency")
 
     def __init__(self, flops: float, efficiency: float = 1.0) -> None:
-        if flops < 0 or efficiency <= 0:
-            raise SimulationError("flops must be >= 0 and efficiency > 0")
+        # Chained so NaN fails as well as out-of-range values.
+        if not (0 <= flops < _INF and 0 < efficiency < _INF):
+            raise SimulationError(
+                "flops must be finite and >= 0, efficiency finite and > 0 "
+                f"(got flops={flops!r}, efficiency={efficiency!r})"
+            )
         self.flops = flops
         self.efficiency = efficiency
 
@@ -85,6 +91,10 @@ class Touch:
         nbytes: float | None = None,  # None = whole buffer
         write: bool = False,
     ) -> None:
+        # NaN is the one value unequal to itself. An infinite size is
+        # fine: the machine clamps it to the buffer size.
+        if nbytes != nbytes:
+            raise SimulationError(f"Touch nbytes must not be NaN (got {nbytes!r})")
         self.buffer = buffer
         self.nbytes = nbytes
         self.write = write

@@ -90,7 +90,8 @@ def _obj_from_dict(d: Any, where: str = "root") -> TopoObject:
             attrs=dict(d.get("attrs", {})),
             cache=cache,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        # OverflowError: int() of an Infinity, which json accepts.
         raise TopologyError(
             f"{where}: bad {obj_type.value} record: {exc!r}"
         ) from exc

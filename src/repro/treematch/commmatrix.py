@@ -382,15 +382,25 @@ class CommunicationMatrix:
 
     @classmethod
     def from_csv(cls, text: str) -> CommunicationMatrix:
-        """Parse the :meth:`to_csv` format."""
-        lines = [ln for ln in text.strip().splitlines() if ln.strip()]
+        """Parse the :meth:`to_csv` format; a malformed row raises
+        :class:`MappingError` naming its line."""
+        lines = [(n, ln) for n, ln in enumerate(text.splitlines(), 1)
+                 if ln.strip()]
         if not lines:
             raise MappingError("empty communication-matrix CSV")
-        labels = lines[0].split(",")[1:]
+        labels = lines[0][1].split(",")[1:]
         rows = []
-        for ln in lines[1:]:
-            cells = ln.split(",")
-            rows.append([float(v) for v in cells[1:]])
+        for n, ln in lines[1:]:
+            cells = ln.split(",")[1:]
+            if len(cells) != len(labels):
+                raise MappingError(
+                    f"CSV line {n}: {len(cells)} cells for "
+                    f"{len(labels)} labels"
+                )
+            try:
+                rows.append([float(v) for v in cells])
+            except ValueError as exc:
+                raise MappingError(f"CSV line {n}: {exc}") from exc
         if len(rows) != len(labels):
             raise MappingError(
                 f"CSV has {len(rows)} rows for {len(labels)} labels"

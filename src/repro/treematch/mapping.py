@@ -89,7 +89,8 @@ class Placement:
                     for level in data.get("groups_per_level", ())
                 ),
             )
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError,
+                OverflowError) as exc:
             raise MappingError(f"bad placement record: {exc!r}") from exc
 
     def violations(

@@ -45,7 +45,7 @@ def small_config(**overrides) -> ControllerConfig:
 
 
 def run_uncontrolled(setup: AdaptSetup, *, declared: str = "stencil",
-                     core: str = "auto", observer=None,
+                     core: str = "batched", observer=None,
                      config: ControllerConfig | None = None):
     """Windowed run with no controller: the differential baseline.
 
@@ -78,7 +78,7 @@ def run_uncontrolled(setup: AdaptSetup, *, declared: str = "stencil",
 
 
 def run_controlled(setup: AdaptSetup, *, declared: str = "stencil",
-                   core: str = "auto", observer=None,
+                   core: str = "batched", observer=None,
                    config: ControllerConfig | None = None, registry=None):
     """Same program under the adaptive controller.
 

@@ -11,11 +11,11 @@ observation stream — is *identical*, not merely close.
 Each generated spec carries a tap mode:
 
 ``off``
-    no observer, no legacy trace — the plain hot path;
+    no observer — the plain hot path;
 ``on``
     a :class:`~repro.sim.observe.SimObserver` with full metrics, an
-    unsampled ring trace, the legacy ``trace=True`` tap, a counting
-    monitor and an ``on_place`` hook all attached at once;
+    unsampled ring trace, a counting monitor and an ``on_place`` hook
+    all attached at once;
 ``sampled``
     the same observer with a small ring and 1-in-4 busy sampling —
     exercising countdown sampling and ring wraparound under load.
@@ -160,7 +160,6 @@ class Taps:
 
     observer: SimObserver | None = None
     monitor: CountingMonitor | None = None
-    legacy_trace: bool = False
 
 
 def _make_taps(mode: str) -> Taps:
@@ -170,11 +169,7 @@ def _make_taps(mode: str) -> Taps:
         ring = RingTrace(capacity=1 << 16)  # no sampling, no wraparound
     else:  # sampled: tiny ring + 1-in-4 busy — wraparound under load
         ring = RingTrace(capacity=256, sample={"busy": 4})
-    return Taps(
-        observer=SimObserver(trace=ring),
-        monitor=CountingMonitor(),
-        legacy_trace=(mode == "on"),
-    )
+    return Taps(observer=SimObserver(trace=ring), monitor=CountingMonitor())
 
 
 def build_chain_machine(spec: ProgramSpec, core: str, taps: Taps):
@@ -205,8 +200,8 @@ def build_chain_machine(spec: ProgramSpec, core: str, taps: Taps):
     flops = cfg["flops"]
     nbytes = cfg["nbytes"]
     machine = SimMachine(
-        TOPOLOGIES[spec.topology](), seed=spec.seed,
-        trace=taps.legacy_trace, core=core, observer=taps.observer,
+        TOPOLOGIES[spec.topology](), seed=spec.seed, core=core,
+        observer=taps.observer,
     )
     events = [machine.event(f"tok{i}") for i in range(n)]
     bufs = None
@@ -263,7 +258,6 @@ def build_runtime(spec: ProgramSpec, core: str, taps: Taps) -> Runtime:
         TOPOLOGIES[spec.topology](),
         affinity=spec.affinity,
         seed=spec.seed,
-        trace=taps.legacy_trace,
         core=core,
         observer=taps.observer,
     )
@@ -319,8 +313,6 @@ def run_one(spec: ProgramSpec, core: str) -> dict:
             "finished": mon.finished,
             "placements": tuple(mon.placements),
         }
-    if taps.legacy_trace:
-        fp["trace"] = tuple(machine.trace.records)
     return fp
 
 

@@ -27,9 +27,11 @@ from repro.affinity import (
     WindowTelemetry,
     drift_score,
 )
-from repro.errors import AffinityError
+from repro.errors import AffinityError, DeadlockError
 from repro.experiments.adaptive import run_adaptive
+from repro.orwl import Runtime
 from repro.sim.observe import SimObserver
+from repro.topology import fig2_machine
 from tests.harness.adaptive import (
     CORES,
     machine_fingerprint,
@@ -233,6 +235,30 @@ class TestControllerDeterminism:
     def test_run_is_single_shot(self):
         controller, _, _ = run_controlled(stable_setup(2))
         with pytest.raises(AffinityError, match="only be called once"):
+            controller.run()
+
+    def test_deadlock_fails_fast(self):
+        # The writer never releases, so the reader blocks for good: the
+        # first window that leaves nothing in flight must raise run()'s
+        # DeadlockError naming the stuck thread, not spin through
+        # max_windows empty windows.
+        rt = Runtime(fig2_machine(), affinity=False)
+        a, b = rt.task("a"), rt.task("b")
+        loc = a.location("out", 64)
+        hw = a.write_handle(loc, iterative=True)
+        hr = b.read_handle(loc, iterative=True)
+
+        def writer(op):
+            yield from hw.acquire()
+
+        def reader(op):
+            yield from hr.acquire()
+            hr.release()
+
+        a.set_body(writer)
+        b.set_body(reader)
+        controller = AdaptiveController.for_orwl(rt, config=small_config())
+        with pytest.raises(DeadlockError, match="b/op0"):
             controller.run()
 
 

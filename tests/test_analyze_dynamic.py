@@ -4,7 +4,6 @@ from repro.analyze.deadlock import WaitForGraph
 from repro.analyze.dynamic import DynamicResult, cross_check, run_dynamic
 from repro.analyze.report import Report
 from repro.orwl import Runtime
-from repro.sim.engine import Engine
 from repro.sim.process import Compute
 from repro.topology import fig2_machine
 
@@ -35,15 +34,6 @@ def tiny_runtime():
 
 
 class TestSimTaps:
-    def test_engine_watchers_called(self):
-        engine = Engine()
-        seen = []
-        engine.watchers.append(seen.append)
-        engine.schedule_at(1.0, lambda: None)
-        engine.schedule_at(2.0, lambda: None)
-        engine.run()
-        assert seen == [1.0, 2.0]
-
     def test_monitor_sees_touches_and_placements(self):
         result = run_dynamic(tiny_runtime)
         assert result.completed

@@ -15,7 +15,7 @@ from repro.topology import smp12e5
 from repro.util.bitmap import Bitmap
 
 
-def tiny_run(core: str = "auto", **kwargs) -> SimMachine:
+def tiny_run(core: str = "batched", **kwargs) -> SimMachine:
     machine = SimMachine(smp12e5(), core=core, **kwargs)
     buf = machine.allocate(1 << 16, "b")
 

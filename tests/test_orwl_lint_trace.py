@@ -1,7 +1,8 @@
-"""Tests for the program linter and the trace Gantt rendering."""
+"""Tests for the program linter and the ring trace's Gantt rendering."""
 
 
 from repro.orwl import Runtime
+from repro.sim.observe import RingTrace, SimObserver
 from repro.sim.process import Compute
 from repro.topology import fig2_machine
 
@@ -68,7 +69,8 @@ class TestLint:
 
 class TestGantt:
     def run_traced(self):
-        rt = Runtime(fig2_machine(), affinity=True, trace=True)
+        rt = Runtime(fig2_machine(), affinity=True,
+                     observer=SimObserver(trace=RingTrace()))
         a, b = rt.task("a"), rt.task("b")
         loc = a.location("chan", 4096)
         hw = a.write_handle(loc, iterative=True)
@@ -89,11 +91,11 @@ class TestGantt:
         a.set_body(wbody)
         b.set_body(rbody)
         res = rt.run()
-        return res
+        return res, rt.machine.observer.ring
 
     def test_gantt_renders_rows(self):
-        res = self.run_traced()
-        chart = res.machine.trace.gantt(
+        res, ring = self.run_traced()
+        chart = ring.gantt(
             names={t.tid: t.name for t in res.machine.threads}, width=40
         )
         lines = chart.splitlines()
@@ -102,20 +104,18 @@ class TestGantt:
         assert any("a/op0" in ln for ln in lines)
 
     def test_gantt_width_respected(self):
-        res = self.run_traced()
-        chart = res.machine.trace.gantt(width=25)
+        _, ring = self.run_traced()
+        chart = ring.gantt(width=25)
         for line in chart.splitlines():
             bar = line.split("|")[1]
             assert len(bar) == 25
 
     def test_empty_trace(self):
-        from repro.sim.trace import Trace
-
-        assert Trace().gantt() == "(empty trace)"
+        assert RingTrace().gantt() == "(empty trace)"
 
     def test_max_threads_cap(self):
-        res = self.run_traced()
-        chart = res.machine.trace.gantt(max_threads=1)
+        _, ring = self.run_traced()
+        chart = ring.gantt(max_threads=1)
         assert len(chart.splitlines()) == 1
 
 

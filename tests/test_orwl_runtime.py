@@ -157,7 +157,7 @@ class TestSplitReaders:
 
     def test_split_readers_coalesce_at_runtime(self):
         """All split readers of one iteration read concurrently."""
-        rt = Runtime(fig2_machine(), affinity=False, trace=True)
+        rt = Runtime(fig2_machine(), affinity=False)
         owner = rt.task("owner")
         loc = owner.location("big", 1 << 16)
         hw = owner.write_handle(loc, iterative=True)

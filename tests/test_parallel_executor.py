@@ -153,6 +153,45 @@ class TestResultCache:
         monkeypatch.setenv("REPRO_CACHE", "on")
         assert cache_enabled()
 
+    def test_concurrent_writers_never_expose_partial_entries(self, tmp_path):
+        # 4 writer processes race to store the same job while this
+        # process reads it in a loop: the atomic rename in put() means
+        # every read is a miss or the whole payload.
+        import multiprocessing as mp
+        import time
+
+        job = tiny_job()
+        payload = {"seconds": 0.1 + 0.2, "rows": list(range(2000))}
+        ctx = mp.get_context("spawn")
+        writers = [
+            ctx.Process(target=_put_repeatedly,
+                        args=(tmp_path, job, payload, 50))
+            for _ in range(4)
+        ]
+        for w in writers:
+            w.start()
+        reader = ResultCache(tmp_path, digest="g")
+        deadline = time.monotonic() + 120
+        try:
+            while any(w.is_alive() for w in writers):
+                assert time.monotonic() < deadline, "writers did not finish"
+                got = reader.get(job)
+                assert got is None or got == payload
+        finally:
+            for w in writers:
+                w.join(timeout=60)
+                if w.is_alive():
+                    w.kill()
+        assert [w.exitcode for w in writers] == [0, 0, 0, 0]
+        assert list(tmp_path.rglob("*.tmp")) == []
+        assert reader.get(job) == payload
+
+
+def _put_repeatedly(root, job, payload, times):
+    cache = ResultCache(root, digest="g")
+    for _ in range(times):
+        cache.put(job, payload)
+
 
 class TestRunJobs:
     def test_order_preserved(self, tmp_path):

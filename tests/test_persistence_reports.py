@@ -77,6 +77,14 @@ class TestCommMatrixCsv:
         with pytest.raises(MappingError):
             CommunicationMatrix.from_csv(",a,b\na,0,1")
 
+    @pytest.mark.parametrize("text", [
+        "x,a,b\na,1,x\nb,2,3",
+        "x,a,b\na,1,2,3\nb,2,3",
+    ], ids=["non-numeric-cell", "extra-cell"])
+    def test_malformed_row_names_its_line(self, text):
+        with pytest.raises(MappingError, match="CSV line 2"):
+            CommunicationMatrix.from_csv(text)
+
 
 class TestRunReport:
     def test_report_fields(self):

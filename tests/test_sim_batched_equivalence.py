@@ -22,7 +22,7 @@ from repro.apps.matmul import MatmulConfig, run_orwl_matmul
 from repro.apps.video.pipeline import VideoConfig, run_orwl_video
 from repro.errors import SimulationError
 from repro.sim import Compute, SimMachine, Touch, Wait
-from repro.sim.machine import SimLimits
+from repro.sim.observe import RingTrace, SimObserver
 from repro.topology import smp12e5, smp20e7
 from repro.util.bitmap import Bitmap
 
@@ -200,12 +200,11 @@ class TestMachineGoldenTraces:
         assert_identical(*[machine_fingerprint(m) for m in machines])
 
     def test_quantum_batch_path(self):
-        # Many bound threads with multi-quantum computes: same-instant
-        # busy-completion buckets larger than batch_min, driving the
-        # vectorized dispatch. Lower batch_min to make the test cheap.
+        # Many bound threads with multi-quantum computes: large
+        # same-instant buckets of busy completions at every quantum
+        # boundary.
         def build(core):
-            m = SimMachine(smp12e5(), seed=0, core=core,
-                           limits=SimLimits(batch_min=8))
+            m = SimMachine(smp12e5(), seed=0, core=core)
             evs = [m.event(f"e{i}") for i in range(64)]
 
             def worker(i):
@@ -281,25 +280,9 @@ class TestMachineGoldenTraces:
 
 class TestCoreSelection:
     def test_unknown_core_rejected(self):
-        with pytest.raises(SimulationError, match="unknown core"):
-            SimMachine(smp12e5(), core="vectorized")
-
-    @pytest.mark.parametrize("core", ["batched"])
-    def test_flat_cores_refuse_watchers(self, core):
-        # Only engine.watchers (a per-event callback with no flat-core
-        # equivalent) still forces the object path; the error names it.
-        m = ring_machine(core, bound=True)
-        m.engine.watchers.append(lambda now: None)
-        with pytest.raises(SimulationError, match="engine.watchers"):
-            m.run()
-
-    def test_auto_falls_back_to_object_path_with_watchers(self):
-        m = ring_machine("auto", bound=True)
-        seen = []
-        m.engine.watchers.append(lambda now: seen.append(now))
-        m.run()
-        assert seen  # the watcher actually fired — object path ran
-        assert m.core_used == "object"
+        for core in ("vectorized", "auto"):
+            with pytest.raises(SimulationError, match="unknown core"):
+                SimMachine(smp12e5(), core=core)
 
     def test_monitors_and_trace_run_natively_on_batched(self):
         class Monitor:
@@ -318,10 +301,10 @@ class TestCoreSelection:
         monitors = {}
         placements = {}
         for core in ("object", "batched"):
-            from repro.sim.trace import Trace
-
             m = ring_machine(core, bound=True)
-            m.trace = Trace()
+            obs = m.attach_observer(
+                SimObserver(metrics=False, trace=RingTrace())
+            )
             mon = Monitor()
             m.monitors.append(mon)
             placed = []
@@ -330,9 +313,7 @@ class TestCoreSelection:
             )
             m.run()
             assert m.core_used == core
-            records[core] = [
-                (r.time, r.tid, r.tag, r.detail) for r in m.trace.records
-            ]
+            records[core] = obs.ring.records()
             monitors[core] = (mon.touches, mon.blocks, mon.finishes)
             placements[core] = placed
         assert records["batched"] == records["object"]
@@ -342,7 +323,7 @@ class TestCoreSelection:
         assert monitors["batched"][0] > 0
 
     def test_run_is_single_shot(self):
-        m = ring_machine("auto", bound=True)
+        m = ring_machine("batched", bound=True)
         m.run()
         with pytest.raises(SimulationError, match="only be called once"):
             m.run()

@@ -4,7 +4,8 @@ import pytest
 
 from repro.errors import DeadlockError, SimulationError
 from repro.sim import Compute, SimMachine, Touch, Wait, YieldCPU
-from repro.sim.params import CostModel
+from repro.sim.observe import TRACE_KINDS, RingTrace, SimObserver
+from repro.sim.params import CostModel, SimLimits
 from repro.topology import TopologySpec, build_topology, fig2_machine, smp12e5, smp20e7
 from repro.util.bitmap import Bitmap
 
@@ -244,7 +245,7 @@ class TestSchedulerBehaviour:
 
 class TestBlockingAndDeadlock:
     def test_wait_signal_roundtrip(self):
-        m = small_machine(trace=True)
+        m = small_machine()
         ev = m.event("go")
         order = []
 
@@ -318,6 +319,75 @@ class TestBlockingAndDeadlock:
             m.run()
 
 
+NAN = float("nan")
+INF = float("inf")
+
+
+def _bad_op_run(make_op):
+    """A run whose thread yields *make_op(buffer)* after one valid op."""
+    def case(m):
+        buf = m.allocate(4096, "b")
+
+        def body():
+            yield Compute(1e3)
+            yield make_op(buf)
+
+        m.add_thread("t", body(), cpuset=Bitmap.single(0))
+        m.run()
+    return case
+
+
+def _started(m):
+    m.add_thread("t", iter([Compute(1e6)]), cpuset=Bitmap.single(0))
+    return m
+
+
+NON_FINITE_CASES = {
+    "compute-nan-flops": _bad_op_run(lambda buf: Compute(NAN)),
+    "compute-inf-flops": _bad_op_run(lambda buf: Compute(INF)),
+    "compute-nan-efficiency": _bad_op_run(
+        lambda buf: Compute(1e6, efficiency=NAN)),
+    "compute-inf-efficiency": _bad_op_run(
+        lambda buf: Compute(1e6, efficiency=INF)),
+    "touch-nan-bytes": _bad_op_run(lambda buf: Touch(buf, NAN)),
+    "run-window-nan": lambda m: _started(m).run_window(NAN),
+    "run-nan-max-cycles": lambda m: _started(m).run(max_cycles=NAN),
+    "schedule-nan": lambda m: m.engine.schedule(NAN, lambda: None),
+    "schedule-at-nan": lambda m: m.engine.schedule_at(NAN, lambda: None),
+}
+
+
+class TestNonFiniteInput:
+    """NaN or infinity reaching the simulator raises SimulationError
+    instead of pricing as zero cycles, poisoning counters or ignoring a
+    horizon."""
+
+    @pytest.mark.parametrize("case", NON_FINITE_CASES)
+    @pytest.mark.parametrize("core", SimMachine.CORES)
+    def test_rejected(self, core, case):
+        # A small event budget makes a runaway fail fast, with a message
+        # the match below does not accept.
+        m = small_machine(core=core, limits=SimLimits(max_events=10_000))
+        with pytest.raises(
+            SimulationError,
+            match="flops|nbytes|before now|negative delay|in the past",
+        ):
+            NON_FINITE_CASES[case](m)
+
+    def test_infinite_touch_clamps_to_buffer(self):
+        # The one non-finite value still allowed: an infinite Touch
+        # streams the whole buffer, like nbytes=None.
+        fps = []
+        for nbytes in (INF, None):
+            m = small_machine()
+            buf = m.allocate(1 << 16, "b")
+            m.add_thread("t", iter([Touch(buf, nbytes)]),
+                         cpuset=Bitmap.single(0))
+            m.run()
+            fps.append((m.elapsed_cycles, m.total_counters().snapshot()))
+        assert fps[0] == fps[1]
+
+
 class TestCountersAndTrace:
     def test_counters_aggregate_by_kind(self):
         m = small_machine()
@@ -330,13 +400,16 @@ class TestCountersAndTrace:
         assert m.counters_by_kind("control").flops == pytest.approx(50.0)
 
     def test_trace_records_lifecycle(self):
-        m = small_machine(trace=True)
-        m.add_thread("t", iter([Compute(1e6)]), cpuset=Bitmap.single(0))
-        m.run()
-        tags = [r.tag for r in m.trace.for_thread(0)]
-        assert tags[0] == "ready"
-        assert "run" in tags
-        assert tags[-1] == "done"
+        for core in SimMachine.CORES:
+            ring = RingTrace()
+            m = small_machine(core=core, observer=SimObserver(trace=ring))
+            m.add_thread("t", iter([Compute(1e6)]), cpuset=Bitmap.single(0))
+            m.run()
+            tags = [TRACE_KINDS[kind] for kind, _, tid, _ in ring.records()
+                    if tid == 0]
+            assert tags[0] == "ready"
+            assert "run" in tags
+            assert tags[-1] == "done"
 
     def test_invalid_kind_rejected(self):
         m = small_machine()

@@ -18,7 +18,11 @@ from repro.errors import SimulationError
 from repro.sim import Compute, SimMachine, Touch, Wait
 from repro.sim.observe import (
     KIND_BY_NAME,
+    TR_BLOCK,
     TR_BUSY,
+    TR_CRASH,
+    TR_DONE,
+    TR_PREEMPT,
     TR_READY,
     TR_RUN,
     TRACE_KINDS,
@@ -26,7 +30,6 @@ from repro.sim.observe import (
     RingTrace,
     SimObserver,
 )
-from repro.sim.trace import TAGS
 from repro.topology import smp12e5
 from repro.util.bitmap import Bitmap
 
@@ -115,8 +118,14 @@ class TestRingTrace:
         assert ring.recorded == 0
 
     def test_kind_vocabulary_is_the_trace_tags_plus_busy(self):
-        assert TRACE_KINDS == TAGS + ("busy",)
-        assert KIND_BY_NAME["busy"] == TR_BUSY
+        # The six scheduling transitions in kind-id order, then busy.
+        assert TRACE_KINDS == (
+            "ready", "run", "block", "preempt", "done", "crash", "busy"
+        )
+        assert [KIND_BY_NAME[k] for k in TRACE_KINDS] == [
+            TR_READY, TR_RUN, TR_BLOCK, TR_PREEMPT, TR_DONE, TR_CRASH,
+            TR_BUSY,
+        ]
 
     def test_bad_arguments_rejected(self):
         with pytest.raises(SimulationError, match="capacity"):

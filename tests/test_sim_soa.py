@@ -22,11 +22,13 @@ from repro.topology import smp12e5
 from repro.util.bitmap import Bitmap
 
 
-def mixed_machine(core: str, *, seed: int = 3, threads: int = 16):
+def mixed_machine(core: str | None = None, *, seed: int = 3,
+                  threads: int = 16):
     """Bound + unbound threads with waits, yields and multi-quantum
-    computes — crosses the vectorized drain, the scalar pump, and the
-    wakeup paths in one workload."""
-    m = SimMachine(smp12e5(), seed=seed, core=core)
+    computes — crosses the busy-completion drain, the op pump, and the
+    wakeup paths in one workload. ``core=None`` keeps the default."""
+    kwargs = {} if core is None else {"core": core}
+    m = SimMachine(smp12e5(), seed=seed, **kwargs)
     bufs = [m.allocate(1 << 15, f"b{i}") for i in range(threads)]
     evs = [m.event(f"e{i}") for i in range(threads)]
 
@@ -59,10 +61,12 @@ def fingerprint(m: SimMachine) -> tuple:
 
 class TestCoreSelection:
     def test_auto_resolves_to_soa(self):
-        # ``auto`` picks the fastest flat core. The struct-of-arrays
-        # core this test is named for was removed, so that is now the
-        # batched core.
-        m = mixed_machine("auto")
+        # The default core. The name predates the removal of the
+        # struct-of-arrays core and of the ``auto`` value; the default
+        # is now the batched core.
+        assert SimMachine.CORES == ("batched", "object")
+        m = mixed_machine()
+        assert m.core_used is None  # nothing ran yet
         m.run()
         assert m.core_used == "batched"
 
@@ -95,10 +99,9 @@ class TestPreallocatedColumns:
 
     @staticmethod
     def _rebind_mid_run(core: str) -> tuple:
-        # A lockstep gang of bound multi-quantum computes opens every
-        # quantum-boundary bucket with a run long enough for the
-        # vectorized batch, whose eligibility reads thread.cpuset live;
-        # a peer unbinds one gang member mid-run.
+        # A lockstep gang of bound multi-quantum computes shares every
+        # quantum-boundary bucket; a peer unbinds one gang member
+        # mid-run, and the next boundary must read the new binding.
         m = SimMachine(smp12e5(), core=core)
         gang = []
 
@@ -123,8 +126,8 @@ class TestPreallocatedColumns:
 
     def test_bound_column_follows_rebind(self):
         # Had the batched core snapshotted the binding at run entry, the
-        # unbound thread would stay in the vectorized batch (which skips
-        # the rebalance path) and the cores would part ways.
+        # unbound thread would skip the rebalance path and the cores
+        # would part ways.
         assert self._rebind_mid_run("batched") == \
             self._rebind_mid_run("object")
 

@@ -143,9 +143,17 @@ class TestSerialize:
         (_topology_record(root={"children": 3}), TopologyError, "root"),
         (_topology_record(root={"attrs": [1, 2]}), TopologyError, "root"),
         ({"thread_to_pu": [1, 2]}, MappingError, "placement"),
+        (_topology_record(core={"os_index": float("inf")}), TopologyError,
+         "root.children[0].children[0]"),
+        (_topology_record(l3={"cache": {"size": float("inf")}}),
+         TopologyError, "root.children[0]"),
+        ({"thread_to_pu": {"0": float("inf")}}, MappingError, "placement"),
+        ({"thread_to_pu": {}, "oversub_factor": float("inf")}, MappingError,
+         "placement"),
     ], ids=["list-top-level", "string-root", "string-child",
             "cache-without-size", "string-os-index", "int-children",
-            "list-attrs", "list-thread-to-pu"])
+            "list-attrs", "list-thread-to-pu", "infinite-os-index",
+            "infinite-cache-size", "infinite-pu", "infinite-oversub"])
     def test_malformed_records_raise_typed_errors(
         self, tmp_path, record, error, where
     ):
