@@ -198,10 +198,6 @@ class CacheSystem:
     def l3_of_pu(self, pu: int) -> L3State:
         return self._l3s[self.l3_index_of_pu(pu)]
 
-    def flush_all(self) -> None:
-        for l3 in self._l3s:
-            l3.flush()
-
     # -- the core pricing call --------------------------------------------------
 
     def touch(

@@ -7,11 +7,11 @@ which keeps every simulation deterministic.
 
 :class:`Engine` is a heap of ``(when, seq, callback)`` closures. The
 machine's object path drains it directly; the batched core keeps its own
-calendar of kind-coded events and merges whatever external code put on
-this heap (``machine.engine.schedule`` works on both cores). Both share
+calendar of kind-coded events, across windows too, and merges whatever
+outside code put on this heap as ``EV_CALL`` events
+(``machine.engine.schedule`` works on both cores). Both share
 :attr:`Engine._seq`, so their (when, seq) orders agree. The ``EV_*``
-kind codes and the ``_Re*`` re-entry shims below are the batched core's
-side of that contract.
+kind codes below are the batched core's side of that contract.
 """
 
 from __future__ import annotations
@@ -29,6 +29,8 @@ __all__ = [
     "EV_DRAIN",
 ]
 
+_INF = float("inf")
+
 #: Event kinds of the batched core. The payload is interpreted per kind:
 #: a zero-arg callable (CALL — external ``Engine.schedule`` traffic merged
 #: into the batched run), a SimThread (STEP: resume the generator; BUSY:
@@ -37,53 +39,6 @@ EV_CALL = 0
 EV_STEP = 1
 EV_BUSY = 2
 EV_DRAIN = 3
-
-
-class _ReStep:
-    """Object-path re-entry shim for a batched-core ``EV_STEP`` event.
-
-    When a windowed run (``SimMachine.run_window``) exits, leftover bucket
-    events are converted to ``(when, seq, callable)`` heap entries so the
-    object engine — and the next window, whatever core it drains on — can
-    resume them. Plain lambdas would be opaque; these typed shims let the
-    batched core's merge loop recognize a re-entering event and rebuild
-    its kind-coded triple instead of demoting it to ``EV_CALL`` forever.
-    """
-
-    __slots__ = ("m", "t")
-
-    def __init__(self, m, t) -> None:
-        self.m = m
-        self.t = t
-
-    def __call__(self) -> None:
-        self.m._step(self.t)
-
-
-class _ReBusy:
-    """Re-entry shim for ``EV_BUSY``."""
-
-    __slots__ = ("m", "t")
-
-    def __init__(self, m, t) -> None:
-        self.m = m
-        self.t = t
-
-    def __call__(self) -> None:
-        self.m._busy_done(self.t, self.t.cur_chunk)
-
-
-class _ReDrain:
-    """Re-entry shim for ``EV_DRAIN``."""
-
-    __slots__ = ("m", "e")
-
-    def __init__(self, m, e) -> None:
-        self.m = m
-        self.e = e
-
-    def __call__(self) -> None:
-        self.m._drain_event(self.e)
 
 
 class Engine:
@@ -98,18 +53,19 @@ class Engine:
         self._events_processed = 0
 
     def schedule(self, delay: float, fn: Callable[[], None]) -> None:
-        """Run *fn* at ``now + delay`` (delay may be 0, never negative)."""
-        # `not >=` so a NaN delay fails too.
-        if not delay >= 0:
-            raise SimulationError(f"negative delay {delay}")
+        """Run *fn* at ``now + delay`` (finite; may be 0, never negative)."""
+        # A chained comparison so a NaN delay fails too.
+        if not 0 <= delay < _INF:
+            raise SimulationError(f"negative or non-finite delay {delay}")
         self._seq += 1
         heapq.heappush(self._heap, (self.now + delay, self._seq, fn))
 
     def schedule_at(self, when: float, fn: Callable[[], None]) -> None:
-        """Run *fn* at absolute time *when* (>= now)."""
-        if not when >= self.now:
+        """Run *fn* at absolute time *when* (finite, >= now)."""
+        if not self.now <= when < _INF:
             raise SimulationError(
                 f"cannot schedule in the past (when={when}, now={self.now})"
+                if when < self.now else f"non-finite event time {when}"
             )
         self._seq += 1
         heapq.heappush(self._heap, (when, self._seq, fn))

@@ -43,7 +43,10 @@ mirror the other — the equivalence tests will catch any drift.
 
 :meth:`run_window` drains events only up to a virtual-time horizon and
 may be called repeatedly — the epoch primitive :mod:`repro.sim.shard`
-builds its conservative multi-machine synchronization on.
+builds its conservative multi-machine synchronization on. Events in
+flight at a horizon stay where each core keeps them (the engine heap,
+the batched core's calendar) until the next call;
+:attr:`SimMachine.pending` counts them.
 """
 
 from __future__ import annotations
@@ -52,21 +55,11 @@ import heapq
 import os
 import weakref
 from collections import deque
-from collections.abc import Iterable
 
 from repro.errors import DeadlockError, SimulationError
 from repro.sim.cache import CacheSystem
 from repro.sim.counters import Counters
-from repro.sim.engine import (
-    EV_BUSY,
-    EV_CALL,
-    EV_DRAIN,
-    EV_STEP,
-    Engine,
-    _ReBusy,
-    _ReDrain,
-    _ReStep,
-)
+from repro.sim.engine import EV_BUSY, EV_CALL, EV_DRAIN, EV_STEP, Engine
 from repro.sim.memory import Buffer, MemorySystem
 from repro.sim.observe import (
     KIND_BY_NAME,
@@ -128,6 +121,8 @@ _OP_CODE: dict[type, int] = {
     YieldCPU: 4,
 }
 _OP_BASES = (Touch, Compute, Wait, Spawn, YieldCPU)
+
+_INF = float("inf")
 
 
 class SimMachine:
@@ -194,6 +189,11 @@ class SimMachine:
         self._ready: deque[SimThread] = deque()
         self._pu_last_tid: dict[int, int] = {}
         self._sibling_pus = _sibling_tables(topology)
+        #: The batched core's calendar, kept between run_window calls:
+        #: _buckets[when] is one flat [seq, kind, payload, ...] list in
+        #: seq order (stride 3), and _when_heap a min-heap of its keys.
+        self._buckets: dict[float, list] = {}
+        self._when_heap: list[float] = []
         #: Set by _run_batched for the duration of the fast drain loop;
         #: _on_signal routes wakeups through it so signals raised from
         #: generator code land in the batched queue, not the object heap.
@@ -354,9 +354,9 @@ class SimMachine:
         and the conservative window bound guarantees no event inside the
         window depends on a message that arrives at a later one. Between
         windows the machine is quiescent at a well-defined virtual time:
-        in-flight busy chunks and wakeups are parked as typed re-entry
-        shims on the object heap, and the batched core's merge loop
-        restores them natively on the next call.
+        in-flight busy chunks and wakeups stay where the core keeps them
+        (the object path's engine heap, the batched core's calendar), and
+        :attr:`pending` counts them.
 
         Differences from :meth:`run`: no deadlock check (threads are
         expected to be mid-flight between windows), no sanitizer attach,
@@ -365,9 +365,11 @@ class SimMachine:
         idempotent). *max_events* is a per-window budget. Returns
         elapsed seconds at the window boundary.
         """
-        if not until >= self.engine.now:
+        # A chained comparison so a NaN horizon fails too.
+        if not self.engine.now <= until < _INF:
             raise SimulationError(
-                f"window horizon {until} is before now={self.engine.now}"
+                f"window horizon {until} is non-finite or before "
+                f"now={self.engine.now}"
             )
         if max_events is None:
             max_events = self.limits.max_events
@@ -402,6 +404,14 @@ class SimMachine:
             self.engine.now = until
         return self.elapsed_seconds
 
+    @property
+    def pending(self) -> int:
+        """Events in flight between runs: outside callbacks on the engine
+        heap plus the batched core's calendar."""
+        return self.engine.pending + sum(
+            len(b) for b in self._buckets.values()
+        ) // 3
+
     def raise_if_deadlocked(self) -> None:
         """Raise :meth:`run`'s :class:`DeadlockError` when every
         unfinished thread is blocked and no event is in flight.
@@ -413,7 +423,7 @@ class SimMachine:
         shard's machine legitimately idles until a cross-shard message
         arrives.
         """
-        if self.engine.pending:
+        if self.pending:
             return
         leftover = self._unfinished()
         if leftover and all(t.state == "blocked" for t in leftover):
@@ -465,7 +475,7 @@ class SimMachine:
         node_bw = model.node_bandwidth_cyc_per_byte
         # One plain-float horizon (+inf when unbounded) keeps the
         # per-bucket stop check to a single comparison.
-        horizon = float("inf") if max_cycles is None else max_cycles
+        horizon = _INF if max_cycles is None else max_cycles
         caches = self.caches
         line = caches._line
         l3_hit_cy = caches._l3_hit_cycles
@@ -474,12 +484,13 @@ class SimMachine:
         l3s = caches._l3s
         presence = caches._presence
         miss_cost = self.memory._miss_cost
-        # PU- and node-keyed dicts flattened to lists for the pump: os
-        # indices are small and dense, and a list index is the cheapest
-        # lookup there is. node_free_at is written back on exit.
+        # PU-keyed dicts flattened to lists for the pump: os indices are
+        # small and dense, and a list index is the cheapest lookup there
+        # is. node_free_at is the memory system's own list, advanced in
+        # place.
         pu_l3 = caches.pu_l3_list()
         pu_numa = self.memory.pu_numa_list()
-        node_free_at = self.memory.free_at_list()
+        node_free_at = self.memory.node_free_at
         sched = self.scheduler
         busy_map = sched._busy
         node_free = sched._node_free
@@ -494,9 +505,6 @@ class SimMachine:
         cls_wait = Wait
         cls_spawn = Spawn
         cls_yield = YieldCPU
-        cls_restep = _ReStep
-        cls_rebusy = _ReBusy
-        cls_redrain = _ReDrain
 
         # -- observability taps, bound to locals ----------------------------
         # Every instrumentation site below is a pure read/accumulate, so a
@@ -543,11 +551,11 @@ class SimMachine:
             obs_preempts = [0]
         depth_last = QUEUE_DEPTH_BUCKETS - 1
 
-        # The calendar: buckets[when] is one flat [seq, kind, payload, ...]
-        # list in seq order (stride 3), and when_heap a min-heap of the
-        # unique timestamps, so popping an event is a list index.
-        buckets: dict[float, list] = {}
-        when_heap: list[float] = []
+        # The calendar (see __init__) survives between calls, so a window
+        # resumes exactly where the last one stopped; popping an event is
+        # a list index.
+        buckets = self._buckets
+        when_heap = self._when_heap
         push = heapq.heappush
         pop = heapq.heappop
         eheap = eng._heap
@@ -651,31 +659,6 @@ class SimMachine:
                     start_on(thread, pu)
                     progressed = True
 
-        def advance(thread, cycles):
-            # _run_busy: returns True when the op cost zero cycles and the
-            # caller should keep stepping (fresh op budget, like the object
-            # path's recursion through _step).
-            if cycles <= 0.0:
-                thread.pending_busy = 0.0
-                return True
-            remaining = timeslice - thread.slice_used
-            chunk = cycles if cycles <= remaining else remaining
-            thread.pending_busy = cycles - chunk
-            thread.counters.busy_cycles += chunk
-            obs_pu_busy[thread.pu] += chunk
-            thread.cur_chunk = chunk
-            eng._seq = s = eng._seq + 1
-            w = now + chunk
-            b = buckets.get(w)
-            if b is None:
-                buckets[w] = [s, EV_BUSY, thread]
-                push(when_heap, w)
-            else:
-                b.append(s)
-                b.append(EV_BUSY)
-                b.append(thread)
-            return False
-
         def finish(thread, crashed=False):
             thread.state = "done"
             if notify_finish is not None:
@@ -712,9 +695,8 @@ class SimMachine:
 
         def busy_boundary(thread):
             # Quantum expired: account a slice, decide preemption/migration.
-            # Returns True when the thread keeps its PU with no pending
-            # busy work — the caller then resumes its generator (the
-            # inlined pump in the main loop).
+            # Returns True when the thread keeps its PU; the caller then
+            # schedules its next busy chunk or resumes its generator.
             thread.slices_run = sr = thread.slices_run + 1
             thread.slice_used = 0.0
             rebalance_due = (
@@ -737,42 +719,33 @@ class SimMachine:
                 make_ready(thread)
                 dispatch()
                 return False
-            if thread.pending_busy > 0.0:
-                advance(thread, thread.pending_busy)
-                return False
             return True
 
         def merge_external():
-            # External engine.schedule traffic into the calendar. Delays
-            # are >= 0 and seqs are fresh, so entries land at the live
-            # bucket's tail or in future buckets — global (when, seq)
-            # order is preserved because eng._seq is shared. Re-entry
-            # shims (from a previous window's exit conversion) are
-            # recognized by type and restored to their kind-coded
-            # triples; other callables stay CALL events.
+            # Outside engine.schedule traffic into the calendar, as CALL
+            # events. Delays are >= 0 and seqs are fresh, so entries land
+            # at the live bucket's tail or behind every calendar entry of
+            # their timestamp — global (when, seq) order is preserved
+            # because eng._seq is shared.
             while eheap:
                 w, s, fn = pop(eheap)
-                tf = fn.__class__
-                if tf is cls_rebusy:
-                    kind = EV_BUSY
-                    pl = fn.t
-                elif tf is cls_restep:
-                    kind = EV_STEP
-                    pl = fn.t
-                elif tf is cls_redrain:
-                    kind = EV_DRAIN
-                    pl = fn.e
-                else:
-                    kind = EV_CALL
-                    pl = fn
                 b = buckets.get(w)
                 if b is None:
-                    buckets[w] = [s, kind, pl]
+                    buckets[w] = [s, EV_CALL, fn]
                     push(when_heap, w)
                 else:
                     b.append(s)
-                    b.append(kind)
-                    b.append(pl)
+                    b.append(EV_CALL)
+                    b.append(fn)
+
+        def invalidate_others(present, l3_idx, buf_id):
+            # A write to a buffer another L3 holds drops the other copies.
+            # sorted() because the presence sets are a handful of L3
+            # indices and a deterministic invalidation order is worth it;
+            # only writes to cross-L3-shared buffers get here.
+            for idx in sorted(present):
+                if idx != l3_idx:
+                    l3s[idx].invalidate(buf_id)
 
         # -- run ------------------------------------------------------------
         self._fast_signal = fast_signal
@@ -840,8 +813,9 @@ class SimMachine:
                     continue
                 if ev_kind == EV_BUSY:
                     # The hottest kind: a busy chunk ended. Either the
-                    # quantum continues (fall through to the pump) or the
-                    # boundary logic decides preemption/rebalance.
+                    # quantum continues or the boundary logic decides
+                    # preemption/rebalance; a thread that keeps its PU
+                    # falls through to the busy-chunk block below.
                     thread = payload
                     if ring_busy_period:
                         if ring_busy_period == 1:
@@ -858,55 +832,38 @@ class SimMachine:
                     su = thread.slice_used + thread.cur_chunk
                     if su < ts_edge:
                         thread.slice_used = su
-                        pb = thread.pending_busy
-                        if pb > 0.0:  # inline advance(): pb > 0 known
-                            remaining = timeslice - su
-                            chunk = pb if pb <= remaining else remaining
-                            thread.pending_busy = pb - chunk
-                            thread.counters.busy_cycles += chunk
-                            obs_pu_busy[thread.pu] += chunk
-                            thread.cur_chunk = chunk
-                            eng._seq = s2 = eng._seq + 1
-                            w2 = now + chunk
-                            b2 = buckets_l.get(w2)
-                            if b2 is None:
-                                buckets_l[w2] = [s2, EV_BUSY, thread]
-                                push(wheap_l, w2)
-                            else:
-                                b2.append(s2)
-                                b2.append(EV_BUSY)
-                                b2.append(thread)
-                            continue
-                    else:
-                        if not busy_boundary(thread):
-                            continue
+                    elif not busy_boundary(thread):
+                        continue
                 elif ev_kind == EV_STEP:
                     thread = payload
-                    pb = thread.pending_busy
-                    if pb > 0.0:  # inline advance(): pb > 0 known
-                        remaining = timeslice - thread.slice_used
-                        chunk = pb if pb <= remaining else remaining
-                        thread.pending_busy = pb - chunk
-                        thread.counters.busy_cycles += chunk
-                        obs_pu_busy[thread.pu] += chunk
-                        thread.cur_chunk = chunk
-                        eng._seq = s2 = eng._seq + 1
-                        w2 = now + chunk
-                        b2 = buckets_l.get(w2)
-                        if b2 is None:
-                            buckets_l[w2] = [s2, EV_BUSY, thread]
-                            push(wheap_l, w2)
-                        else:
-                            b2.append(s2)
-                            b2.append(EV_BUSY)
-                            b2.append(thread)
-                        continue
                 elif ev_kind == EV_DRAIN:
                     drain(payload)
                     continue
                 else:  # EV_CALL
                     eng._events_processed = processed
                     payload()
+                    continue
+
+                # ---- busy-chunk block: a thread on its PU with busy work
+                # left runs its next chunk, up to the end of its quantum.
+                pb = thread.pending_busy
+                if pb > 0.0:
+                    remaining = timeslice - thread.slice_used
+                    chunk = pb if pb <= remaining else remaining
+                    thread.pending_busy = pb - chunk
+                    thread.counters.busy_cycles += chunk
+                    obs_pu_busy[thread.pu] += chunk
+                    thread.cur_chunk = chunk
+                    eng._seq = s2 = eng._seq + 1
+                    w2 = now + chunk
+                    b2 = buckets_l.get(w2)
+                    if b2 is None:
+                        buckets_l[w2] = [s2, EV_BUSY, thread]
+                        push(wheap_l, w2)
+                    else:
+                        b2.append(s2)
+                        b2.append(EV_BUSY)
+                        b2.append(thread)
                     continue
 
                 # ---- op pump: resume the generator and price ops until
@@ -1005,14 +962,7 @@ class SimMachine:
                                     if present and (
                                         len(present) > 1 or l3_idx not in present
                                     ):
-                                        # sorted() fires only on writes to
-                                        # cross-L3-shared buffers and the
-                                        # presence sets are a handful of L3
-                                        # indices; determinism of the
-                                        # invalidation order is worth it.
-                                        for idx in sorted(present):  # hotlint: ok(alloc)
-                                            if idx != l3_idx:
-                                                l3s[idx].invalidate(buf_id)
+                                        invalidate_others(present, l3_idx, buf_id)
                                 if is_compute and sib_compute[pu]:
                                     busy *= htc
                             else:
@@ -1049,11 +999,9 @@ class SimMachine:
                                             len(present) > 1
                                             or l3_idx not in present
                                         ):
-                                            # Same deterministic-order pump
-                                            # as the all-hit branch above.
-                                            for idx in sorted(present):  # hotlint: ok(alloc)
-                                                if idx != l3_idx:
-                                                    l3s[idx].invalidate(buf_id)
+                                            invalidate_others(
+                                                present, l3_idx, buf_id
+                                            )
                                 else:
                                     inst = resident + miss_bytes
                                     if inst > size:
@@ -1096,13 +1044,9 @@ class SimMachine:
                                         # the original presence test
                                         # reduces to len > 1.
                                         if op.write and winv and len(ps) > 1:
-                                            # Same deterministic-order pump
-                                            # as the all-hit branch above.
-                                            for idx in sorted(ps):  # hotlint: ok(alloc)
-                                                if idx != l3_idx:
-                                                    l3s[idx].invalidate(
-                                                        buf_id
-                                                    )
+                                            invalidate_others(
+                                                ps, l3_idx, buf_id
+                                            )
                                 if is_compute and sib_compute[pu]:
                                     busy *= htc
                                     extra = htc - 1.0
@@ -1124,70 +1068,16 @@ class SimMachine:
                                             queued * stall_f
                                         )
                                         counters.memory_cycles += queued
-                        if busy > 0.0:  # inline advance()
-                            remaining = timeslice - thread.slice_used
-                            chunk = busy if busy <= remaining else remaining
-                            thread.pending_busy = busy - chunk
-                            counters.busy_cycles += chunk
-                            obs_pu_busy[pu] += chunk
-                            thread.cur_chunk = chunk
-                            eng._seq = s2 = eng._seq + 1
-                            w2 = now + chunk
-                            b2 = buckets_l.get(w2)
-                            if b2 is None:
-                                buckets_l[w2] = [s2, EV_BUSY, thread]
-                                push(wheap_l, w2)
-                            else:
-                                b2.append(s2)
-                                b2.append(EV_BUSY)
-                                b2.append(thread)
-                            break
-                        thread.pending_busy = 0.0
-                        ops = 0
-                        resets += 1
-                        if resets > max_ops:
-                            raise SimulationError(
-                                f"{thread.name} issued {max_ops} zero-cost "
-                                "ops — livelock?"
-                            )
-                        continue
                     elif code == 1:  # Compute
                         flops = op.flops
                         eff = op.efficiency
-                        cycles = flops * cpf if eff == 1.0 else flops * cpf / eff
+                        busy = flops * cpf if eff == 1.0 else flops * cpf / eff
                         if is_compute and sib_compute[thread.pu]:
-                            cycles *= htc
+                            busy *= htc
                         if thread.cpuset is None and os_jitter > 0:
-                            cycles *= 1.0 + rng.uniform(-os_jitter, os_jitter)
+                            busy *= 1.0 + rng.uniform(-os_jitter, os_jitter)
                         counters.flops += flops
-                        counters.compute_cycles += cycles
-                        if cycles > 0.0:  # inline advance()
-                            remaining = timeslice - thread.slice_used
-                            chunk = cycles if cycles <= remaining else remaining
-                            thread.pending_busy = cycles - chunk
-                            counters.busy_cycles += chunk
-                            obs_pu_busy[thread.pu] += chunk
-                            thread.cur_chunk = chunk
-                            eng._seq = s2 = eng._seq + 1
-                            w2 = now + chunk
-                            b2 = buckets_l.get(w2)
-                            if b2 is None:
-                                buckets_l[w2] = [s2, EV_BUSY, thread]
-                                push(wheap_l, w2)
-                            else:
-                                b2.append(s2)
-                                b2.append(EV_BUSY)
-                                b2.append(thread)
-                            break
-                        thread.pending_busy = 0.0
-                        ops = 0
-                        resets += 1
-                        if resets > max_ops:
-                            raise SimulationError(
-                                f"{thread.name} issued {max_ops} zero-cost "
-                                "ops — livelock?"
-                            )
-                        continue
+                        counters.compute_cycles += busy
                     elif code == 2:  # Wait
                         event = op.event
                         if event.count > 0:
@@ -1230,35 +1120,49 @@ class SimMachine:
                         make_ready(thread)
                         dispatch()
                         break
+                    # Touch and Compute priced `busy`: run its first chunk
+                    # (the busy-chunk block again, then leave the pump), or
+                    # reset the op budget after a zero-cost op, like the
+                    # object path's recursion through _step.
+                    if busy > 0.0:
+                        remaining = timeslice - thread.slice_used
+                        chunk = busy if busy <= remaining else remaining
+                        thread.pending_busy = busy - chunk
+                        counters.busy_cycles += chunk
+                        obs_pu_busy[thread.pu] += chunk
+                        thread.cur_chunk = chunk
+                        eng._seq = s2 = eng._seq + 1
+                        w2 = now + chunk
+                        b2 = buckets_l.get(w2)
+                        if b2 is None:
+                            buckets_l[w2] = [s2, EV_BUSY, thread]
+                            push(wheap_l, w2)
+                        else:
+                            b2.append(s2)
+                            b2.append(EV_BUSY)
+                            b2.append(thread)
+                        break
+                    thread.pending_busy = 0.0
+                    ops = 0
+                    resets += 1
+                    if resets > max_ops:
+                        raise SimulationError(
+                            f"{thread.name} issued {max_ops} zero-cost "
+                            "ops — livelock?"
+                        )
         finally:
             self._fast_signal = None
             eng.now = now
             eng._events_processed = processed
-            self.memory.store_free_at(node_free_at)
-            if buckets:
-                # A max_cycles/budget stop (or an app raise mid-bucket) can
-                # leave events in flight: convert them to typed re-entry
-                # shims so engine.pending, manual engine.run() and the
-                # next run_window() all keep working — the merge loop
-                # above recognizes the shims and rebuilds their
-                # kind-coded triples. The live bucket is still
-                # registered; only its undrained tail is in flight.
-                for w, b_l in buckets.items():
-                    j0 = bi if blive and w == bwhen else 0
-                    for j in range(j0, len(b_l), 3):
-                        ev_kind = b_l[j + 1]
-                        payload = b_l[j + 2]
-                        if ev_kind == EV_CALL:
-                            fn = payload
-                        elif ev_kind == EV_STEP:
-                            fn = _ReStep(self, payload)
-                        elif ev_kind == EV_BUSY:
-                            fn = _ReBusy(self, payload)
-                        else:
-                            fn = _ReDrain(self, payload)
-                        heapq.heappush(eheap, (w, b_l[j], fn))
-                buckets.clear()
-                del when_heap[:]
+            if blive:
+                # A raise mid-bucket (event budget, livelock guard, app
+                # exception): only the live bucket's undrained tail stays
+                # in flight. Every other exit has already dropped it.
+                if bi < len(bb):
+                    del bb[:bi]
+                    push(when_heap, bwhen)
+                else:
+                    del buckets[bwhen]
 
     @property
     def elapsed_cycles(self) -> float:
@@ -1405,7 +1309,7 @@ class SimMachine:
     def _step(self, thread: SimThread) -> None:
         """Advance the generator until a timed/blocking op or completion."""
         if thread.pending_busy > 0.0:
-            self._run_busy(thread, thread.pending_busy, resumed=True)
+            self._run_busy(thread, thread.pending_busy)
             return
         max_ops = self.limits.max_ops_per_step
         for _ in range(max_ops):
@@ -1518,7 +1422,7 @@ class SimMachine:
                 return True
         return False
 
-    def _run_busy(self, thread: SimThread, cycles: float, *, resumed: bool = False) -> None:
+    def _run_busy(self, thread: SimThread, cycles: float) -> None:
         """Occupy the PU for *cycles*, chopped at the timeslice boundary."""
         if cycles <= 0.0:
             thread.pending_busy = 0.0
@@ -1538,29 +1442,20 @@ class SimMachine:
         if obs is not None and obs.ring is not None:
             obs.ring.add(TR_BUSY, self.engine.now, thread.tid, thread.pu)
         thread.slice_used += chunk
-        at_boundary = thread.slice_used >= self.model.timeslice_cycles - 1e-9
-        if not at_boundary:
-            if thread.pending_busy > 0:
-                self._run_busy(thread, thread.pending_busy, resumed=True)
-            else:
-                self._step(thread)
-            return
-        # Quantum expired: account a slice and decide preemption/migration.
-        thread.slices_run += 1
-        thread.slice_used = 0.0
-        rebalance_due = (
-            thread.cpuset is None
-            and thread.slices_run % self.model.rebalance_slices == 0
-        )
-        contender = self._contender_for(thread.pu)
-        if rebalance_due or contender:
-            thread.needs_rebalance = rebalance_due
-            self._requeue(thread)
-            return
-        if thread.pending_busy > 0:
-            self._run_busy(thread, thread.pending_busy, resumed=True)
-        else:
-            self._step(thread)
+        if thread.slice_used >= self.model.timeslice_cycles - 1e-9:
+            # Quantum expired: account a slice, decide preemption/migration.
+            thread.slices_run += 1
+            thread.slice_used = 0.0
+            rebalance_due = (
+                thread.cpuset is None
+                and thread.slices_run % self.model.rebalance_slices == 0
+            )
+            if rebalance_due or self._contender_for(thread.pu):
+                thread.needs_rebalance = rebalance_due
+                self._requeue(thread)
+                return
+        # _step runs the pending busy work first, if any.
+        self._step(thread)
 
     def _contender_for(self, pu: int | None) -> bool:
         if pu is None:
@@ -1587,14 +1482,6 @@ class SimMachine:
         if thread.pu is not None:
             self._release_pu(thread)
         self._dispatch()
-
-    # -- convenience --------------------------------------------------------------
-
-    def seconds(self, cycles: float) -> float:
-        return cycles / self.clock_hz
-
-    def threads_by_kind(self, kind: str) -> Iterable[SimThread]:
-        return (t for t in self.threads if t.kind == kind)
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

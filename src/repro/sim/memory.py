@@ -76,16 +76,16 @@ class MemorySystem:
         self.model = model
         self._pu_numa, self.distance = _numa_tables(topology)
         self._buffers: list[Buffer] = []
-        self._node_free_at: dict[int, float] = {
-            i: 0.0 for i in range(self.distance.shape[0])
-        }
+        #: Per NUMA node, the cycle at which its memory controller has
+        #: served every reservation so far (see reserve_bandwidth). The
+        #: batched core advances this list in place.
+        self.node_free_at: list[float] = [0.0] * self.distance.shape[0]
         if not self._pu_numa:
             raise SimulationError("topology has no NUMA-homed PUs")
         # Precomputed per-(accessor, home) miss cost — the formula below
-        # is pure in (distance, model), and CacheSystem.touch consults it
-        # on every priced access, so pay the O(n_numa²) cost once per
-        # (topology, model) pair. The batched core gathers whole rows of
-        # this table at once when pricing a quantum batch.
+        # is pure in (distance, model), and CacheSystem.touch and the
+        # batched core consult it on every priced access, so pay the
+        # O(n_numa²) cost once per (topology, model) pair.
         per_model = _MISS_TABLES.setdefault(topology, {})
         try:
             self._miss_cost = per_model[model]
@@ -143,22 +143,6 @@ class MemorySystem:
             flat[k] = v
         return flat
 
-    def free_at_list(self) -> list[float]:
-        """Node bandwidth horizons as a dense list snapshot.
-
-        The batched core accumulates FIFO reservations into this snapshot
-        during a run and write it back via :meth:`store_free_at` on exit,
-        keeping the node-keyed dict authoritative between runs/windows.
-        """
-        d = self._node_free_at
-        return [d[i] for i in range(len(d))]
-
-    def store_free_at(self, free_at: list[float]) -> None:
-        """Write a :meth:`free_at_list` snapshot back (run/window exit)."""
-        d = self._node_free_at
-        for i in range(len(free_at)):
-            d[i] = free_at[i]
-
     # -- placement queries -----------------------------------------------------
 
     def numa_of_pu(self, pu: int) -> int:
@@ -192,9 +176,6 @@ class MemorySystem:
         """
         return self._miss_cost[accessor_numa][home_numa]
 
-    def is_remote(self, accessor_numa: int, home_numa: int) -> bool:
-        return accessor_numa != home_numa
-
     # -- memory-controller contention -------------------------------------------
 
     def reserve_bandwidth(
@@ -211,10 +192,7 @@ class MemorySystem:
         if miss_bytes <= 0:
             return now
         service = miss_bytes * self.model.node_bandwidth_cyc_per_byte
-        start = max(now, self._node_free_at[home_numa])
+        start = max(now, self.node_free_at[home_numa])
         end = start + service
-        self._node_free_at[home_numa] = end
+        self.node_free_at[home_numa] = end
         return end
-
-    def node_free_at(self, home_numa: int) -> float:
-        return self._node_free_at[home_numa]

@@ -420,9 +420,9 @@ class _ShardRunner:
         out = self.ctx.outbox
         self.ctx.outbox = []
         done = all(_thread_done(t) for t in self.machine.threads) and (
-            eng.pending == 0
+            self.machine.pending == 0
         )
-        return eng.events_processed - before, out, done, eng.pending
+        return eng.events_processed - before, out, done, self.machine.pending
 
     def finish(self) -> dict:
         m = self.machine

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 
+from repro.errors import TopologyError
 from repro.topology.objects import ObjType, TopoObject
 from repro.topology.tree import Topology
 from repro.util.units import format_size
@@ -35,6 +36,8 @@ def _label(obj: TopoObject) -> str:
 
 def render_ascii(topology: Topology, *, max_depth: int | None = None) -> str:
     """Indented tree dump of the topology, lstopo-style."""
+    if max_depth is not None and max_depth < 0:
+        raise TopologyError(f"max_depth must be >= 0, got {max_depth}")
     lines: list[str] = []
 
     def visit(obj: TopoObject, indent: int) -> None:

@@ -40,6 +40,10 @@ class TestCommands:
         assert main(["topology", "CRAY-1"]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_topology_negative_depth(self, capsys):
+        assert main(["topology", "SMP12E5", "--depth", "-1"]) == 2
+        assert "max_depth" in capsys.readouterr().err
+
     def test_comm_matrix(self, capsys):
         assert main(["comm-matrix"]) == 0
         out = capsys.readouterr().out

@@ -351,9 +351,12 @@ NON_FINITE_CASES = {
         lambda buf: Compute(1e6, efficiency=INF)),
     "touch-nan-bytes": _bad_op_run(lambda buf: Touch(buf, NAN)),
     "run-window-nan": lambda m: _started(m).run_window(NAN),
+    "run-window-inf": lambda m: _started(m).run_window(INF),
     "run-nan-max-cycles": lambda m: _started(m).run(max_cycles=NAN),
     "schedule-nan": lambda m: m.engine.schedule(NAN, lambda: None),
+    "schedule-inf": lambda m: m.engine.schedule(INF, lambda: None),
     "schedule-at-nan": lambda m: m.engine.schedule_at(NAN, lambda: None),
+    "schedule-at-inf": lambda m: m.engine.schedule_at(INF, lambda: None),
 }
 
 
@@ -370,7 +373,8 @@ class TestNonFiniteInput:
         m = small_machine(core=core, limits=SimLimits(max_events=10_000))
         with pytest.raises(
             SimulationError,
-            match="flops|nbytes|before now|negative delay|in the past",
+            match="flops|nbytes|before now|negative delay|in the past"
+                  "|non-finite",
         ):
             NON_FINITE_CASES[case](m)
 

@@ -7,7 +7,7 @@ core reads live rather than from columns sized at run entry (threads
 registered and bindings changed while it drains), and
 :meth:`SimMachine.run_window` (the shard-protocol epoch primitive)
 agreeing with a one-shot run on both cores, including bindings changed
-between windows.
+between windows, outside engine callbacks and a mid-bucket budget stop.
 """
 
 from __future__ import annotations
@@ -132,6 +132,19 @@ class TestPreallocatedColumns:
             self._rebind_mid_run("object")
 
 
+def run_in_windows(m: SimMachine, step: float, n: int = 40) -> list[int]:
+    """Drain *m* in *n* windows of *step* cycles, then to completion;
+    returns :attr:`SimMachine.pending` after each of the *n* windows."""
+    pending = []
+    horizon = 0.0
+    for _ in range(n):
+        horizon += step
+        m.run_window(horizon)
+        pending.append(m.pending)
+    m.run_window(1e13)
+    return pending
+
+
 class TestRunWindow:
     @pytest.mark.parametrize("core", ["object", "batched"])
     def test_windowed_equals_one_shot(self, core):
@@ -139,19 +152,17 @@ class TestRunWindow:
         one.run()
 
         win = mixed_machine(core)
-        horizon = 0.0
-        # Small windows slice straight through in-flight busy chunks,
-        # forcing the leftover-event shim conversion at every boundary.
-        for _ in range(40):
-            horizon += 3e8
-            win.run_window(horizon)
-        win.run_window(1e13)
+        # Forty windows across the run slice straight through in-flight
+        # busy chunks and wakeups, which the next window must resume.
+        pending = run_in_windows(win, one.elapsed_cycles / 40)
+        assert max(pending) > 0
 
         # The windowed clock lands on the final horizon (by design: a
         # window's end time is the epoch boundary), so compare
         # everything *but* the clock bit-for-bit.
         assert fingerprint(win)[1:] == fingerprint(one)[1:]
         assert win.elapsed_cycles == 1e13
+        assert win.pending == 0
 
     def test_window_cannot_go_backwards(self):
         m = mixed_machine("batched")
@@ -184,11 +195,7 @@ class TestRunWindow:
         win = mixed_machine("batched")
         obs_win = SimObserver()
         win.attach_observer(obs_win)
-        horizon = 0.0
-        for _ in range(20):
-            horizon += 6e8
-            win.run_window(horizon)
-        win.run_window(1e13)
+        assert max(run_in_windows(win, one.elapsed_cycles / 40)) > 0
         obs_win.fold(win)
 
         def strip_windowing(snap):
@@ -205,6 +212,63 @@ class TestRunWindow:
 
         assert strip_windowing(obs_win.snapshot()) == \
             strip_windowing(obs_one.snapshot())
+
+    @staticmethod
+    def _outside_traffic(core: str, step: float) -> tuple:
+        # Before each window, outside callbacks go on the engine at the
+        # window's horizon and in its middle; one of them unbinds a
+        # bound thread. Each callback logs what it sees of the run.
+        m = mixed_machine(core)
+        log = []
+
+        def probe(tag):
+            eng = m.engine
+            log.append((tag, eng.now, eng.events_processed,
+                        [t.state for t in m.threads]))
+
+        def unbind():
+            m.bind_thread(m.threads[4], None)
+            probe("unbind")
+
+        pending = []
+        horizon = 0.0
+        for k in range(40):
+            m.engine.schedule_at(horizon + step / 2,
+                                 unbind if k == 10 else lambda: probe("mid"))
+            horizon += step
+            m.engine.schedule_at(horizon, lambda: probe("edge"))
+            m.run_window(horizon)
+            pending.append(m.pending)
+        m.run_window(1e13)
+        assert m.threads[4].cpuset is None
+        return fingerprint(m)[1:], log, pending
+
+    def test_outside_traffic_between_windows_agrees_across_cores(self):
+        one = mixed_machine("batched")
+        one.run()
+        step = one.elapsed_cycles / 40
+        obj, bat = (self._outside_traffic(core, step)
+                    for core in ("object", "batched"))
+        assert obj[0] == bat[0]  # fingerprints
+        assert obj[1] == bat[1]  # what the callbacks saw
+        assert obj[2] == bat[2]  # events in flight after every window
+        assert max(bat[2]) > 0
+
+    def test_budget_raise_mid_bucket_keeps_events_in_flight(self):
+        # The sixteen threads start in one calendar bucket, so a budget
+        # of ten events stops the batched core inside it. Both cores
+        # must leave the same events in flight and resume from them.
+        one = mixed_machine("object")
+        one.run()
+        for core in ("object", "batched"):
+            m = mixed_machine(core)
+            with pytest.raises(SimulationError, match="event budget"):
+                m.run_window(1e13, max_events=10)
+            assert m.engine.events_processed == 10
+            assert m.pending == 16
+            m.run_window(1e13)
+            assert fingerprint(m)[1:] == fingerprint(one)[1:]
+            assert m.pending == 0
 
 
 class TestBetweenWindowRebind:
