@@ -5,8 +5,9 @@ after the delta-gain/branch-and-bound rewrite. Before it, the full
 Algorithm 1 pipeline took ~107 s for 2048 threads on SMP20E7; the
 scalable engines bring that to about a second, and these benchmarks are
 the figure to watch when touching grouping/aggregate/maporder internals.
-`scripts/bench_repro.py` records the bigger sweep (p up to 4096) into
-``BENCH_sim.json``; this file is the fast pytest-visible smoke subset.
+`scripts/bench_repro.py` records the bigger sweeps into ``BENCH_sim.json``
+(its ``MAPPING_SIZES`` and ``MAPPING_SCALE_SIZES``, the latter up to 10^6
+tasks); this file is the fast pytest-visible smoke subset.
 """
 
 import numpy as np

@@ -1,61 +1,43 @@
 #!/usr/bin/env python3
-"""Benchmark the simulator substrate and record the results.
+"""Benchmark the simulator substrate, gate regressions, record the results.
 
-Two modes:
+Every gated probe is one row of :data:`ROWS`, measured by one runner,
+:func:`_paired_ratios`. Gates compare ratios measured on this machine
+right now, never recorded absolute rates: those swing tens of percent
+between runs of the same code on a shared container.
+
+``python scripts/bench_repro.py --check [--quick]``
+    Walks the rows in order and exits 1 at the first failing gate;
+    ``--quick`` runs only the rows with a quick pair count (the lint
+    preflight's smoke). ``regenerate_all.py`` runs the full check before
+    spending minutes on figures.
 
 ``python scripts/bench_repro.py``
-    Runs the infrastructure benchmarks
-    (``benchmarks/test_infra_simulator_throughput.py``) under
-    pytest-benchmark plus a quick-scale Fig. 4 wall-clock probe, and
-    distils everything into ``BENCH_sim.json`` at the repo root. If a
-    previous ``BENCH_sim.json`` exists, its measurements rotate into the
-    ``previous`` key — so running the script once on the old tree and
-    once on the new one leaves a before/after record in a single file.
+    Walks the same rows (printing verdicts, failing none), then the
+    record-only probes of :data:`RECORD_ONLY`, and writes everything to
+    ``BENCH_sim.json``. The measurements it replaces rotate into the
+    ``previous`` key, so running it on the old tree and then on the new
+    one leaves a before/after record in one file.
 
-``python scripts/bench_repro.py --check [--tolerance 0.3] [--quick]``
-    Fast preflight (no pytest): runs the engine event-throughput ring
-    inline and exits 1 if it processes <= 2_000 events — the same floor
-    ``test_engine_event_throughput`` asserts. Paired-ratio regression
-    gates follow. Every probe gets one untimed warmup pass first, every
-    gate is best-of-N interleaved pairs (N >= 5, ``--pairs``), and the
-    verdict is always the *median of per-pair ratios* measured on this
-    machine right now (recorded absolute rates are never compared
-    against — they swing tens of percent between runs on the shared
-    container):
-
-    * core gate — batched must keep a real edge over the object core
-      (recorded speedup discounted 50%, floored at 1.2x);
-    * observability gate — the fully tapped run must stay within
-      ``--tolerance`` (default 30%; the honest interleaved measurement
-      puts the true tap cost at ~15-20%, where the old best-vs-best
-      comparison once recorded taps as *faster* — pure bias) of the
-      untapped batched run; a median ratio *below* 1.0 marks the
-      measurement unstable instead of being celebrated;
-    * shard gate — a 2-shard scenario must produce the same global
-      trace fingerprint with 1 worker and 2 workers;
-    * mapping gate — the TreeMatch probe (greedy p=1024 + multilevel
-      p=4096) must stay within 2x of its recorded ratio against a numpy
-      matmul canary (informational until a ratio is recorded);
-    * adaptive gates — on the phase-shift workload the remapping
-      controller must beat the best static placement >= 1.1x in
-      deterministic virtual seconds, and on the phase-stable control
-      program (zero remaps) its wall-clock overhead must stay <= 5%.
-
-    ``--quick`` drops to 3 pairs and skips the mapping gate — a <10s
-    smoke for lint preflight; ``regenerate_all.py`` runs the full check
-    before spending minutes on figures.
+Both modes read the committed ``BENCH_sim.json`` before any probe runs;
+one that exists but is malformed exits 2, naming the file and key.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
 import time
+from collections.abc import Callable
+from operator import itemgetter
 from pathlib import Path
+from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -64,6 +46,14 @@ OUT_PATH = ROOT / "BENCH_sim.json"
 
 #: Floor asserted by ``test_engine_event_throughput`` (events per run).
 ENGINE_EVENTS_FLOOR = 2_000
+
+#: Allowed median paired overhead of the fully tapped engine ring. The
+#: honest interleaved measurement puts the true tap cost at ~15-20%.
+TAP_TOLERANCE = 0.30
+
+#: Appended to a gate line whose median says the probe got *cheaper*:
+#: that is noise, not a speedup, so the number is unreliable.
+UNSTABLE = "; UNSTABLE measurement"
 
 #: Thread counts the mapping benchmarks sweep (ISSUE 3 scaling ladder).
 MAPPING_SIZES = (128, 512, 2048, 4096)
@@ -133,7 +123,7 @@ def engine_ring_events(
     return machine.engine.events_processed, time.perf_counter() - t0
 
 
-def shard_smoke() -> dict:
+def shard_smoke() -> tuple[tuple, float]:
     """Tiny 2-shard halo ring, workers=1 vs workers=2: one fingerprint.
 
     The cheapest end-to-end exercise of the conservative shard protocol
@@ -142,36 +132,25 @@ def shard_smoke() -> dict:
     """
     from repro.sim.shard import halo_ring_scenario, run_sharded
 
+    t0 = time.perf_counter()
     sc = halo_ring_scenario(
         2, width=4, iters=2, flops=4e6, nbytes=1 << 13, latency=5e7
     )
-    r1 = run_sharded(sc, workers=1)
-    r2 = run_sharded(sc, workers=2)
-    return {
-        "fingerprint": r1.fingerprint,
-        "match": r1.fingerprint == r2.fingerprint,
-        "epochs": r1.epochs,
-        "messages": r1.messages,
-    }
+    runs = run_sharded(sc, workers=1), run_sharded(sc, workers=2)
+    return runs, time.perf_counter() - t0
 
 
-def shard_scaling_probe() -> dict:
-    """4-machine halo ring at 1/2/4 workers: invariance + wall clock.
-
-    The fingerprint must be identical at every worker count — that gate
-    is unconditional. The >= 2.5x speedup-at-4-workers gate only applies
-    when the container actually exposes >= 4 CPUs; on a 1-CPU box the
-    probe records the (necessarily ~1x) measurement plus the CPU count
-    and marks the speedup gate skipped, so the record stays honest
-    instead of encoding an impossible expectation.
-    """
+def shard_scaling_probe() -> tuple[dict, float]:
+    """4-machine halo ring at 1/2/4 workers: invariance + wall clock,
+    recorded with the CPU count that decides whether the speedup is
+    gated (:func:`scaling_gate_skipped`)."""
     from repro.sim.shard import available_cpus, halo_ring_scenario, run_sharded
 
-    cpus = available_cpus()
+    t0 = time.perf_counter()
     sc = halo_ring_scenario(
         4, width=192, iters=60, flops=2e8, nbytes=1 << 16, latency=1e9
     )
-    entry: dict = {"cpus_available": cpus, "workers": {}}
+    entry: dict = {"cpus_available": available_cpus(), "workers": {}}
     fingerprints = set()
     base = None
     for w in (1, 2, 4):
@@ -193,15 +172,21 @@ def shard_scaling_probe() -> dict:
     entry["fingerprint_invariant"] = len(fingerprints) == 1
     w4 = entry["workers"]["4"]["wall_seconds"]
     entry["speedup_at_4"] = round(base / w4, 2) if w4 > 0 else None
+    return entry, time.perf_counter() - t0
+
+
+def scaling_gate_skipped(cpus: int | None = None) -> str | None:
+    """Why the >= 2.5x scaling gate cannot apply with *cpus* CPUs (this
+    process's by default), or None. Below 4 CPUs the speedup is
+    necessarily ~1x: the record says why instead of encoding an
+    impossible expectation."""
+    if cpus is None:
+        from repro.sim.shard import available_cpus
+
+        cpus = available_cpus()
     if cpus >= 4:
-        entry["gate"] = (
-            "pass" if (entry["speedup_at_4"] or 0) >= 2.5 else "FAIL (< 2.5x)"
-        )
-    else:
-        entry["gate"] = (
-            f"skipped ({cpus} cpu available; the speedup gate needs >= 4)"
-        )
-    return entry
+        return None
+    return f"skipped ({cpus} cpu available; the speedup gate needs >= 4)"
 
 
 def fig4_probe() -> dict:
@@ -336,24 +321,15 @@ def mapping_benchmarks() -> dict:
     return out
 
 
-def mapping_speedups(current: dict, previous: dict | None) -> dict:
-    """Per-benchmark speedup vs. the previous generation (sizes in both)."""
-    if not previous:
-        return {}
-    prev_bench = previous.get("mapping_bench")
-    if not prev_bench:
-        return {}
+def mapping_speedups(current: dict, previous: dict) -> dict:
+    """Per-benchmark speedup vs. the previous generation (sizes timed in
+    both; a skipped size has no ``seconds``)."""
+    prev_bench = previous.get("mapping_bench", {})
     speedups: dict = {}
     for kind, entries in current.items():
-        prev_entries = prev_bench.get(kind, {})
         for size, entry in entries.items():
-            prev = prev_entries.get(size)
-            if (
-                prev
-                and not entry.get("skipped")
-                and not prev.get("skipped")
-                and entry.get("seconds")
-            ):
+            prev = prev_bench.get(kind, {}).get(size, {})
+            if entry.get("seconds") and prev.get("seconds"):
                 speedups.setdefault(kind, {})[size] = round(
                     prev["seconds"] / entry["seconds"], 2
                 )
@@ -362,11 +338,10 @@ def mapping_speedups(current: dict, previous: dict | None) -> dict:
 
 def pytest_benchmarks() -> dict:
     """Run the infra benchmarks under pytest-benchmark, distil the stats."""
-    fd, json_path = tempfile.mkstemp(suffix=".json")
-    os.close(fd)
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-    try:
+    with tempfile.TemporaryDirectory() as tmp:
+        json_path = Path(tmp) / "benchmarks.json"
         proc = subprocess.run(
             [
                 sys.executable, "-m", "pytest", str(BENCH_FILE),
@@ -381,13 +356,7 @@ def pytest_benchmarks() -> dict:
             print(proc.stdout, file=sys.stderr)
             print(proc.stderr, file=sys.stderr)
             raise SystemExit(f"benchmark run failed (exit {proc.returncode})")
-        with open(json_path) as fh:
-            data = json.load(fh)
-    finally:
-        try:
-            os.unlink(json_path)
-        except OSError:
-            pass
+        data = json.loads(json_path.read_text())
 
     out = {}
     for bench in data.get("benchmarks", []):
@@ -438,35 +407,29 @@ def numpy_canary() -> tuple[int, float]:
     return 1, time.perf_counter() - t0
 
 
-def adaptive_static_probe(declared: str) -> tuple[int, float]:
-    """One static run of the phase-shift experiment, *virtual* seconds.
+def adaptive_static_probe() -> tuple[dict, float]:
+    """Every static run of the phase-shift experiment, *virtual* seconds.
 
-    Returns ``(1, simulated_seconds)`` so it plugs into
-    :func:`_paired_ratios`. Virtual time is deterministic — the paired
-    discipline here guards the *comparison shape* (and doubles as a
-    determinism check: every pair must produce the same ratio), not
-    machine drift.
+    Returns ``({declaration: seconds}, best seconds)`` — the best static
+    placement is the side the controller is paired against. Virtual time
+    is deterministic: the paired discipline here guards the *comparison
+    shape* (and doubles as a determinism check: every pair must produce
+    the same ratio), not machine drift.
     """
-    from repro.experiments.adaptive import AdaptSetup, run_static
-
-    return 1, run_static(declared, AdaptSetup(iters_per_phase=16))["seconds"]
-
-
-def adaptive_adaptive_probe() -> tuple[int, float]:
-    """One controller run of the phase-shift experiment, virtual seconds."""
-    from repro.experiments.adaptive import AdaptSetup, run_adaptive
-
-    return 1, run_adaptive(AdaptSetup(iters_per_phase=16))["seconds"]
-
-
-def adaptive_best_static() -> str:
-    """Which static declaration wins on the phase-shift workload."""
     from repro.experiments.adaptive import DECLARED, AdaptSetup, run_static
 
     setup = AdaptSetup(iters_per_phase=16)
-    return min(
-        ((run_static(d, setup)["seconds"], d) for d in DECLARED)
-    )[1]
+    statics = {d: run_static(d, setup)["seconds"] for d in DECLARED}
+    return statics, min(statics.values())
+
+
+def adaptive_adaptive_probe() -> tuple[dict, float]:
+    """One controller run of the phase-shift experiment, virtual seconds,
+    with its remap decisions (the runtime itself is not kept alive)."""
+    from repro.experiments.adaptive import AdaptSetup, run_adaptive
+
+    r = run_adaptive(AdaptSetup(iters_per_phase=16))
+    return {"remaps": r["remaps"], "windows": r["windows"]}, r["seconds"]
 
 
 def adaptive_overhead_probe(controlled: bool) -> tuple[int, float]:
@@ -499,9 +462,7 @@ def adaptive_overhead_probe(controlled: bool) -> tuple[int, float]:
     return 1, time.perf_counter() - t0
 
 
-def _paired_ratios(
-    run_num, run_den, pairs: int, inner: int = 3
-) -> tuple[list, float, float]:
+def _paired_ratios(run_num, run_den, pairs: int, inner: int) -> tuple:
     """Back-to-back pairs of two probes; per-pair ``dt_num / dt_den``.
 
     Machine-level drift (frequency scaling, noisy neighbours) moves both
@@ -513,397 +474,312 @@ def _paired_ratios(
     pair #1, and each side of a pair is the best of *inner* back-to-back
     runs — scheduler interruptions only ever *add* time, so the min
     filters them symmetrically and the surviving ratio tracks the code,
-    not the container. Returns (ratios, best num rate, best den rate).
+    not the container. Returns (ratios, fastest num run, fastest den
+    run), each run a probe's ``(work, seconds)``. With *run_den* None
+    this is the unpaired case: no ratios, and None for the den run.
     """
-    run_den()
-    run_num()
-    ratios: list[float] = []
-    rate_num = rate_den = 0.0
-    for _ in range(pairs):
-        ev_d, dt_d = min(
-            (run_den() for _ in range(inner)), key=lambda r: r[1]
-        )
-        ev_n, dt_n = min(
-            (run_num() for _ in range(inner)), key=lambda r: r[1]
-        )
-        if dt_d > 0 and dt_n > 0:
-            ratios.append(dt_n / dt_d)
-            rate_den = max(rate_den, ev_d / dt_d)
-            rate_num = max(rate_num, ev_n / dt_n)
-    return ratios, rate_num, rate_den
+    sides = (run_den, run_num) if run_den else (run_num,)
+    for run in sides:
+        run()
+    runs = [
+        [min((run() for _ in range(inner)), key=itemgetter(1))
+         for run in sides]
+        for _ in range(pairs)
+    ]
+    ratios = [num[1] / den[1] for den, num in runs] if run_den else []
+    fastest = [min(side, key=itemgetter(1)) for side in zip(*runs)]
+    return ratios, fastest[-1], fastest[0] if run_den else None
 
 
-def _best_of(run, n: int) -> tuple[int, float]:
-    """One warmup pass, then the fastest of *n* timed runs."""
-    run()
-    return min(run() for _ in range(n))
+class Verdict(NamedTuple):
+    """A gate's outcome, its report line and the row's recorded fields."""
+
+    ok: bool
+    text: str
+    fields: dict | None = None
 
 
-def run_check(
-    tolerance: float = 0.3, pairs: int = 5, quick: bool = False
-) -> int:
-    """Floor check + paired-ratio regression gates.
+class Row(NamedTuple):
+    """One probe of the table and its gate.
 
-    Every gate is *relative*, measured as the median of back-to-back
-    per-pair ratios on this machine, right now, after an untimed warmup
-    pass of each probe:
-
-    1. absolute floor — the batched core must process more than
-       ``ENGINE_EVENTS_FLOOR`` events (best-of-*pairs* after warmup);
-    2. core gate — the batched core must stay genuinely faster than the
-       object core. The required edge derives from the recorded
-       ``batched_vs_object_speedup`` but is discounted 50% (and floored
-       at 1.2x), so a generation recorded on a fast container can't
-       fail a healthy run on a loaded one;
-    3. observability gate — the fully tapped batched run (metrics +
-       1-in-16 sampled busy tracing) must stay within *tolerance* of
-       the untapped batched run; a median *negative* overhead is
-       reported as an unstable measurement, not a win;
-    4. shard gate — the 2-shard smoke's fingerprint must match between
-       1 and 2 workers;
-    5. the full check (not ``quick``) adds the shard scaling, mapping
-       (probe vs numpy canary within 2x of the recorded ratio) and
-       adaptive-remap gates.
-
-    Recorded absolute rates in BENCH_sim.json (which have swung 40%
-    between runs of the same code on the shared container) are never
-    compared against directly.
+    The per-pair ratio is ``probe`` time over ``against`` time (unpaired
+    without ``against``). ``quick_pairs`` replaces ``pairs`` under
+    ``--quick``; None skips the row there. ``gate(ratios, num, den,
+    recorded)`` gets :func:`_paired_ratios`' result and the committed
+    value of the ``key`` section's ``recorded`` field. ``skip`` says why
+    ``--check`` leaves the row out on this machine; full mode still
+    measures and records it.
     """
-    import statistics
 
-    pairs = 3 if quick else max(5, pairs)
+    key: str | None
+    probe: Callable[[], tuple]
+    against: Callable[[], tuple] | None
+    pairs: int
+    quick_pairs: int | None
+    inner: int
+    gate: Callable[..., Verdict]
+    recorded: str | None = None
+    skip: Callable[[], str | None] = lambda: None
 
-    events, dt = _best_of(engine_ring_events, pairs)
-    rate = events / dt if dt > 0 else float("inf")
-    ok = events > ENGINE_EVENTS_FLOOR
-    status = "ok" if ok else "FAIL"
-    print(
-        f"bench_repro --check: {events} engine events in {dt:.3f}s "
-        f"({rate:,.0f} ev/s) — floor {ENGINE_EVENTS_FLOOR} [{status}]"
+
+def _floor_gate(ratios, num, den, recorded: float | None) -> Verdict:
+    events, dt = num
+    return Verdict(
+        events > ENGINE_EVENTS_FLOOR,
+        f"{events} engine events in {dt:.3f}s ({events / dt:,.0f} ev/s) "
+        f"— floor {ENGINE_EVENTS_FLOOR}",
+        {"events": events, "seconds": dt, "events_per_second": events / dt},
     )
-    if not ok:
-        return 1
 
-    recorded = None
-    recorded_speedup = None
-    if OUT_PATH.exists():
-        try:
-            with open(OUT_PATH) as fh:
-                recorded = json.load(fh)
-            recorded_speedup = recorded.get("engine_batched", {}).get(
-                "batched_vs_object_speedup"
-            )
-        except (OSError, ValueError, AttributeError):
-            print("bench_repro --check: BENCH_sim.json unreadable — "
-                  "recorded speedup unavailable")
 
-    # Core gate: batched vs object, paired.
-    ratios, rate_o, rate_b = _paired_ratios(
-        lambda: engine_ring_events("object"),
-        lambda: engine_ring_events("batched"),
-        pairs,
-    )
-    speedup = statistics.median(ratios) if ratios else float("inf")
-    required = 1.2
-    if recorded_speedup:
-        required = max(required, 1.0 + (recorded_speedup - 1.0) * 0.5)
-    regressed = speedup < required
-    verdict = "REGRESSION" if regressed else "ok"
-    print(
-        f"bench_repro --check: engine_batched {rate_b:,.0f} ev/s vs object "
-        f"{rate_o:,.0f}, median paired speedup {speedup:.2f}x "
+def _core_gate(ratios, num, den, recorded: float | None) -> Verdict:
+    # The batched core must keep a real edge over the object core. The
+    # required edge is the recorded speedup discounted 50% and floored at
+    # 1.2x, so a generation recorded on a fast container can't fail a
+    # healthy run on a loaded one.
+    (ev_o, dt_o), (ev_b, dt_b) = num, den
+    speedup = statistics.median(ratios)
+    required = max(1.2, 1.0 + (recorded - 1.0) * 0.5) if recorded else 1.2
+    return Verdict(
+        speedup >= required,
+        f"engine_batched {ev_b / dt_b:,.0f} ev/s vs object "
+        f"{ev_o / dt_o:,.0f}, median paired speedup {speedup:.2f}x "
         f"(required >= {required:.2f}x"
-        + (f", recorded {recorded_speedup:.2f}x" if recorded_speedup else "")
-        + f") [{verdict}]"
+        + (f", recorded {recorded:.2f}x" if recorded else "") + ")",
+        {"batched_events_per_second": ev_b / dt_b,
+         "object_events_per_second": ev_o / dt_o,
+         "batched_vs_object_speedup": round(speedup, 2),
+         "events": ev_b},
     )
-    if regressed:
-        return 1
 
-    # Observability gate: tapped vs untapped batched runs, paired,
-    # interleaved in this same warmed process so both sides see the
-    # same allocator and cache state.
-    ratios, rate_t, rate_b = _paired_ratios(
-        lambda: engine_ring_events("batched", traced=True),
-        lambda: engine_ring_events("batched"),
-        max(pairs, 5),
+
+def _tap_gate(ratios, num, den, recorded: float | None) -> Verdict:
+    # Tapped and untapped runs interleave in one warmed process, so both
+    # sides see the same allocator and cache state. The old best-vs-best
+    # comparison once recorded taps as 25% *faster*: a median ratio below
+    # 1.0 is noise, flagged unstable rather than reported as a win.
+    (ev_t, dt_t), (ev_b, dt_b) = num, den
+    ratio = statistics.median(ratios)
+    return Verdict(
+        ratio - 1.0 <= TAP_TOLERANCE,
+        f"engine_ring_traced {ev_t / dt_t:,.0f} ev/s vs untapped "
+        f"{ev_b / dt_b:,.0f}, median paired overhead {ratio - 1.0:+.1%} "
+        f"(allowed <= {TAP_TOLERANCE:.0%}{UNSTABLE * (ratio < 1.0)})",
+        {"events": ev_t, "seconds": dt_t, "events_per_second": ev_t / dt_t,
+         "overhead_vs_batched": round(ratio, 3), "unstable": ratio < 1.0},
     )
-    overhead = statistics.median(ratios) - 1.0 if ratios else 0.0
-    traced_regressed = overhead > tolerance
-    unstable = overhead < 0.0
-    verdict = "REGRESSION" if traced_regressed else (
-        "ok, UNSTABLE measurement" if unstable else "ok"
+
+
+def _shard_smoke_gate(ratios, num, den, recorded: float | None) -> Verdict:
+    one, two = num[0]
+    match = one.fingerprint == two.fingerprint
+    return Verdict(
+        match,
+        f"shard smoke fingerprint {one.fingerprint[:16]} ({one.epochs} "
+        f"epochs, {one.messages} msgs), workers 1 vs 2 "
+        f"{'match' if match else 'MISMATCH'}",
     )
-    print(
-        f"bench_repro --check: engine_ring_traced {rate_t:,.0f} ev/s vs "
-        f"untapped {rate_b:,.0f}, median paired overhead {overhead:+.1%} "
-        f"(allowed <= {tolerance:.0%}) [{verdict}]"
+
+
+def _scaling_gate(ratios, num, den, recorded: float | None) -> Verdict:
+    entry = num[0]
+    cpus, speedup = entry["cpus_available"], entry["speedup_at_4"]
+    skipped = scaling_gate_skipped(cpus)
+    ok = skipped is not None or (speedup or 0) >= 2.5
+    gate = skipped or ("pass" if ok else "FAIL (< 2.5x)")
+    return Verdict(
+        ok,
+        f"shard scaling speedup at 4 workers {speedup}x on {cpus} cpus "
+        f"(required >= 2.5x; gate {gate})",
+        {**entry, "gate": gate},
     )
-    if unstable:
-        print(
-            "bench_repro --check: taps measuring faster than no taps is "
-            "noise, not speedup — treat the overhead number as unreliable"
-        )
-    if traced_regressed:
-        return 1
 
-    # Shard gate: the conservative protocol's determinism invariant on
-    # the cheapest real scenario.
-    smoke = shard_smoke()
-    verdict = "ok" if smoke["match"] else "FAIL"
-    print(
-        f"bench_repro --check: shard smoke fingerprint "
-        f"{smoke['fingerprint'][:16]} ({smoke['epochs']} epochs, "
-        f"{smoke['messages']} msgs), workers 1 vs 2 "
-        f"{'match' if smoke['match'] else 'MISMATCH'} [{verdict}]"
+
+def _mapping_gate(ratios, num, den, recorded: float | None) -> Verdict:
+    # The recorded probe/canary ratio gets 2x headroom: cache state and
+    # BLAS threading move the two sides differently on a shared
+    # container. Without a recorded ratio the result is informational.
+    ratio = statistics.median(ratios)
+    bound = (f"recorded {recorded:.2f}, allowed <= {2.0 * recorded:.2f}"
+             if recorded else "no recorded ratio — informational")
+    return Verdict(
+        not recorded or ratio <= 2.0 * recorded,
+        f"mapping probe/canary ratio {ratio:.2f} ({bound})",
+        {"probe_vs_canary_ratio": round(ratio, 3)},
     )
-    if not smoke["match"]:
-        return 1
 
-    if quick:
-        print("bench_repro --check: shard scaling + mapping + "
-              "adaptive_remap gates skipped (--quick)")
-        return 0
 
-    # Shard scaling gate: on a box with >= 4 CPUs the 4-machine halo
-    # ring must actually go >= 2.5x faster at 4 workers — honest
-    # multi-worker scaling, enforced, not just recorded. On a smaller
-    # box the probe is skipped with the CPU count in the message (the
-    # full run_full record keeps the same skip reason).
-    from repro.sim.shard import available_cpus
-
-    cpus = available_cpus()
-    if cpus >= 4:
-        scaling = shard_scaling_probe()
-        gate = scaling.get("gate", "")
-        verdict = "ok" if gate == "pass" else "REGRESSION"
-        print(
-            f"bench_repro --check: shard scaling speedup at 4 workers "
-            f"{scaling.get('speedup_at_4')}x on {cpus} cpus "
-            f"(required >= 2.5x) [{verdict}]"
-        )
-        if gate != "pass":
-            return 1
-    else:
-        print(
-            f"bench_repro --check: shard scaling gate skipped "
-            f"({cpus} cpu available; the speedup gate needs >= 4)"
-        )
-
-    # Mapping gate: probe vs numpy canary, paired — same discipline as
-    # the engine gates. The recorded ratio gets 2x headroom (cache state
-    # and BLAS threading move the two sides differently on the shared
-    # container); without a recorded ratio the result is informational.
-    recorded_ratio = None
-    if isinstance(recorded, dict):
-        recorded_ratio = recorded.get("mapping_check", {}).get(
-            "probe_vs_canary_ratio"
-        )
-    ratios, _, _ = _paired_ratios(mapping_probe, numpy_canary, pairs)
-    ratio = statistics.median(ratios) if ratios else float("inf")
-    if recorded_ratio:
-        allowed = recorded_ratio * 2.0
-        map_regressed = ratio > allowed
-        verdict = "REGRESSION" if map_regressed else "ok"
-        print(
-            f"bench_repro --check: mapping probe/canary ratio {ratio:.2f} "
-            f"(recorded {recorded_ratio:.2f}, allowed <= {allowed:.2f}) "
-            f"[{verdict}]"
-        )
-        if map_regressed:
-            return 1
-    else:
-        print(
-            f"bench_repro --check: mapping probe/canary ratio {ratio:.2f} "
-            f"(no recorded ratio — informational)"
-        )
-
-    # Adaptive speedup gate: on the phase-shift workload the controller
-    # must beat the best static placement by >= 1.1x in *virtual*
-    # (simulated) seconds — deterministic, so every pair must also agree
-    # on the ratio exactly.
-    best = adaptive_best_static()
-    ratios, _, _ = _paired_ratios(
-        lambda: adaptive_static_probe(best),
-        adaptive_adaptive_probe,
-        3, inner=1,
+def _phase_shift_gate(ratios, num, den, recorded: float | None) -> Verdict:
+    # On the phase-shift workload the controller must beat the best
+    # static placement by >= 1.1x in *virtual* seconds — deterministic,
+    # so every pair must also agree on the ratio exactly.
+    statics, (adaptive, adaptive_s) = num[0], den
+    best = min(statics, key=statics.get)
+    speedup = statistics.median(ratios)
+    nondet = len({round(r, 12) for r in ratios}) > 1
+    return Verdict(
+        speedup >= 1.1 and not nondet,
+        f"adaptive_remap phase-shift speedup {speedup:.2f}x vs best static "
+        f"({best}) in virtual time (required >= 1.10x, deterministic"
+        + (", NONDETERMINISTIC" if nondet else "") + ")",
+        {"statics_seconds": statics,
+         "adaptive_seconds": adaptive_s,
+         "best_static": best,
+         "speedup_vs_best_static": round(speedup, 3),
+         "remaps": adaptive["remaps"],
+         "windows": adaptive["windows"]},
     )
-    adapt_speedup = statistics.median(ratios) if ratios else 0.0
-    nondet = len(set(round(r, 12) for r in ratios)) > 1
-    adapt_regressed = adapt_speedup < 1.1 or nondet
-    verdict = "REGRESSION" if adapt_regressed else "ok"
-    print(
-        f"bench_repro --check: adaptive_remap phase-shift speedup "
-        f"{adapt_speedup:.2f}x vs best static ({best}) in virtual time "
-        f"(required >= 1.10x, deterministic"
-        + (", NONDETERMINISTIC" if nondet else "")
-        + f") [{verdict}]"
-    )
-    if adapt_regressed:
-        return 1
 
-    # Adaptive overhead gate: on the phase-stable control program the
-    # controller does nothing (zero remaps, bit-identical virtual time),
-    # so what it adds over the uncontrolled *windowed* baseline — the
-    # telemetry tap, the window fold and the drift score — must stay
-    # within 5%. Gate on the ratio of best-observed runs, not the
-    # median: scheduler noise is strictly additive and this probe's
-    # true delta (~3%) sits below the per-run noise floor of a busy
-    # container, where a median over 5 pairs still flakes. The medians
-    # are printed for the record; a median below 1.0 marks the
+
+def _phase_stable_gate(ratios, num, den, recorded: float | None) -> Verdict:
+    # On the phase-stable control program the controller does nothing
+    # (zero remaps, bit-identical virtual time), so what it adds over the
+    # uncontrolled windowed baseline must stay within 5%. The gate is the
+    # ratio of best-observed runs, not the median: scheduler noise is
+    # strictly additive and this probe's true delta (~3%) sits below the
+    # per-run noise floor of a busy container, where a median over 5
+    # pairs still flakes. The median is reported; below 1.0 it marks the
     # measurement unstable.
-    ratios, rate_ctl, rate_base = _paired_ratios(
-        lambda: adaptive_overhead_probe(True),
-        lambda: adaptive_overhead_probe(False),
-        max(pairs, 5),
+    overhead = num[1] / den[1] - 1.0
+    median = statistics.median(ratios) - 1.0
+    return Verdict(
+        overhead <= 0.05,
+        f"adaptive_remap phase-stable controller overhead {overhead:+.1%} "
+        f"wall-clock best-of (median {median:+.1%}, allowed <= 5%"
+        f"{UNSTABLE * (median < 0.0)})",
+        {"stable_overhead_wall": round(overhead, 3),
+         "stable_overhead_wall_median": round(median, 3),
+         "stable_overhead_unstable": median < 0.0},
     )
-    adapt_overhead = rate_base / rate_ctl - 1.0 if rate_ctl > 0 else 0.0
-    med = statistics.median(ratios) - 1.0 if ratios else 0.0
-    overhead_regressed = adapt_overhead > 0.05
-    unstable = med < 0.0
-    verdict = "REGRESSION" if overhead_regressed else (
-        "ok, UNSTABLE measurement" if unstable else "ok"
+
+
+#: The probe table, in gate order. ``--check`` stops at the first failing
+#: gate; full mode measures every row and merges each row's fields into
+#: its ``BENCH_sim.json`` section (the two ``adaptive_remap`` rows share
+#: one). The shard smoke is a gate only.
+ROWS = (
+    #   key, probe, against, pairs, quick_pairs, inner, gate
+    Row("engine_ring", engine_ring_events, None, 5, 3, 1, _floor_gate),
+    Row("engine_batched", lambda: engine_ring_events("object"),
+        engine_ring_events, 5, 3, 3, _core_gate,
+        recorded="batched_vs_object_speedup"),
+    Row("engine_ring_traced", lambda: engine_ring_events(traced=True),
+        engine_ring_events, 5, 5, 3, _tap_gate),
+    Row(None, shard_smoke, None, 1, 1, 1, _shard_smoke_gate),
+    Row("shard_scaling", shard_scaling_probe, None, 1, None, 1,
+        _scaling_gate, skip=scaling_gate_skipped),
+    Row("mapping_check", mapping_probe, numpy_canary, 5, None, 3,
+        _mapping_gate, recorded="probe_vs_canary_ratio"),
+    Row("adaptive_remap", adaptive_static_probe, adaptive_adaptive_probe,
+        3, None, 1, _phase_shift_gate),
+    Row("adaptive_remap", lambda: adaptive_overhead_probe(True),
+        lambda: adaptive_overhead_probe(False), 5, None, 3,
+        _phase_stable_gate),
+)
+
+#: Probes full mode records without a gate: (BENCH_sim.json key, probe).
+RECORD_ONLY = (
+    ("pytest_benchmarks", pytest_benchmarks),
+    ("fig4_quick_probe", fig4_probe),
+    ("mapping_bench", mapping_benchmarks),
+)
+
+
+class RecordError(Exception):
+    """The committed BENCH_sim.json exists but cannot be used."""
+
+
+def read_record() -> dict:
+    """The committed record, checked wherever this script reads it.
+
+    A missing file reads as an empty record: no recorded bounds and no
+    previous generation. Invalid JSON, a section that is not an object,
+    or a number this script reads that is not positive and finite (or
+    null) raises :class:`RecordError` naming the file and key.
+    """
+    try:
+        record = json.loads(OUT_PATH.read_text())
+    except FileNotFoundError:
+        return {}
+    except (OSError, ValueError) as exc:
+        raise RecordError(f"{OUT_PATH}: unreadable JSON: {exc}") from None
+
+    def section(value, where: str) -> dict:
+        if not isinstance(value, dict):
+            raise RecordError(f"{OUT_PATH}: {where} must be a JSON object, "
+                              f"got {type(value).__name__}")
+        return value
+
+    def number(value, where: str) -> None:
+        # type(), not isinstance(): a JSON true is not a number here.
+        if value is not None and (type(value) not in (int, float)
+                                  or not 0 < value < math.inf):
+            raise RecordError(f"{OUT_PATH}: {where} must be a positive "
+                              f"number or null, got {value!r}")
+
+    for key, value in section(record, "the top level").items():
+        if key != "timestamp":
+            section(value, key)
+    for row in ROWS:  # number(None) passes: rows without a recorded field
+        number(record.get(row.key, {}).get(row.recorded),
+               f"{row.key}.{row.recorded}")
+    for kind, entries in record.get("mapping_bench", {}).items():
+        for size, entry in section(entries, f"mapping_bench.{kind}").items():
+            where = f"mapping_bench.{kind}.{size}"
+            number(section(entry, where).get("seconds"), f"{where}.seconds")
+    return record
+
+
+def _measure(row: Row, pairs: int, record: dict, prefix: str) -> Verdict:
+    """Run *row* with *pairs* pairs, apply its gate, print the verdict."""
+    recorded = record.get(row.key, {}).get(row.recorded)
+    verdict = row.gate(
+        *_paired_ratios(row.probe, row.against, pairs, row.inner), recorded
     )
-    print(
-        f"bench_repro --check: adaptive_remap phase-stable controller "
-        f"overhead {adapt_overhead:+.1%} wall-clock best-of "
-        f"(median {med:+.1%}, allowed <= 5%) [{verdict}]"
-    )
-    if overhead_regressed:
-        return 1
+    print(f"{prefix}{verdict.text} [{'ok' if verdict.ok else 'FAIL'}]",
+          flush=True)
+    return verdict
+
+
+def run_check(record: dict, quick: bool = False) -> int:
+    """Walk :data:`ROWS` and apply each gate; 1 at the first failure."""
+    rows = [row for row in ROWS if not quick or row.quick_pairs]
+    for row in rows:
+        reason = row.skip()
+        if reason:
+            print(f"bench_repro --check: {row.key} gate {reason}")
+            continue
+        pairs = row.quick_pairs if quick else row.pairs
+        if not _measure(row, pairs, record, "bench_repro --check: ").ok:
+            return 1
+    if quick:
+        skipped = dict.fromkeys(row.key for row in ROWS if row not in rows)
+        print(f"bench_repro --check: {', '.join(skipped)} gates skipped "
+              "(--quick)")
     return 0
 
 
-def run_full() -> int:
-    previous = None
-    if OUT_PATH.exists():
-        try:
-            with open(OUT_PATH) as fh:
-                previous = json.load(fh)
-            previous.pop("previous", None)  # keep exactly one generation back
-        except (OSError, ValueError):
-            previous = None
-
-    import statistics
-
-    print("running pytest-benchmark suite ...", flush=True)
-    benches = pytest_benchmarks()
-    print("running engine ring probe ...", flush=True)
-    # Warmup + best-of-5: the headline regression-gate number;
-    # single-core CI boxes jitter 10-20% and only the fastest run
-    # reflects the code.
-    events, dt = _best_of(engine_ring_events, 5)
-    print("running batched-vs-object core probe ...", flush=True)
-    ev_b, dt_b = _best_of(lambda: engine_ring_events("batched"), 5)
-    ev_o, dt_o = _best_of(lambda: engine_ring_events("object"), 5)
-    print("running ring-traced observability probe ...", flush=True)
-    traced_pairs, _, _ = _paired_ratios(
-        lambda: engine_ring_events("batched", traced=True),
-        lambda: engine_ring_events("batched"),
-        7,
-    )
-    traced_overhead = (
-        round(statistics.median(traced_pairs), 3) if traced_pairs else None
-    )
-    ev_t, dt_t = _best_of(
-        lambda: engine_ring_events("batched", traced=True), 5
-    )
-    print("running shard scaling probe ...", flush=True)
-    shard_scaling = shard_scaling_probe()
-    print("running quick-scale Fig. 4 probe ...", flush=True)
-    probe = fig4_probe()
-    print("running mapping benchmarks ...", flush=True)
-    mapping = mapping_benchmarks()
-    print("running mapping probe/canary pairs ...", flush=True)
-    map_ratios, _, _ = _paired_ratios(mapping_probe, numpy_canary, 5)
-    map_ratio = (
-        round(statistics.median(map_ratios), 3) if map_ratios else None
-    )
-    print("running adaptive remap experiment ...", flush=True)
-    from repro.experiments.adaptive import AdaptSetup, run_experiment
-
-    adapt_report = run_experiment(AdaptSetup(iters_per_phase=16))
-    adapt_oh_pairs, oh_rate_ctl, oh_rate_base = _paired_ratios(
-        lambda: adaptive_overhead_probe(True),
-        lambda: adaptive_overhead_probe(False),
-        5,
-    )
-    # Best-of ratio (same estimator the --check gate uses) plus the
-    # median for the record.
-    adapt_overhead = (
-        round(oh_rate_base / oh_rate_ctl - 1.0, 3) if oh_rate_ctl > 0 else None
-    )
-    adapt_overhead_median = (
-        round(statistics.median(adapt_oh_pairs) - 1.0, 3)
-        if adapt_oh_pairs else None
-    )
-
-    record = {
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "engine_ring": {
-            "events": events,
-            "seconds": dt,
-            "events_per_second": events / dt if dt > 0 else None,
-        },
-        "engine_batched": {
-            "batched_events_per_second": ev_b / dt_b if dt_b > 0 else None,
-            "object_events_per_second": ev_o / dt_o if dt_o > 0 else None,
-            "batched_vs_object_speedup": (
-                round(dt_o / dt_b, 2) if dt_b > 0 else None
-            ),
-            "events": ev_b,
-        },
-        "engine_ring_traced": {
-            "events": ev_t,
-            "seconds": dt_t,
-            "events_per_second": ev_t / dt_t if dt_t > 0 else None,
-            # Median paired (interleaved same-process) time ratio; the
-            # old best-vs-best comparison once recorded taps as 25%
-            # *faster*, which is noise. A ratio below 1.0 is flagged
-            # unstable rather than reported as a win.
-            "overhead_vs_batched": traced_overhead,
-            "unstable": (
-                traced_overhead is not None and traced_overhead < 1.0
-            ),
-        },
-        "shard_scaling": shard_scaling,
-        "pytest_benchmarks": benches,
-        "fig4_quick_probe": probe,
-        "mapping_bench": mapping,
-        "mapping_check": {"probe_vs_canary_ratio": map_ratio},
-        "adaptive_remap": {
-            # Virtual-time (deterministic) phase-shift comparison; the
-            # --check gate requires speedup >= 1.1x over the best static.
-            "statics_seconds": adapt_report["statics"],
-            "adaptive_seconds": adapt_report["adaptive_seconds"],
-            "best_static": adapt_report["best_static"],
-            "speedup_vs_best_static": round(adapt_report["speedup"], 3),
-            "remaps": adapt_report["remaps"],
-            "windows": adapt_report["windows"],
-            # Wall-clock controller cost over the uncontrolled windowed
-            # baseline on the phase-stable control program (zero remaps;
-            # gate <= 5% on the best-of ratio). A negative median =
-            # unstable measurement, not a win.
-            "stable_overhead_wall": adapt_overhead,
-            "stable_overhead_wall_median": adapt_overhead_median,
-            "stable_overhead_unstable": (
-                adapt_overhead_median is not None
-                and adapt_overhead_median < 0.0
-            ),
-        },
-    }
-    speedups = mapping_speedups(mapping, previous)
+def run_full(previous: dict) -> int:
+    """Measure every row and record-only probe into ``BENCH_sim.json``."""
+    record: dict = {"timestamp": time.strftime("%Y-%m-%dT%H:%M:%S")}
+    for row in ROWS:
+        verdict = _measure(row, row.pairs, previous, "bench_repro: ")
+        if row.key:
+            record.setdefault(row.key, {}).update(verdict.fields)
+    for key, probe in RECORD_ONLY:
+        print(f"bench_repro: running {key} ...", flush=True)
+        record[key] = probe()
+    speedups = mapping_speedups(record["mapping_bench"], previous)
     if speedups:
         record["mapping_speedup_vs_previous"] = speedups
-    if previous is not None:
-        # Only what this tree still measures: a probe whose code is gone
-        # has nothing left to compare against.
+    if previous:
+        # One generation back, and only what this tree still measures: a
+        # probe whose code is gone has nothing left to compare against.
         record["previous"] = {
             k: v for k, v in previous.items() if k in record
         }
 
-    with open(OUT_PATH, "w") as fh:
-        json.dump(record, fh, indent=1)
-        fh.write("\n")
+    OUT_PATH.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {OUT_PATH}")
     print(json.dumps({k: v for k, v in record.items() if k != "previous"},
                      indent=1))
@@ -914,30 +790,23 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--check", action="store_true",
-        help="fast engine-throughput floor + regression check "
+        help="walk the probe table and exit 1 at the first failing gate "
              "(no pytest, no JSON write)",
     )
     parser.add_argument(
-        "--tolerance", type=float, default=0.3, metavar="FRAC",
-        help="allowed tapped-vs-untapped overhead before --check fails "
-             "(default 0.3; honest interleaved overhead is ~15-20%%)",
-    )
-    parser.add_argument(
-        "--pairs", type=int, default=5, metavar="N",
-        help="interleaved measurement pairs per --check gate "
-             "(default 5, minimum 5; --quick forces 3)",
-    )
-    parser.add_argument(
         "--quick", action="store_true",
-        help="with --check: 3 pairs and no mapping gate — a <10s smoke "
-             "for lint preflight",
+        help="with --check: only the rows with a quick pair count — a "
+             "smoke of a few seconds for lint preflight",
     )
     args = parser.parse_args(argv)
-    if args.check:
-        return run_check(args.tolerance, pairs=args.pairs, quick=args.quick)
-    if args.quick:
+    if args.quick and not args.check:
         parser.error("--quick only applies to --check")
-    return run_full()
+    try:
+        record = read_record()
+    except RecordError as exc:
+        print(f"bench_repro: {exc}", file=sys.stderr)
+        return 2
+    return run_check(record, args.quick) if args.check else run_full(record)
 
 
 if __name__ == "__main__":

@@ -14,9 +14,8 @@ Runs, in order:
    skipped with a notice when ruff is not installed (the container
    image does not bake it in);
 4. ``python -m compileall src`` (exit 1 on syntax errors anywhere);
-5. the simulator smoke: ``bench_repro --check --quick`` (throughput
-   floor, batched-vs-object gate, tap overhead, shard fingerprint — a
-   few noise-robust paired samples each) plus the differential smoke
+5. the simulator smoke: ``bench_repro --check --quick`` (the quick rows
+   of its probe table, ``bench_repro.ROWS``) plus the differential smoke
    (object/batched bit-identity on generated app and serial-chain
    programs);
 6. the adaptive-controller family: ``pytest -m adaptive`` (drift
@@ -34,6 +33,10 @@ import shutil
 import subprocess
 import sys
 
+SCRIPTS = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(SCRIPTS)
+SRC = os.path.join(ROOT, "src")
+
 
 def run_lint(dynamic: bool = False) -> int:
     from repro.cli import main as cli_main
@@ -50,26 +53,22 @@ def run_hotlint() -> int:
 
 def run_ruff() -> int:
     """``ruff check`` on the whole tree; 0 (with a notice) if absent."""
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     ruff = shutil.which("ruff")
     if ruff is None:
         print("lint_repro: ruff not installed — skipping ruff check")
         return 0
-    proc = subprocess.run([ruff, "check", root], cwd=root)
+    proc = subprocess.run([ruff, "check", ROOT], cwd=ROOT)
     return proc.returncode
 
 
 def run_compileall() -> int:
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    ok = compileall.compile_dir(src, quiet=1, force=False)
+    ok = compileall.compile_dir(SRC, quiet=1, force=False)
     return 0 if ok else 1
 
 
 def run_sim_smoke() -> int:
     """Quick bench gates + object-vs-batched differential smoke."""
-    here = os.path.dirname(os.path.abspath(__file__))
-    root = os.path.dirname(here)
-    for extra in (here, os.path.join(root, "tests")):
+    for extra in (SCRIPTS, os.path.join(ROOT, "tests")):
         if extra not in sys.path:
             sys.path.insert(0, extra)
     import bench_repro
@@ -87,16 +86,14 @@ def run_sim_smoke() -> int:
 
 def run_adaptive_tests() -> int:
     """The ``adaptive`` pytest family (controller + warm-start tests)."""
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ)
-    src = os.path.join(root, "src")
     env["PYTHONPATH"] = (
-        src + os.pathsep + env["PYTHONPATH"]
-        if env.get("PYTHONPATH") else src
+        SRC + os.pathsep + env["PYTHONPATH"]
+        if env.get("PYTHONPATH") else SRC
     )
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-m", "adaptive", "-q"],
-        cwd=root, env=env,
+        cwd=ROOT, env=env,
     )
     return proc.returncode
 
@@ -104,38 +101,20 @@ def run_adaptive_tests() -> int:
 def main(argv: list[str] | None = None) -> int:
     args = sys.argv[1:] if argv is None else argv
     dynamic = "--dynamic" in args
-
-    code = run_lint(dynamic=dynamic)
-    if code != 0:
-        print(f"lint_repro: lint failed (exit {code})", file=sys.stderr)
-        return code
-
-    code = run_hotlint()
-    if code != 0:
-        print(f"lint_repro: hotlint failed (exit {code})", file=sys.stderr)
-        return code
-
-    code = run_ruff()
-    if code != 0:
-        print(f"lint_repro: ruff failed (exit {code})", file=sys.stderr)
-        return code
-
-    code = run_compileall()
-    if code != 0:
-        print("lint_repro: compileall found syntax errors", file=sys.stderr)
-        return code
-
-    code = run_sim_smoke()
-    if code != 0:
-        print(f"lint_repro: simulator smoke failed (exit {code})",
-              file=sys.stderr)
-        return code
-
-    code = run_adaptive_tests()
-    if code != 0:
-        print(f"lint_repro: adaptive test family failed (exit {code})",
-              file=sys.stderr)
-        return code
+    # (message on failure, step); the first failing step's code is ours.
+    steps = (
+        ("lint failed (exit {code})", lambda: run_lint(dynamic=dynamic)),
+        ("hotlint failed (exit {code})", run_hotlint),
+        ("ruff failed (exit {code})", run_ruff),
+        ("compileall found syntax errors", run_compileall),
+        ("simulator smoke failed (exit {code})", run_sim_smoke),
+        ("adaptive test family failed (exit {code})", run_adaptive_tests),
+    )
+    for failed, step in steps:
+        code = step()
+        if code != 0:
+            print("lint_repro: " + failed.format(code=code), file=sys.stderr)
+            return code
 
     print("lint_repro: all apps lint clean, hot paths pure, "
           "src byte-compiles, simulator smoke green, adaptive family green")

@@ -20,6 +20,12 @@ __all__ = ["Topology"]
 class Topology:
     """A finalized hardware topology tree rooted at a MACHINE object."""
 
+    #: Largest PU number (``os_index``) a topology accepts, whether it
+    #: comes from a JSON record or from :mod:`repro.topology.builder`.
+    #: Cpusets are int bit fields, so PU number n costs n/8 bytes in the
+    #: cpuset of every ancestor; an unchecked 2**63 exhausts memory.
+    MAX_PU_OS_INDEX = (1 << 16) - 1
+
     def __init__(self, root: TopoObject, *, name: str = "machine") -> None:
         if root.type is not ObjType.MACHINE:
             raise TopologyError("topology root must be a Machine object")
@@ -73,8 +79,14 @@ class Topology:
         for node in self.iter_objects():
             node.logical_index = counters.get(node.type, 0)
             counters[node.type] = node.logical_index + 1
-            if node.type is ObjType.PU and node.os_index < 0:
-                node.os_index = node.logical_index
+            if node.type is ObjType.PU:
+                if node.os_index < 0:
+                    node.os_index = node.logical_index
+                if node.os_index > self.MAX_PU_OS_INDEX:
+                    raise TopologyError(
+                        f"PU os_index {node.os_index} exceeds the largest "
+                        f"supported PU number {self.MAX_PU_OS_INDEX}"
+                    )
         # cpusets bottom-up
         for level in reversed(self._levels):
             for node in level:

@@ -96,9 +96,9 @@ class TestRender:
         assert "<control>" in text
 
 
-def _topology_record(core=None, l3=None, root=None):
+def _topology_record(core=None, l3=None, root=None, pu=None):
     """A one-core topology record, each level's fields overridden."""
-    pu = {"type": "PU", "os_index": 0}
+    pu = {"type": "PU", "os_index": 0, **(pu or {})}
     core_d = {"type": "Core", "children": [pu], **(core or {})}
     l3_d = {"type": "L3", "cache": {"size": 1024}, "children": [core_d],
             **(l3 or {})}
@@ -150,10 +150,14 @@ class TestSerialize:
         ({"thread_to_pu": {"0": float("inf")}}, MappingError, "placement"),
         ({"thread_to_pu": {}, "oversub_factor": float("inf")}, MappingError,
          "placement"),
+        (_topology_record(pu={"os_index": 2**63}), TopologyError, "os_index"),
+        (_topology_record(pu={"os_index": 10**30}), TopologyError, "os_index"),
+        (_topology_record(pu={"os_index": 10**9}), TopologyError, "os_index"),
     ], ids=["list-top-level", "string-root", "string-child",
             "cache-without-size", "string-os-index", "int-children",
             "list-attrs", "list-thread-to-pu", "infinite-os-index",
-            "infinite-cache-size", "infinite-pu", "infinite-oversub"])
+            "infinite-cache-size", "infinite-pu", "infinite-oversub",
+            "pu-number-2e63", "pu-number-1e30", "pu-number-1e9"])
     def test_malformed_records_raise_typed_errors(
         self, tmp_path, record, error, where
     ):
