@@ -27,7 +27,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import MappingError
-from repro.treematch.coarsen import coarsen, parts_to_dense
+from repro.treematch.coarsen import _row_ids, coarsen, parts_to_dense
+from repro.treematch.commmatrix import check_affinity
 from repro.treematch.grouping import group_processes, refine_groups
 
 try:  # pragma: no cover - optional dependency
@@ -51,14 +52,83 @@ COARSE_PER_PART = 16
 COARSE_MIN = 128
 
 
+#: Rows per dense block when degrees are summed the dense way: blocks
+#: stay near this many elements whatever the graph's order.
+_SEED_BLOCK = 1 << 18
+
+
 def _densify(aff) -> np.ndarray:
     if _sp is not None and _sp.issparse(aff):
         return np.asarray(aff.todense(), dtype=np.float64)
     return np.asarray(aff, dtype=np.float64)
 
 
+def _spans(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One gather of the CSR spans of *rows*, in the order given.
+
+    Returns ``(at, idx)``: entry ``idx[e]`` of the matrix belongs to
+    ``rows[at[e]]``. Span ``r`` starts at ``indptr[rows[r]]`` and sits
+    at ``ends[r] - lens[r]`` of the gather.
+    """
+    lens = indptr[rows + 1] - indptr[rows]
+    ends = np.cumsum(lens)
+    at = np.repeat(np.arange(rows.size), lens)
+    return at, np.arange(ends[-1]) + np.repeat(indptr[rows] - (ends - lens), lens)
+
+
+def _sub_csr(
+    indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, keep: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows and columns *keep* (a mask) of a canonical CSR, renumbered.
+
+    Kept vertices keep their relative order, so the result is canonical
+    too.
+    """
+    rows = _row_ids(indptr)
+    sel = keep[rows] & keep[indices]
+    new_id = np.cumsum(keep) - 1
+    counts = np.bincount(new_id[rows[sel]], minlength=int(keep.sum()))
+    indptr2 = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr2[1:])
+    return indptr2, new_id[indices[sel]], data[sel]
+
+
+def _seed(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray) -> int:
+    """The vertex of largest weighted degree, ties to the smallest index.
+
+    Degrees are compared as ``dense.sum(axis=1)`` sums them, in numpy's
+    pairwise order over the whole dense row, which can round differently
+    from a sum of the row's nonzeros. Summed in any order, a non-negative
+    row lands within a relative ``n * eps`` of its exact value, so only
+    rows that close to the largest CSR-order degree can hold the dense
+    maximum; just those are densified, a bounded block of rows at a time.
+    """
+    n = indptr.size - 1
+    deg = np.bincount(_row_ids(indptr), weights=data, minlength=n)
+    top = deg.max()
+    if top == 0.0:
+        return 0
+    cand = np.flatnonzero(deg >= top * (1.0 - 4.0 * n * np.finfo(float).eps))
+    per_block = max(1, _SEED_BLOCK // n)
+    best, seed = -np.inf, 0
+    for start in range(0, cand.size, per_block):
+        rows = cand[start : start + per_block]
+        at, span = _spans(indptr, rows)
+        dense = np.zeros((rows.size, n))
+        dense[at, indices[span]] = data[span]
+        sums = dense.sum(axis=1)
+        j = int(sums.argmax())
+        if sums[j] > best:
+            best, seed = sums[j], int(rows[j])
+    return seed
+
+
 def _grow_side(
-    sub: np.ndarray, wloc: np.ndarray, target: int
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    data: np.ndarray,
+    wloc: np.ndarray,
+    target: int,
 ) -> np.ndarray:
     """Boolean mask of one bisection side, grown greedily by affinity.
 
@@ -66,51 +136,62 @@ def _grow_side(
     in the free vertex most attracted to the side until the side's
     fine-task weight reaches *target* (overshooting by at most one coarse
     vertex) — always leaving at least one vertex for the other side.
+    Works on the canonical CSR rows of the graph: scattering a row's
+    nonzeros into ``attract`` adds exactly what the dense row would.
     """
-    nloc = sub.shape[0]
+    nloc = wloc.size
     in_a = np.zeros(nloc, dtype=bool)
-    seed = int(sub.sum(axis=1).argmax())
-    in_a[seed] = True
-    attract = sub[seed].copy()
-    attract[seed] = -np.inf
-    wa = int(wloc[seed])
-    count = 1
-    while wa < target and count < nloc - 1:
-        v = int(attract.argmax())
+    ptr = indptr.tolist()
+    weight = wloc.tolist()
+    v = _seed(indptr, indices, data)
+    attract = np.zeros(nloc)
+    wa = 0
+    count = 0
+    while True:
         in_a[v] = True
-        attract += sub[v]
+        lo = ptr[v]
+        hi = ptr[v + 1]
+        attract[indices[lo:hi]] += data[lo:hi]
         attract[v] = -np.inf
-        wa += int(wloc[v])
+        wa += weight[v]
         count += 1
-    return in_a
+        if wa >= target or count >= nloc - 1:
+            return in_a
+        v = int(attract.argmax())
 
 
 def _partition_weighted(
-    m: np.ndarray, weights: np.ndarray, k: int, per_part: int
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    data: np.ndarray,
+    weights: np.ndarray,
+    k: int,
+    per_part: int,
 ) -> np.ndarray:
-    """Recursive bisection of the (small, dense) coarsest graph.
+    """Recursive bisection of the coarsest graph, given as canonical CSR.
 
     ``weights[v]`` counts fine tasks inside coarse vertex ``v``; each of
     the *k* parts targets ``per_part`` fine tasks. Returns the vertex→part
     assignment; parts are numbered left-to-right in recursion order.
+    Each side recurses on its own rows of the graph, so no step holds
+    more than the graph's edges.
     """
-    n = m.shape[0]
+    n = weights.size
     asg = np.full(n, -1, dtype=np.intp)
     next_part = 0
 
-    def rec(idx: np.ndarray, kk: int) -> None:
+    def rec(idx, ip, ix, dv, kk: int) -> None:
         nonlocal next_part
         if kk == 1 or idx.size <= 1:
             asg[idx] = next_part
             next_part += kk
             return
         k1 = (kk + 1) // 2
-        sub = m[np.ix_(idx, idx)]
-        side = _grow_side(sub, weights[idx], per_part * k1)
-        rec(idx[side], k1)
-        rec(idx[~side], kk - k1)
+        side = _grow_side(ip, ix, dv, weights[idx], per_part * k1)
+        for keep, kp in ((side, k1), (~side, kk - k1)):
+            rec(idx[keep], *_sub_csr(ip, ix, dv, keep), kp)
 
-    rec(np.arange(n), k)
+    rec(np.arange(n), indptr, indices, data, k)
     return asg
 
 
@@ -136,12 +217,7 @@ def _attraction_rows(
     nc = cand.size
     if nc == 0:
         return np.zeros((0, k))
-    # One gather of every candidate's CSR span, in candidate order:
-    # span r starts at indptr[cand[r]] and sits at ends[r] - lens[r].
-    lens = indptr[cand + 1] - indptr[cand]
-    ends = np.cumsum(lens)
-    rows = np.repeat(np.arange(nc), lens)
-    idx = np.arange(ends[-1]) + np.repeat(indptr[cand] - (ends - lens), lens)
+    rows, idx = _spans(indptr, cand)
     # Like np.add.at, bincount adds each bin's weights in input order.
     flat = np.bincount(
         rows * k + asg[indices[idx]], weights=data[idx], minlength=nc * k
@@ -210,14 +286,17 @@ def _rebalance_exact(
             asg[v] = dst
 
 
-def split_k(aff, k: int, *, refine_limit: int = REFINE_LIMIT) -> list[list[int]]:
+def split_k(aff, k: int) -> list[list[int]]:
     """Split the tasks of *aff* into *k* equal affinity-heavy parts.
 
-    *aff* is a symmetric zero-diagonal affinity matrix (dense array or
-    scipy sparse); its order must be divisible by *k*. Returns *k* lists
-    of ``n // k`` sorted task indices. Part numbering is deterministic
-    but carries no topology meaning — callers order parts separately
-    (see ``maporder``).
+    *aff* is a symmetric, finite, non-negative affinity matrix (dense
+    array or scipy sparse); its order must be divisible by *k*. An *aff*
+    that :func:`~repro.treematch.commmatrix.check_affinity` rejects
+    raises :class:`~repro.errors.MappingError`; it is checked once per
+    call, by :func:`coarsen` when the split is multilevel. Returns *k*
+    lists of ``n // k`` sorted task indices. Part numbering is
+    deterministic but carries no topology meaning — callers order parts
+    separately (see ``maporder``).
     """
     n = int(aff.shape[0])
     if k <= 0:
@@ -225,25 +304,24 @@ def split_k(aff, k: int, *, refine_limit: int = REFINE_LIMIT) -> list[list[int]]
     if n % k:
         raise MappingError(f"cannot split {n} tasks into {k} equal parts")
     size = n // k
-    if k == 1:
-        return [list(range(n))]
-    if size == 1:
-        return [[i] for i in range(n)]
-    if n <= DIRECT_LIMIT:
+    if k == 1 or size == 1 or n <= DIRECT_LIMIT:
+        check_affinity(aff)
+        if k == 1:
+            return [list(range(n))]
+        if size == 1:
+            return [[i] for i in range(n)]
         return group_processes(_densify(aff), size, refine=True)
 
     levels = coarsen(aff, target=max(COARSE_MIN, COARSE_PER_PART * k))
     coarsest = levels[-1]
-    dense_c = parts_to_dense(
-        coarsest.indptr, coarsest.indices, coarsest.data, coarsest.n
+    asg = _partition_weighted(
+        coarsest.indptr, coarsest.indices, coarsest.data, coarsest.weights,
+        k, size,
     )
-    asg = _partition_weighted(dense_c, coarsest.weights, k, size)
-    if coarsest.n <= refine_limit:
-        asg = _refine_asg(dense_c, asg, k)
-    for li in range(len(levels) - 2, -1, -1):
-        lvl = levels[li]
-        asg = asg[lvl.coarse_of]
-        if lvl.n <= refine_limit:
+    for lvl in reversed(levels):  # coarsest first
+        if lvl.coarse_of is not None:
+            asg = asg[lvl.coarse_of]
+        if lvl.n <= REFINE_LIMIT:
             dense = parts_to_dense(lvl.indptr, lvl.indices, lvl.data, lvl.n)
             asg = _refine_asg(dense, asg, k)
     finest = levels[0]

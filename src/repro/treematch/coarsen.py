@@ -9,9 +9,10 @@ partition with the dense engines, then projects the partition back up.
 
 Everything here works on a plain CSR triple ``(indptr, indices, data)``
 so the module needs no scipy: a dense array or a ``scipy.sparse`` matrix
-is converted on entry (:func:`csr_parts`). Matrices are assumed to be
-symmetric zero-diagonal affinity views (what
-``CommunicationMatrix.affinity_any`` returns).
+is converted on entry (:func:`csr_parts`). Matrices must be symmetric,
+finite and non-negative affinity views (what
+``CommunicationMatrix.affinity_any`` returns); :func:`coarsen` checks
+that with :func:`check_affinity`.
 
 Matching is the classic sorted-edge greedy: visit undirected edges by
 descending weight (ties broken by endpoint indices, so results are
@@ -28,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import MappingError
+from repro.treematch.commmatrix import check_affinity
 
 try:  # pragma: no cover - optional dependency
     from scipy import sparse as _sp
@@ -89,13 +91,17 @@ def csr_parts(matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     return indptr, cols.astype(np.int64), m[rows, cols], m.shape[0]
 
 
+def _row_ids(indptr: np.ndarray) -> np.ndarray:
+    """The row of every stored entry of a CSR matrix."""
+    return np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+
+
 def parts_to_dense(
     indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, n: int
 ) -> np.ndarray:
     """Densify a CSR triple (for the small coarse levels only)."""
     out = np.zeros((n, n))
-    rows = np.repeat(np.arange(n), np.diff(indptr))
-    out[rows, indices] = data
+    out[_row_ids(indptr), indices] = data
     return out
 
 
@@ -112,21 +118,22 @@ def heavy_edge_matching(
 ) -> tuple[np.ndarray, int]:
     """Greedy matching by descending edge weight.
 
-    Returns ``(coarse_of, n_coarse)``: a fine→coarse vertex map and the
-    coarse vertex count. Deterministic: edges are visited in
-    ``(-weight, i, j)`` order and coarse ids follow the smallest fine
-    index of each merged pair.
+    The input must be canonical CSR: every row's column indices sorted
+    and free of duplicates, as :func:`csr_parts` and
+    :func:`coarsen_matrix` return them. Returns ``(coarse_of,
+    n_coarse)``: a fine→coarse vertex map and the coarse vertex count.
+    Deterministic: edges are visited in ``(-weight, i, j)`` order and
+    coarse ids follow the smallest fine index of each merged pair.
     """
-    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    rows = _row_ids(indptr)
     upper = indices > rows
-    er = rows[upper]
-    ec = indices[upper]
-    ew = data[upper]
-    order = np.lexsort((ec, er, -ew))
+    # Canonical rows list the upper-triangle edges in (i, j) order
+    # already, so one stable sort by weight gives the (-w, i, j) order.
+    order = np.argsort(-data[upper], kind="stable")
     # The match loop is the hot O(|E|) core of every coarsening level —
     # plain-list indexing, no per-edge allocations (see hotlint).
-    ei = er[order].tolist()
-    ej = ec[order].tolist()
+    ei = rows[upper][order].tolist()
+    ej = indices[upper][order].tolist()
     partner = [-1] * n
     taken = bytearray(n)
     e = len(ei)
@@ -144,8 +151,11 @@ def heavy_edge_matching(
     part = np.asarray(partner, dtype=np.int64)
     own = np.arange(n, dtype=np.int64)
     rep = np.where(part >= 0, np.minimum(own, part), own)
-    uniq, coarse_of = np.unique(rep, return_inverse=True)
-    return coarse_of.astype(np.intp), int(uniq.size)
+    # A vertex represents its coarse vertex when it is unmatched or the
+    # smaller end of its pair; coarse ids count representatives in order.
+    is_rep = rep == own
+    coarse_id = np.cumsum(is_rep) - 1
+    return coarse_id[rep].astype(np.intp), int(is_rep.sum())
 
 
 def coarsen_matrix(
@@ -162,7 +172,7 @@ def coarsen_matrix(
     (diagonal) weight is dropped, keeping the zero-diagonal invariant.
     Output rows are canonical (sorted, duplicate-free).
     """
-    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    rows = _row_ids(indptr)
     nr = coarse_of[rows]
     nc = coarse_of[indices]
     keep = nr != nc
@@ -190,10 +200,12 @@ def coarsen(
     to shrink the graph below ``min_shrink`` of its size (edge-free
     graphs stall immediately), or after *max_levels*. Returns the levels
     finest-first; the caller partitions the last one and projects back
-    through ``coarse_of``.
+    through ``coarse_of``. A *matrix* that :func:`check_affinity`
+    rejects raises :class:`~repro.errors.MappingError`.
     """
     if target < 1:
         raise MappingError(f"coarsening target must be >= 1, got {target}")
+    check_affinity(matrix)
     indptr, indices, data, n = csr_parts(matrix)
     levels = [CoarseLevel(indptr, indices, data, n,
                           np.ones(n, dtype=np.int64))]

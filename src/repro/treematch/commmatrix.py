@@ -33,7 +33,7 @@ try:  # pragma: no cover - exercised implicitly by every test run
 except ImportError:  # pragma: no cover - scipy is an optional dependency
     _sp = None
 
-__all__ = ["CommunicationMatrix", "HAVE_SPARSE",
+__all__ = ["CommunicationMatrix", "HAVE_SPARSE", "check_affinity",
            "SPARSE_AUTO_ORDER", "SPARSE_AUTO_DENSITY"]
 
 #: True when scipy.sparse is importable and the CSR backend is available.
@@ -118,6 +118,36 @@ def _check_csr(m, *, name: str = "matrix"):
     csr.sum_duplicates()
     csr.sort_indices()
     return csr
+
+
+def check_affinity(m) -> None:
+    """Raise MappingError naming the first defect of affinity matrix *m*.
+
+    An affinity must pass the checks a communication matrix does
+    (square, finite, non-negative) and be symmetric, which rules out an
+    upper- or lower-triangle-only matrix. A sparse one is checked over
+    its stored entries, so the cost is linear in the input.
+    """
+    if HAVE_SPARSE and _sp.issparse(m):
+        a = _check_csr(m, name="affinity matrix")
+        t = a.T.tocsr()
+        if (np.array_equal(a.indptr, t.indptr)
+                and np.array_equal(a.indices, t.indices)
+                and np.array_equal(a.data, t.data)):
+            return
+        # Unequal storage can still hold equal values (an explicit zero
+        # facing an absent entry), so compare the values themselves.
+        differ = (a != a.T).tocoo()
+        pairs = np.stack([differ.row, differ.col], axis=1)
+    else:
+        a = _check_dense(m, name="affinity matrix")
+        pairs = np.argwhere(a != a.T)
+    if pairs.size:
+        i, j = (int(x) for x in pairs[0])
+        raise MappingError(
+            f"affinity matrix is not symmetric: [{i}, {j}] = "
+            f"{float(a[i, j])!r} but [{j}, {i}] = {float(a[j, i])!r}"
+        )
 
 
 def _sym_zero_diag_csr(m):

@@ -1,0 +1,197 @@
+"""Differential family: matching and coarsest bisection against their oracle.
+
+``tests/harness/coarsen_oracle.py`` keeps the lexsorted
+``heavy_edge_matching`` with its ``np.unique`` numbering, and the dense
+recursive bisection that copies each side with ``np.ix_`` and seeds at
+the largest ``sub.sum(axis=1)``. The library versions must make the
+same choices on every seeded instance: the same ``coarse_of`` (dtype
+included), the same ``n_coarse``, the same part of every vertex.
+
+The instances cover the ways the CSR rewrite could drift: uniform
+float weights, small integers, weights spread from 1 to 1e15, heavy
+ties (only weights 1 and 2, so the matching's tie order decides),
+isolated vertices, orders 0, 1 and 2, permuted stencils, whose
+coarsening stalls at about 2.7% of their order, far above its target,
+and permuted rings, which coarsen all the way. One hand-built graph
+has a row whose nonzeros, summed in CSR order, beat the row that
+``sub.sum(axis=1)`` ranks first.
+"""
+
+import numpy as np
+import pytest
+
+from repro.treematch.bisect import _grow_side, _partition_weighted
+from repro.treematch.coarsen import (
+    coarsen,
+    csr_parts,
+    heavy_edge_matching,
+    parts_to_dense,
+)
+from repro.treematch.commmatrix import CommunicationMatrix
+from tests.harness import coarsen_oracle
+
+
+def _sym(upper: np.ndarray) -> np.ndarray:
+    m = np.triu(upper, 1)
+    return m + m.T
+
+
+def _uniform(n, rng):
+    return _sym(rng.random((n, n)) * (rng.random((n, n)) < 0.2))
+
+
+def _integers(n, rng):
+    return _sym(rng.integers(0, 9, size=(n, n)) * (rng.random((n, n)) < 0.2))
+
+
+def _wide(n, rng):
+    w = np.round(10.0 ** rng.uniform(0.0, 15.0, size=(n, n)))
+    return _sym(w * (rng.random((n, n)) < 0.2))
+
+
+def _ties(n, rng):
+    # Dense weights 1 and 2: long runs of equal weights in the edge order.
+    return _sym(rng.integers(1, 3, size=(n, n)).astype(float))
+
+
+def _isolated(n, rng):
+    m = _uniform(n, rng)
+    lonely = rng.random(n) < 0.3
+    m[lonely] = 0.0
+    m[:, lonely] = 0.0
+    return m
+
+
+WEIGHTS = {"uniform": _uniform, "integers": _integers, "wide": _wide,
+           "ties": _ties, "isolated": _isolated}
+ORDERS = (0, 1, 2, 3, 17, 64, 300)
+
+
+def _permuted(comm: CommunicationMatrix, seed: int):
+    """*comm*'s affinity with its task labels permuted."""
+    aff = comm.affinity_any()
+    perm = np.random.default_rng(seed).permutation(comm.order)
+    if hasattr(aff, "tocsr"):
+        return aff.tocsr()[perm][:, perm]
+    return aff[np.ix_(perm, perm)]
+
+
+def _ring(n: int) -> CommunicationMatrix:
+    return CommunicationMatrix.from_edges(
+        n, {(i, (i + 1) % n): 100.0 for i in range(n)}
+    )
+
+
+#: Permuted inputs: heavy-edge matching stalls on the stencils well
+#: above the coarsening target, and halves the rings down to it.
+PERMUTED = {
+    "stencil-6400": lambda: _permuted(CommunicationMatrix.stencil2d(6400), 1),
+    "stencil-20000": lambda: _permuted(CommunicationMatrix.stencil2d(20000), 2),
+    "ring-3000": lambda: _permuted(_ring(3000), 3),
+}
+
+
+def _assert_same_matching(indptr, indices, data, n):
+    want = coarsen_oracle.heavy_edge_matching(indptr, indices, data, n)
+    got = heavy_edge_matching(indptr, indices, data, n)
+    assert got[0].dtype == want[0].dtype
+    assert np.array_equal(got[0], want[0])
+    assert got[1] == want[1]
+    return want
+
+
+def _assert_same_partition(level, k, per_part):
+    dense = parts_to_dense(level.indptr, level.indices, level.data, level.n)
+    want = coarsen_oracle.partition_weighted(dense, level.weights, k, per_part)
+    got = _partition_weighted(
+        level.indptr, level.indices, level.data, level.weights, k, per_part
+    )
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+class TestMatchingAgainstOracle:
+    @pytest.mark.parametrize("kind", sorted(WEIGHTS))
+    @pytest.mark.parametrize("n", ORDERS)
+    def test_weight_families(self, kind, n):
+        rng = np.random.default_rng([n, sorted(WEIGHTS).index(kind)])
+        _assert_same_matching(*csr_parts(WEIGHTS[kind](n, rng)))
+
+    @pytest.mark.parametrize("kind", sorted(WEIGHTS))
+    def test_every_coarsening_level(self, kind):
+        rng = np.random.default_rng(sorted(WEIGHTS).index(kind) + 100)
+        for level in coarsen(WEIGHTS[kind](300, rng), target=4):
+            _assert_same_matching(
+                level.indptr, level.indices, level.data, level.n
+            )
+
+    @pytest.mark.parametrize("name", sorted(PERMUTED))
+    def test_permuted_graphs(self, name):
+        levels = coarsen(PERMUTED[name](), target=64)
+        for level in levels:
+            _assert_same_matching(
+                level.indptr, level.indices, level.data, level.n
+            )
+
+
+class TestPartitionAgainstOracle:
+    @pytest.mark.parametrize("kind", sorted(WEIGHTS))
+    @pytest.mark.parametrize("n", (2, 3, 17, 64, 300))
+    def test_weight_families(self, kind, n):
+        rng = np.random.default_rng([n, sorted(WEIGHTS).index(kind), 7])
+        level = coarsen(WEIGHTS[kind](n, rng), target=max(1, n // 8))[-1]
+        total = int(level.weights.sum())
+        for k in (2, 3, 5):
+            _assert_same_partition(level, k, max(1, total // k))
+
+    @pytest.mark.parametrize("name", sorted(PERMUTED))
+    def test_permuted_coarsest_levels(self, name):
+        coarsest = coarsen(PERMUTED[name](), target=64)[-1]
+        if name.startswith("stencil"):
+            assert coarsest.n > 128  # the stall
+        total = int(coarsest.weights.sum())
+        for k in (2, 4, 10):
+            _assert_same_partition(coarsest, k, total // k)
+
+    def test_edge_free_and_tiny_graphs(self):
+        for n in (0, 1, 2, 5):
+            level = coarsen(np.zeros((n, n)), target=1)[-1]
+            for k in (1, 2, 3):
+                _assert_same_partition(level, k, max(1, n // k))
+
+
+def _pairwise_seed_graph() -> np.ndarray:
+    """Row 8's nonzeros summed in CSR order give 1e16 + 2; the dense row
+    sum, in numpy's pairwise order, gives 1e16 — which rows 3, 4 and 6
+    reach too, so ``sub.sum(axis=1)`` seeds at row 3."""
+    m = np.zeros((9, 9))
+    for i, j, w in ((1, 8, 1.0), (3, 4, 1e16), (4, 5, 1.0), (5, 8, 1.0),
+                    (6, 8, 1e16)):
+        m[i, j] = m[j, i] = w
+    return m
+
+
+class TestSeedSummation:
+    def test_input_separates_the_two_sums(self):
+        m = _pairwise_seed_graph()
+        indptr, indices, data, n = csr_parts(m)
+        rows = np.repeat(np.arange(n), np.diff(indptr))
+        csr_order = np.bincount(rows, weights=data, minlength=n)
+        assert int(m.sum(axis=1).argmax()) == 3
+        assert int(csr_order.argmax()) == 8
+
+    def test_grow_side_seeds_like_the_dense_sum(self):
+        m = _pairwise_seed_graph()
+        indptr, indices, data, n = csr_parts(m)
+        w = np.ones(n, dtype=np.int64)
+        for target in (1, 2, 4, 6):
+            want = coarsen_oracle.grow_side(m, w, target)
+            assert np.array_equal(
+                _grow_side(indptr, indices, data, w, target), want
+            )
+
+    def test_partition_matches_oracle(self):
+        m = _pairwise_seed_graph()
+        level = coarsen(m, target=9)[-1]
+        for k, per_part in ((2, 4), (3, 3), (9, 1)):
+            _assert_same_partition(level, k, per_part)

@@ -29,6 +29,7 @@ from repro.treematch import (
     split_k,
     treematch_map,
 )
+from repro.treematch.bisect import REFINE_LIMIT
 from repro.treematch.coarsen import heavy_edge_matching, parts_to_dense
 from repro.treematch.commmatrix import HAVE_SPARSE
 
@@ -185,6 +186,128 @@ class TestSplitK:
         parts = split_k(m, k)
         for part in parts:
             assert len({int(labels[i]) for i in part}) == 1
+
+
+def stars(n_stars: int, leaves: int, seed: int):
+    """Stars of weighted leaves whose hubs form a light ring (CSR).
+
+    Heavy-edge matching can merge only one leaf per hub, too few for
+    ``coarsen``'s shrink threshold, so the coarsest level is the graph.
+    """
+    import scipy.sparse as sp
+
+    rng = np.random.default_rng(seed)
+    n = n_stars * (leaves + 1)
+    hubs = np.arange(n_stars) * (leaves + 1)
+    rows = np.concatenate([np.repeat(hubs, leaves), hubs])
+    cols = np.concatenate([
+        rows[: n_stars * leaves] + np.tile(np.arange(1, leaves + 1), n_stars),
+        np.roll(hubs, -1),
+    ])
+    w = np.concatenate([
+        rng.integers(1, 11, size=n_stars * leaves).astype(float),
+        np.full(n_stars, 0.5),
+    ])
+    m = sp.csr_array((w, (rows, cols)), shape=(n, n))
+    return sp.csr_array(m + m.T)
+
+
+def _with_entry(value: float):
+    def make(m):
+        m[3, 5] = m[5, 3] = value
+        return m
+    return make
+
+
+def _one_sided(m):
+    m[3, 5] += 1.0
+    return m
+
+
+#: Affinity defects, each applied to a 600-task stencil, and the word
+#: the MappingError must name.
+DEFECTS = {
+    "nan": (_with_entry(np.nan), "non-finite"),
+    "inf": (_with_entry(np.inf), "non-finite"),
+    "negative": (_with_entry(-1.0), "negative"),
+    "asymmetric": (_one_sided, "not symmetric"),
+    "upper-only": (np.triu, "not symmetric"),
+    "lower-only": (np.tril, "not symmetric"),
+}
+
+
+class TestBadAffinity:
+    """``split_k`` and ``coarsen`` are public: they check what they get."""
+
+    @staticmethod
+    def matrix(defect: str, backend: str):
+        make, _ = DEFECTS[defect]
+        m = make(CommunicationMatrix.stencil2d(600).affinity())
+        if backend == "csr":
+            import scipy.sparse as sp
+
+            return sp.csr_array(m)
+        return m
+
+    @pytest.mark.parametrize("backend", [
+        "dense", pytest.param("csr", marks=needs_scipy),
+    ])
+    @pytest.mark.parametrize("defect", sorted(DEFECTS))
+    def test_split_k_rejects(self, defect, backend):
+        with pytest.raises(MappingError, match=DEFECTS[defect][1]):
+            split_k(self.matrix(defect, backend), 4)
+
+    @pytest.mark.parametrize("backend", [
+        "dense", pytest.param("csr", marks=needs_scipy),
+    ])
+    @pytest.mark.parametrize("defect", sorted(DEFECTS))
+    def test_coarsen_rejects(self, defect, backend):
+        with pytest.raises(MappingError, match=DEFECTS[defect][1]):
+            coarsen(self.matrix(defect, backend), target=16)
+
+    def test_asymmetry_names_the_entry(self):
+        with pytest.raises(MappingError, match=r"\[3, 5\] = 1.0 but \[5, 3\] = 0.0"):
+            split_k(self.matrix("asymmetric", "dense"), 4)
+
+    def test_non_square_rejected(self):
+        with pytest.raises(MappingError, match="square"):
+            split_k(np.zeros((4, 6)), 2)
+        with pytest.raises(MappingError, match="square"):
+            coarsen(np.zeros(5), target=2)
+
+    @needs_scipy
+    def test_explicit_zero_is_not_an_asymmetry(self):
+        import scipy.sparse as sp
+
+        m = sp.csr_array(CommunicationMatrix.stencil2d(600).affinity())
+        assert m[0, 300] == 0
+        # Store a zero at [0, 300] but none at [300, 0]: equal values.
+        c = m.tocoo()
+        m0 = sp.csr_array((np.append(c.data, 0.0),
+                           (np.append(c.row, 0), np.append(c.col, 300))),
+                          shape=m.shape)
+        assert m0.nnz == m.nnz + 1
+        parts = split_k(m0, 4)
+        assert sorted(i for p in parts for i in p) == list(range(600))
+
+
+class TestBisectionMemory:
+    @needs_scipy
+    def test_stalled_coarsest_level_is_never_densified(self):
+        import tracemalloc
+
+        aff = stars(128, 24, seed=11)
+        n_c = coarsen(aff, target=128)[-1].n
+        assert n_c > REFINE_LIMIT  # bisected and projected, never refined
+        tracemalloc.start()
+        try:
+            parts = split_k(aff, 4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sorted(i for p in parts for i in p) == list(range(aff.shape[0]))
+        # A dense n_c x n_c float matrix would need n_c**2 * 8 bytes.
+        assert peak < n_c * n_c * 8 / 10
 
 
 class TestMultilevelMap:
