@@ -7,7 +7,7 @@ order, so the output of ``run_jobs`` is identical for any worker count.
 
 Worker-count selection: explicit ``n_jobs`` argument, else the
 ``REPRO_JOBS`` environment variable, else 1 (inline execution, no pool).
-A value of 0 means "one worker per CPU".
+A value of 0 means "one worker per usable CPU" (:func:`available_cpus`).
 
 The on-disk :class:`~repro.parallel.cache.ResultCache` is consulted
 before dispatch and written after: only cache misses reach the pool, and
@@ -25,15 +25,31 @@ from repro.errors import ReproError
 from repro.parallel.cache import ResultCache
 from repro.parallel.jobs import Job, run_cell
 
-__all__ = ["run_jobs", "default_jobs", "JOBS_ENV"]
+__all__ = ["run_jobs", "default_jobs", "available_cpus", "JOBS_ENV"]
 
 JOBS_ENV = "REPRO_JOBS"
 
 _MISSING = object()
 
 
+def available_cpus() -> int:
+    """CPUs this process may actually use.
+
+    ``sched_getaffinity`` where available (cgroup/taskset aware — the
+    honest number for "can 4 workers really run in parallel here"),
+    ``os.cpu_count()`` otherwise. ``REPRO_JOBS=0``, ``run_jobs(n_jobs=0)``,
+    ``run_sharded(workers="auto")`` and the ``shard_scaling`` bench gate
+    all consult this, so a 1-CPU CI container records *why* it skipped
+    the speedup claim instead of silently failing it.
+    """
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - non-Linux
+        return os.cpu_count() or 1
+
+
 def default_jobs() -> int:
-    """Worker count from ``REPRO_JOBS`` (default 1; 0 ⇒ CPU count)."""
+    """Worker count from ``REPRO_JOBS`` (default 1; 0 ⇒ usable CPUs)."""
     raw = os.environ.get(JOBS_ENV, "").strip()
     if not raw:
         return 1
@@ -43,7 +59,7 @@ def default_jobs() -> int:
         raise ReproError(f"{JOBS_ENV} must be an integer, got {raw!r}") from None
     if n < 0:
         raise ReproError(f"{JOBS_ENV} must be >= 0, got {n}")
-    return n or (os.cpu_count() or 1)
+    return n or available_cpus()
 
 
 def _resolve_cache(cache) -> ResultCache | None:
@@ -65,7 +81,7 @@ def run_jobs(
     """Execute *jobs*; returns their payloads in job order.
 
     ``n_jobs``: worker processes (None ⇒ ``REPRO_JOBS``, 1 ⇒ inline,
-    0 ⇒ one per CPU; negative counts raise :class:`ReproError`).
+    0 ⇒ one per usable CPU; negative counts raise :class:`ReproError`).
     ``cache``: a :class:`ResultCache`, True (default cache), False
     (disabled), or None (``REPRO_CACHE``/``REPRO_CACHE_DIR`` decide).
     """
@@ -73,7 +89,7 @@ def run_jobs(
     if n_jobs < 0:
         raise ReproError(f"n_jobs must be >= 0, got {n_jobs}")
     if n_jobs == 0:
-        n_jobs = os.cpu_count() or 1
+        n_jobs = available_cpus()
     store = _resolve_cache(cache)
 
     results = [_MISSING] * len(jobs)

@@ -49,6 +49,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.errors import DeadlockError, SimulationError
+from repro.parallel.executor import available_cpus
 from repro.sim.machine import SimMachine, SimThread
 from repro.sim.process import Compute, SimEvent, Touch, Wait
 from repro.topology import machine_by_name
@@ -65,24 +66,6 @@ __all__ = [
     "halo_ring_scenario",
     "SHARD_PROGRAMS",
 ]
-
-
-def available_cpus() -> int:
-    """CPUs this process may actually use.
-
-    ``sched_getaffinity`` where available (cgroup/taskset aware — the
-    honest number for "can 4 workers really run in parallel here"),
-    ``os.cpu_count()`` otherwise. ``run_sharded(workers="auto")`` and
-    the ``shard_scaling`` bench gate both consult this, so a 1-CPU CI
-    container records *why* it skipped the speedup claim instead of
-    silently failing it.
-    """
-    import os
-
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
 
 
 # -- scenario description ------------------------------------------------------

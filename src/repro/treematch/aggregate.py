@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import MappingError
-from repro.util.matrix import check_square
+from repro.treematch.commmatrix import _check_dense, _check_entries
 
 try:  # pragma: no cover - optional dependency
     from scipy import sparse as _sp
@@ -52,22 +52,27 @@ def group_assignment(groups: list[list[int]], p: int) -> np.ndarray:
 def aggregate_comm_matrix(m, groups: list[list[int]]) -> np.ndarray:
     """Aggregate *m* over *groups*; returns a ``k × k`` dense matrix.
 
-    Every process index must appear in exactly one group. The dense path
-    is a single ``G.T @ m @ G`` product with the group indicator matrix
-    ``G`` (then the diagonal zeroed and the upper triangle mirrored,
-    matching the loop reference). The sparse path scatters the stored
-    entries onto group pairs with one ``bincount`` — identical totals,
-    O(nnz) instead of O(n²).
+    Every process index must appear in exactly one group. *m* must be
+    square, finite and non-negative (:class:`MappingError` otherwise; a
+    sparse *m* is checked over its stored entries) but need not be
+    symmetric: entry ``[gi, gj]``, ``gi < gj``, sums ``m[i, j]`` over
+    ``i`` in *gi* and ``j`` in *gj* and is mirrored. The dense path is a
+    single ``G.T @ m @ G`` product with the group indicator matrix ``G``
+    (then the diagonal zeroed and the upper triangle mirrored, matching
+    the loop reference). The sparse path scatters the stored entries
+    onto group pairs with one ``bincount`` — identical totals, O(nnz)
+    instead of O(n²).
     """
     k = len(groups)
     if _sp is not None and _sp.issparse(m):
         p = m.shape[0]
-        if m.shape[0] != m.shape[1]:
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise MappingError(
-                f"affinity matrix must be square, got shape {m.shape}"
+                f"affinity matrix must be square 2-D, got shape {m.shape}"
             )
-        asg = group_assignment(groups, p)
         coo = m.tocoo()
+        _check_entries(coo.data, name="affinity matrix")
+        asg = group_assignment(groups, p)
         gi = asg[coo.row]
         gj = asg[coo.col]
         upper = gi < gj
@@ -81,7 +86,7 @@ def aggregate_comm_matrix(m, groups: list[list[int]]) -> np.ndarray:
         out[ju, iu] = out[iu, ju]
         return out
 
-    a = check_square(m, name="affinity matrix")
+    a = _check_dense(m, name="affinity matrix")
     p = a.shape[0]
     asg_of = group_assignment(groups, p)
     indicator = np.zeros((p, k))

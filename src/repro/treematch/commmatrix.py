@@ -26,7 +26,12 @@ from collections.abc import Mapping, Sequence
 import numpy as np
 
 from repro.errors import MappingError
-from repro.util.matrix import check_square, submatrix, symmetrize, zero_diagonal
+from repro.util.matrix import (
+    check_square,
+    first_asymmetry,
+    submatrix,
+    write_affinity,
+)
 
 try:  # pragma: no cover - exercised implicitly by every test run
     from scipy import sparse as _sp
@@ -106,27 +111,36 @@ def _check_dense(m, *, name: str = "matrix") -> np.ndarray:
         raise MappingError(str(exc)) from exc
 
 
+def _check_entries(data: np.ndarray, *, name: str = "matrix") -> None:
+    """The finiteness and sign checks over a sparse matrix's stored
+    entries."""
+    if not np.isfinite(data).all():
+        raise MappingError(f"{name} contains non-finite entries")
+    if data.size and data.min() < 0:
+        raise MappingError(f"{name} contains negative entries")
+
+
 def _check_csr(m, *, name: str = "matrix"):
     """CSR analogue of :func:`repro.util.matrix.check_square`."""
     csr = _sp.csr_array(m, dtype=np.float64)
     if csr.ndim != 2 or csr.shape[0] != csr.shape[1]:
         raise MappingError(f"{name} must be square 2-D, got shape {csr.shape}")
-    if not np.isfinite(csr.data).all():
-        raise MappingError(f"{name} contains non-finite entries")
-    if csr.data.size and csr.data.min() < 0:
-        raise MappingError(f"{name} contains negative entries")
+    _check_entries(csr.data, name=name)
     csr.sum_duplicates()
     csr.sort_indices()
     return csr
 
 
-def check_affinity(m) -> None:
-    """Raise MappingError naming the first defect of affinity matrix *m*.
+def check_affinity(m):
+    """Return affinity matrix *m* validated, or raise MappingError
+    naming its first defect.
 
     An affinity must pass the checks a communication matrix does
     (square, finite, non-negative) and be symmetric, which rules out an
     upper- or lower-triangle-only matrix. A sparse one is checked over
-    its stored entries, so the cost is linear in the input.
+    its stored entries, so the cost is linear in the input, and returned
+    as canonical CSR; a dense one is walked in row blocks and tiles, so
+    no temporary of its size is allocated, and returned as float64.
     """
     if HAVE_SPARSE and _sp.issparse(m):
         a = _check_csr(m, name="affinity matrix")
@@ -134,20 +148,21 @@ def check_affinity(m) -> None:
         if (np.array_equal(a.indptr, t.indptr)
                 and np.array_equal(a.indices, t.indices)
                 and np.array_equal(a.data, t.data)):
-            return
+            return a
         # Unequal storage can still hold equal values (an explicit zero
         # facing an absent entry), so compare the values themselves.
         differ = (a != a.T).tocoo()
-        pairs = np.stack([differ.row, differ.col], axis=1)
+        pair = (int(differ.row[0]), int(differ.col[0])) if differ.nnz else None
     else:
         a = _check_dense(m, name="affinity matrix")
-        pairs = np.argwhere(a != a.T)
-    if pairs.size:
-        i, j = (int(x) for x in pairs[0])
+        pair = first_asymmetry(a)
+    if pair is not None:
+        i, j = pair
         raise MappingError(
             f"affinity matrix is not symmetric: [{i}, {j}] = "
             f"{float(a[i, j])!r} but [{j}, {i}] = {float(a[j, i])!r}"
         )
+    return a
 
 
 def _sym_zero_diag_csr(m):
@@ -330,9 +345,25 @@ class CommunicationMatrix:
         Always dense; use :meth:`affinity_sparse` for the CSR view when
         the instance is too large to densify.
         """
+        return self.affinity_into(np.zeros((self.order, self.order)))
+
+    def affinity_into(self, out: np.ndarray) -> np.ndarray:
+        """Write :meth:`affinity` into ``out[:order, :order]``; returns *out*.
+
+        *out* is a zero-filled float64 array of at least this order; the
+        rest of it is left as it is. No temporary of the matrix's order
+        is made: a CSR matrix scatters the stored entries of its CSR
+        affinity, a dense one is copied in, then its transpose added and
+        the diagonal zeroed — the values of ``m + m.T`` element for
+        element.
+        """
+        n = self.order
         if self.is_sparse:
-            return _sym_zero_diag_csr(self._m).toarray()
-        return zero_diagonal(symmetrize(self._m))
+            coo = _sym_zero_diag_csr(self._m).tocoo()
+            out[coo.row, coo.col] = coo.data
+        else:
+            write_affinity(out[:n, :n], self._m)
+        return out
 
     def affinity_sparse(self):
         """The affinity view as a CSR array (requires scipy)."""
@@ -340,7 +371,7 @@ class CommunicationMatrix:
             raise MappingError("scipy is not installed; no CSR affinity")
         if self.is_sparse:
             return _sym_zero_diag_csr(self._m)
-        return _sp.csr_array(zero_diagonal(symmetrize(self._m)))
+        return _sp.csr_array(self.affinity())
 
     def affinity_any(self):
         """Affinity in the native backend: CSR when sparse, else dense.
@@ -350,7 +381,7 @@ class CommunicationMatrix:
         """
         if self.is_sparse:
             return _sym_zero_diag_csr(self._m)
-        return zero_diagonal(symmetrize(self._m))
+        return self.affinity()
 
     def total_traffic(self) -> float:
         """Total off-diagonal traffic (both directions)."""

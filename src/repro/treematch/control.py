@@ -19,9 +19,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import MappingError
-from repro.util.matrix import check_square
+from repro.treematch.commmatrix import check_affinity
 
-__all__ = ["ControlPlan", "extend_for_control_threads", "CONTROL_EPSILON"]
+__all__ = [
+    "ControlPlan",
+    "plan_control_threads",
+    "add_control_edges",
+    "extend_for_control_threads",
+    "CONTROL_EPSILON",
+]
 
 #: Relative weight of control↔task affinity edges; small enough never to
 #: perturb the grouping of compute threads, large enough to pull a control
@@ -42,6 +48,48 @@ class ControlPlan:
     slots: int = 0
 
 
+def plan_control_threads(
+    p: int, n_control: int, n_leaves: int, *, hyperthreading: bool
+) -> ControlPlan:
+    """The control plan for *p* compute threads on *n_leaves* leaves.
+
+    Decided from the counts alone, so a caller can size its matrix
+    (``p + plan.slots``) before building it.
+    """
+    if n_control < 0:
+        raise MappingError(f"n_control must be >= 0, got {n_control}")
+    if n_control == 0:
+        return ControlPlan("os", 0)
+    if hyperthreading:
+        # Sibling PUs absorb control threads; the matrix is unchanged
+        # because compute mapping happens at core granularity.
+        return ControlPlan("ht-sibling", 0)
+    spare = n_leaves - p
+    if spare <= 0:
+        return ControlPlan("os", 0)
+    return ControlPlan("spare-core", min(spare, n_control))
+
+
+def add_control_edges(m: np.ndarray, p: int, owners: list[int]) -> None:
+    """Give control pseudo-thread ``p + s`` its affinity towards compute
+    thread ``owners[s]``, in place.
+
+    ``m[:p, :p]`` is the compute affinity and rows and columns
+    ``p .. p + len(owners) - 1`` of *m* are zero. Each edge weighs
+    ``CONTROL_EPSILON`` times the heaviest compute affinity (1 when
+    there is none).
+    """
+    if not owners:
+        return
+    a = m[:p, :p]
+    scale = float(a.max()) if a.size and a.max() > 0 else 1.0
+    eps = CONTROL_EPSILON * scale
+    for s, owner in enumerate(owners):
+        if not 0 <= owner < p:
+            raise MappingError(f"control owner {owner} outside [0, {p})")
+        m[p + s, owner] = m[owner, p + s] = eps
+
+
 def extend_for_control_threads(
     m: np.ndarray,
     n_control: int,
@@ -52,43 +100,28 @@ def extend_for_control_threads(
 ) -> tuple[np.ndarray, ControlPlan]:
     """Return the (possibly extended) affinity matrix and the control plan.
 
-    *m* is the compute-thread affinity matrix (symmetric). *n_leaves* is
-    the number of compute-granularity leaves of the tree (cores when
-    hyperthread-aware, PUs otherwise).
+    *m* is the compute-thread affinity matrix; it must pass
+    :func:`~repro.treematch.commmatrix.check_affinity` (square, finite,
+    non-negative, symmetric). *n_leaves* is the number of
+    compute-granularity leaves of the tree (cores when hyperthread-aware,
+    PUs otherwise). :func:`~repro.treematch.mapping.treematch_map` plans
+    with :func:`plan_control_threads` and writes the edges into its own
+    matrix with :func:`add_control_edges` instead.
     """
-    a = check_square(m, name="affinity matrix")
+    a = check_affinity(m)
     p = a.shape[0]
-    if n_control < 0:
-        raise MappingError(f"n_control must be >= 0, got {n_control}")
-
-    if n_control == 0:
-        return a, ControlPlan("os", 0)
-
-    if hyperthreading:
-        # Sibling PUs absorb control threads; the matrix is unchanged
-        # because compute mapping happens at core granularity.
-        return a, ControlPlan("ht-sibling", 0)
-
-    spare = n_leaves - p
-    if spare <= 0:
-        return a, ControlPlan("os", 0)
-
-    slots = min(spare, n_control)
+    plan = plan_control_threads(p, n_control, n_leaves,
+                                hyperthreading=hyperthreading)
+    if not plan.slots:
+        return a, plan
     owners = control_owners if control_owners is not None else [
-        i % p for i in range(slots)
+        i % p for i in range(plan.slots)
     ]
-    if len(owners) < slots:
+    if len(owners) < plan.slots:
         raise MappingError(
-            f"{len(owners)} control owners for {slots} control slots"
+            f"{len(owners)} control owners for {plan.slots} control slots"
         )
-    scale = float(a.max()) if a.size and a.max() > 0 else 1.0
-    eps = CONTROL_EPSILON * scale
-
-    ext = np.zeros((p + slots, p + slots))
+    ext = np.zeros((p + plan.slots, p + plan.slots))
     ext[:p, :p] = a
-    for s in range(slots):
-        owner = owners[s]
-        if not 0 <= owner < p:
-            raise MappingError(f"control owner {owner} outside [0, {p})")
-        ext[p + s, owner] = ext[owner, p + s] = eps
-    return ext, ControlPlan("spare-core", slots)
+    add_control_edges(ext, p, owners[: plan.slots])
+    return ext, plan

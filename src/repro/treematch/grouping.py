@@ -23,7 +23,8 @@ from math import comb
 import numpy as np
 
 from repro.errors import MappingError
-from repro.util.matrix import check_square
+from repro.treematch.commmatrix import check_affinity
+from repro.util.matrix import row_blocks
 
 __all__ = [
     "group_processes",
@@ -110,9 +111,11 @@ def group_processes(
     Groups and their members are returned in a canonical order (each
     group led by its smallest member, groups sorted by leader) so results
     are deterministic. *stats* is forwarded to :func:`refine_groups` when
-    the refinement pass runs.
+    the refinement pass runs. *m* must pass
+    :func:`~repro.treematch.commmatrix.check_affinity` (square, finite,
+    non-negative, symmetric; :class:`MappingError` names the defect).
     """
-    a = check_square(m, name="affinity matrix")
+    a = check_affinity(m)
     p = a.shape[0]
     if arity <= 0:
         raise MappingError(f"arity must be positive, got {arity}")
@@ -226,7 +229,16 @@ def group_greedy(m: np.ndarray, arity: int) -> list[list[int]]:
     witness column is retired) instead of rescanning the p x p matrix, and
     each grow step updates the group-attraction vector incrementally — so
     the engine stays near-linear even at thousands of threads.
+
+    *m* is any finite, non-negative square matrix; its diagonal is never
+    selected. Rows of *m* are read in place, with no p x p copy: the
+    first row maxima come from row blocks whose diagonal is set to -inf,
+    and a refreshed row sets its own column to -inf. Every other
+    diagonal entry only reaches a retired column, which the mask sends
+    to -inf anyway, so each selection, ties included, is that of
+    grouping on a copy with a -inf diagonal.
     """
+    m = np.asarray(m, dtype=np.float64)
     p = m.shape[0]
     if arity == 1:
         return [[i] for i in range(p)]
@@ -235,15 +247,19 @@ def group_greedy(m: np.ndarray, arity: int) -> list[list[int]]:
     # and each grow step is two in-place vector adds plus one C-level
     # argmax into preallocated buffers — no allocation, no strided
     # writes, identical selections (ties resolve on the same values).
-    work = np.array(m, dtype=np.float64)
-    np.fill_diagonal(work, -np.inf)
     free = np.ones(p, dtype=bool)
     n_free = p
     mask = np.zeros(p)
     cand = np.empty(p)
     attract = np.empty(p)
-    row_max = work.max(axis=1)
-    row_arg = work.argmax(axis=1)
+    row_max = np.empty(p)
+    row_arg = np.empty(p, dtype=np.intp)
+    for rows in row_blocks(p, p):
+        block = m[rows].copy()
+        local = np.arange(block.shape[0])
+        block[local, local + rows.start] = -np.inf
+        row_max[rows] = block.max(axis=1)
+        row_arg[rows] = block.argmax(axis=1)
     groups: list[list[int]] = []
 
     def retire(i: int) -> None:
@@ -261,7 +277,8 @@ def group_greedy(m: np.ndarray, arity: int) -> list[list[int]]:
                 return i, j
             # Stale witness: recompute this row's maximum over free
             # columns (the mask sends retired ones to -inf).
-            np.add(work[i], mask, out=cand)
+            np.add(m[i], mask, out=cand)
+            cand[i] = -np.inf
             row_max[i] = cand.max()
             row_arg[i] = cand.argmax()
 
@@ -271,7 +288,7 @@ def group_greedy(m: np.ndarray, arity: int) -> list[list[int]]:
             break
         seed_i, seed_j = heaviest_pair()
         group = [seed_i, seed_j]
-        np.add(work[seed_i], work[seed_j], out=attract)
+        np.add(m[seed_i], m[seed_j], out=attract)
         retire(seed_i)
         retire(seed_j)
         while len(group) < arity:
@@ -279,7 +296,7 @@ def group_greedy(m: np.ndarray, arity: int) -> list[list[int]]:
             best = int(cand.argmax())
             retire(best)
             group.append(best)
-            attract += work[best]
+            attract += m[best]
         groups.append(group)
     return groups
 
@@ -334,6 +351,13 @@ def refine_groups(
     rounds run, including the final no-improvement one) and ``"swaps"``
     (exchanges applied) across calls — how warm-start convergence is
     counted rather than timed.
+
+    *m* is not validated. Every caller derives it from a matrix that
+    was checked already: :func:`group_processes` and ``split_k`` check
+    their input, and ``treematch_map`` builds its matrices from a
+    validated :class:`~repro.treematch.commmatrix.CommunicationMatrix`.
+    One ``repro-paper map`` pass makes 275 calls, so a check here would
+    repeat that work 275 times.
     """
     groups = [list(g) for g in groups]
     k = len(groups)
@@ -361,6 +385,7 @@ def refine_groups(
     indicator = np.zeros((n, k))
     indicator[np.arange(n), asg] = 1.0
     attraction = sub @ indicator
+    del indicator
 
     rows = np.arange(n)
     # Row r's pair term -2 m[r, c] never exceeds -low[r].
@@ -372,38 +397,46 @@ def refine_groups(
     dirty = np.ones(n, dtype=bool)
     sweeps = 0
     swaps = 0
+    # Filled in place each sweep, so no sweep holds two generations of
+    # these n x k arrays at once.
+    delta = np.empty((n, k))
+    delta_t = np.empty((k, n))
+    outer = np.empty((n, k))
     for _ in range(max(8 * max_rounds, 16)):
         sweeps += 1
         own = attraction[rows, asg]
-        delta = attraction - own[:, None]
+        np.subtract(attraction, own[:, None], out=delta)
         # delta_t[g, j] = delta[j, g], contiguous so that each block
         # gathers whole rows of it.
-        delta_t = np.ascontiguousarray(delta.T)
+        np.copyto(delta_t, delta.T)
         # The gain of a pair of clean rows is unchanged since the last
         # sweep, so a clean row only merges its gains toward the dirty
         # columns, unless its best partner is one of them.
         full = dirty | ((best_gain > _MIN_GAIN) & dirty[best_j])
         clean = np.flatnonzero(~full)
-        if clean.size:
-            cols = np.flatnonzero(dirty)
-            gain = np.take(delta[clean], asg[cols], axis=1)
-            gain += delta_t[asg[clean, None], cols]
-            gain -= 2.0 * sub[clean[:, None], cols]
-            np.putmask(gain, asg[clean, None] == asg[cols], -np.inf)
+        cols = np.flatnonzero(dirty)
+        # Rows are independent here; row blocks bound the gain
+        # temporaries, which would otherwise be clean x dirty.
+        for part in row_blocks(clean.size, cols.size):
+            blk = clean[part]
+            gain = np.take(delta[blk], asg[cols], axis=1)
+            gain += delta_t[asg[blk, None], cols]
+            gain -= 2.0 * sub[blk[:, None], cols]
+            np.putmask(gain, asg[blk, None] == asg[cols], -np.inf)
             arg = gain.argmax(axis=1)
-            new_gain = gain[np.arange(clean.size), arg]
+            new_gain = gain[rows[: blk.size], arg]
             new_j = cols[arg]
-            old_gain = best_gain[clean]
+            old_gain = best_gain[blk]
             # A tie goes to the lower column index, as in a full argmax.
             win = (new_gain > old_gain) | (
-                (new_gain == old_gain) & (new_j < best_j[clean])
+                (new_gain == old_gain) & (new_j < best_j[blk])
             )
-            best_gain[clean[win]] = new_gain[win]
-            best_j[clean[win]] = new_j[win]
+            best_gain[blk[win]] = new_gain[win]
+            best_j[blk[win]] = new_j[win]
         # No gain of row r exceeds its best other-group delta, plus the
         # largest delta an outsider has toward r's group, plus -low[r];
         # rounding is monotone, so neither does any computed gain.
-        outer = delta.copy()
+        np.copyto(outer, delta)
         outer[rows, asg] = -np.inf
         bound = (outer.max(axis=1) + outer.max(axis=0)[asg]) - low
         best_gain[full] = -np.inf

@@ -16,7 +16,11 @@ from repro.errors import MappingError
 from repro.topology.tree import Topology
 from repro.treematch.aggregate import aggregate_comm_matrix
 from repro.treematch.commmatrix import CommunicationMatrix
-from repro.treematch.control import ControlPlan, extend_for_control_threads
+from repro.treematch.control import (
+    ControlPlan,
+    add_control_edges,
+    plan_control_threads,
+)
 from repro.treematch.grouping import _canonical, group_processes, refine_groups
 from repro.treematch.maporder import child_distance_matrix, order_top_groups
 from repro.treematch.oversub import manage_oversubscription
@@ -358,17 +362,19 @@ def treematch_map(
       :func:`refine_groups` call, which is how warm-start convergence
       is counted. Raises :class:`MappingError` when the warm placement
       is structurally incompatible.
+
+    The run holds one ``lv × lv`` float64 matrix, lv being the compute
+    and control-slot count rounded up to a multiple of the leaf count:
+    the affinity is written into it in place, and every level above the
+    first works on its small aggregates.
     """
     if warm_start is not None:
         _check_warm_start(topology, warm_start)
     p = comm.order
     if p == 0:
         raise MappingError("empty communication matrix")
-    aff = comm.affinity()
 
     leaf_objs, arities, granularity = _leaf_view(topology, hyperthread_aware)
-    core_mode = granularity == "core"
-    n_leaves = len(leaf_objs)
 
     owners = control_owners if control_owners is not None else [
         j % p for j in range(n_control)
@@ -378,24 +384,21 @@ def treematch_map(
             f"{len(owners)} control owners for {n_control} control threads"
         )
 
-    # Line 1: extend the matrix to manage control threads.
-    ext, control_plan = extend_for_control_threads(
-        aff,
-        n_control,
-        n_leaves,
-        hyperthreading=core_mode,
-        control_owners=owners[: max(0, n_leaves - p)],
+    # Line 1: control pseudo-threads extend the matrix to p_ext.
+    control_plan = plan_control_threads(
+        p, n_control, len(leaf_objs), hyperthreading=granularity == "core"
     )
-    p_ext = ext.shape[0]
+    p_ext = p + control_plan.slots
 
     # Line 2: manage oversubscription with a virtual level.
     plan = manage_oversubscription(list(arities), p_ext)
     lv = plan.virtual_leaves
 
-    # Pad with dummy (zero-communication) threads up to the leaf count.
-    m_cur = np.zeros((lv, lv))
-    m_cur[:p_ext, :p_ext] = ext
-    del aff, ext  # p x p and dead from here: free it before grouping
+    # The one lv x lv matrix of the run: the affinity, the control
+    # edges and zero-communication padding threads up to the leaf
+    # count, written in place.
+    m_cur = comm.affinity_into(np.zeros((lv, lv)))
+    add_control_edges(m_cur, p, owners[: control_plan.slots])
 
     # Lines 4-7: group bottom-up, aggregating between levels.
     clusters: list[list[int]] = [[i] for i in range(lv)]

@@ -6,6 +6,7 @@ values, bit for bit.
 """
 
 import json
+import os
 
 import pytest
 
@@ -24,6 +25,7 @@ from repro.parallel import (
     run_jobs,
     source_digest,
 )
+from repro.parallel import executor
 
 TINY = Scale("tiny", lk23_n=256, lk23_iterations=2, matmul_n=512,
              video_frames=3, video_frames_4k=2)
@@ -90,6 +92,43 @@ class TestDefaultJobs:
     def test_negative_worker_count_rejected(self):
         with pytest.raises(ReproError, match="n_jobs must be >= 0, got -1"):
             run_jobs([tiny_job()], n_jobs=-1, cache=False)
+
+    def test_zero_counts_cpus_in_the_affinity_mask(self, monkeypatch):
+        # A taskset or cgroup mask of three CPUs, whatever the machine has.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1, 4, 6},
+                            raising=False)
+        monkeypatch.setenv(JOBS_ENV, "0")
+        assert executor.available_cpus() == 3
+        assert default_jobs() == 3
+
+        sizes = []
+
+        class Pool:
+            """Records the pool size; runs nothing."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return [{"seed": job.seed} for job in jobs]
+
+        monkeypatch.setattr(executor, "ProcessPoolExecutor", Pool)
+        jobs = [tiny_job(seed=s) for s in range(5)]
+        assert run_jobs(jobs, n_jobs=0, cache=False) == [
+            {"seed": s} for s in range(5)
+        ]
+        assert sizes == [3]
+
+    def test_shard_reexports_the_cpu_count(self):
+        from repro.sim import shard
+
+        assert shard.available_cpus is executor.available_cpus
 
 
 class TestResultCache:

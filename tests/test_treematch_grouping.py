@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.errors import MappingError
 from repro.treematch.aggregate import aggregate_comm_matrix
+from repro.treematch.control import extend_for_control_threads
 from repro.treematch.grouping import (
     OPTIMAL_SEARCH_LIMIT,
     group_greedy,
@@ -221,6 +222,87 @@ class TestAggregate:
                 ref[gi, gj] = ref[gj, gi] = w
         np.testing.assert_allclose(
             aggregate_comm_matrix(m, groups), ref, atol=1e-9
+        )
+
+
+def _one_nan():
+    m = np.ones((4, 4))
+    np.fill_diagonal(m, 0.0)
+    m[1, 2] = np.nan
+    return m
+
+
+def _upper_only():
+    return np.triu(np.arange(1.0, 37.0).reshape(6, 6), 1)
+
+
+def _negative():
+    m = np.ones((4, 4))
+    m[0, 3] = m[3, 0] = -1.0
+    return m
+
+
+#: ``(make, message)``: one defect each; the triangle is an asymmetry.
+BAD_INPUTS = {
+    "nan": (_one_nan, "non-finite"),
+    "upper-only": (_upper_only, r"not symmetric: \[0, 1\] = 2.0 but \[1, 0\] = 0.0"),
+    "non-square": (lambda: np.ones((4, 6)), "square"),
+    "negative": (_negative, "negative"),
+}
+
+
+def _pairs(m):
+    return [[i, i + 1] for i in range(0, m.shape[0], 2)]
+
+
+#: The public grouping entry points, each with valid other arguments.
+ENTRY_POINTS = {
+    "group_processes": lambda m: group_processes(m, 2),
+    "extend_for_control_threads": lambda m: extend_for_control_threads(
+        m, 2, 8, hyperthreading=False
+    ),
+    "aggregate_comm_matrix": lambda m: aggregate_comm_matrix(m, _pairs(m)),
+}
+
+
+class TestTypedValidation:
+    """A bad matrix fails with MappingError naming the defect."""
+
+    @pytest.mark.parametrize("entry, defect", [
+        (entry, defect)
+        for entry in sorted(ENTRY_POINTS)
+        for defect in sorted(BAD_INPUTS)
+        # Aggregation accepts asymmetric input (see below).
+        if (entry, defect) != ("aggregate_comm_matrix", "upper-only")
+    ])
+    def test_rejects(self, entry, defect):
+        make, message = BAD_INPUTS[defect]
+        with pytest.raises(MappingError, match=message):
+            ENTRY_POINTS[entry](make())
+
+    def test_aggregate_accepts_upper_triangle(self):
+        m = _upper_only()
+        groups = _pairs(m)
+        ref = np.zeros((3, 3))
+        for gi in range(3):
+            for gj in range(gi + 1, 3):
+                ref[gi, gj] = ref[gj, gi] = m[np.ix_(groups[gi], groups[gj])].sum()
+        assert np.array_equal(aggregate_comm_matrix(m, groups), ref)
+
+    @pytest.mark.parametrize("defect", ["nan", "negative", "non-square"])
+    def test_sparse_aggregate_checks_stored_entries(self, defect):
+        sp = pytest.importorskip("scipy.sparse")
+        make, message = BAD_INPUTS[defect]
+        m = make()
+        with pytest.raises(MappingError, match=message):
+            aggregate_comm_matrix(sp.csr_array(m), _pairs(m))
+
+    def test_sparse_aggregate_accepts_upper_triangle(self):
+        sp = pytest.importorskip("scipy.sparse")
+        m = _upper_only()
+        assert np.array_equal(
+            aggregate_comm_matrix(sp.csr_array(m), _pairs(m)),
+            aggregate_comm_matrix(m, _pairs(m)),
         )
 
 

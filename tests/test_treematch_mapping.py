@@ -296,6 +296,26 @@ class TestScale:
         assert sorted(pl.thread_to_pu) == list(range(2048))
         assert elapsed < 30.0
 
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_dense_path_holds_one_leaf_order_matrix(self, sparse):
+        # 2000 tasks on 160 PUs pad to lv = 2080 virtual leaves, and one
+        # lv x lv float64 matrix is 33 MiB. One such matrix plus
+        # refine_groups' lv x 160 arrays peaks at 1.44 of it on either
+        # backend; a second lv x lv copy (of the input's affinity, or a
+        # working copy in the greedy engine) would reach 2.0.
+        import tracemalloc
+
+        lv = 2080
+        comm = CommunicationMatrix.stencil2d(2000, sparse=sparse)
+        tracemalloc.start()
+        try:
+            pl = treematch_map(smp20e7(), comm)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sorted(pl.thread_to_pu) == list(range(2000))
+        assert peak < 1.7 * lv * lv * 8
+
 
 class TestBaselineStrategies:
     def test_compact_uses_siblings_first(self):

@@ -6,7 +6,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.util.matrix import check_square, submatrix, symmetrize, zero_diagonal
+from repro.util.matrix import (
+    check_square,
+    first_asymmetry,
+    row_blocks,
+    submatrix,
+    write_affinity,
+)
 from repro.util.rng import BlockRng, derive_rng, make_rng
 
 squareish = arrays(
@@ -33,16 +39,48 @@ class TestMatrixHelpers:
         with pytest.raises(ValueError):
             check_square([[0, -1], [0, 0]])
 
-    @given(squareish)
-    def test_symmetrize_is_symmetric(self, m):
-        s = symmetrize(m)
-        assert np.allclose(s, s.T)
-        assert np.allclose(s, m + m.T)
+    def test_check_square_names_defect_in_later_block(self):
+        # Row blocks hold 1 MB, so order 600 spans several; non-finite
+        # entries are reported before negative ones wherever they sit.
+        m = np.zeros((600, 600))
+        m[5, 7] = -1.0
+        m[590, 2] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            check_square(m)
+        m[590, 2] = 0.0
+        with pytest.raises(ValueError, match="negative"):
+            check_square(m)
 
-    def test_zero_diagonal(self):
-        m = zero_diagonal([[5, 1], [2, 7]])
-        assert m[0, 0] == 0 and m[1, 1] == 0
-        assert m[0, 1] == 1 and m[1, 0] == 2
+    def test_row_blocks_cover_rows_once(self):
+        blocks = row_blocks(1000, 600)
+        assert len(blocks) > 1
+        assert [i for b in blocks for i in range(b.start, b.stop)] == list(
+            range(1000)
+        )
+        assert row_blocks(0, 0) == []
+
+    @given(squareish)
+    def test_write_affinity_is_symmetric_sum(self, m):
+        s = write_affinity(np.empty_like(m), m)
+        ref = m + m.T
+        np.fill_diagonal(ref, 0.0)
+        assert np.array_equal(s, ref)
+        assert np.array_equal(s, s.T)
+
+    def test_write_affinity_zero_diagonal(self):
+        m = np.array([[5.0, 1.0], [2.0, 7.0]])
+        out = np.full((2, 2), 9.0)
+        assert write_affinity(out, m) is out
+        assert out.tolist() == [[0.0, 3.0], [3.0, 0.0]]
+
+    def test_first_asymmetry_row_major_across_tiles(self):
+        m = np.ones((700, 700))
+        assert first_asymmetry(m) is None
+        m[650, 3] = 2.0  # mirror pair (3, 650) comes first row-major
+        m[600, 690] = 5.0
+        assert first_asymmetry(m) == (3, 650)
+        m[650, 3] = 1.0
+        assert first_asymmetry(m) == (600, 690)
 
     def test_submatrix_order(self):
         m = np.arange(9).reshape(3, 3).astype(float)
