@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 __all__ = [
     "SEVERITIES",
@@ -208,8 +209,104 @@ class Report:
 
 
 def json_text(obj) -> str:
-    """The one JSON serialization used across the CLI (stable keys)."""
-    return json.dumps(obj, indent=1, sort_keys=False)
+    """The one JSON serialization used across the CLI (stable keys).
+
+    The text is ``json.dumps(obj, indent=1)``, byte for byte. The
+    standard library renders indented JSON with its pure-Python encoder,
+    one generator step per value; plain JSON values — exact ``dict``
+    with ``str`` keys, ``list``, ``tuple``, ``str``, ``int``, ``float``,
+    ``bool`` and ``None`` — are rendered here instead, with the string
+    and number functions the encoder itself uses. A container whose
+    members are all exact ints (for a dict: str keys and int values),
+    such as a placement's thread-to-PU table, is one join of per-item
+    strings. Anything else — subclasses, other key types, objects JSON
+    cannot encode, circular references — goes to ``json.dumps`` whole,
+    with its output and its exceptions.
+    """
+    try:
+        return _render(obj, "\n", set())
+    except (_NotPlain, RecursionError):
+        return json.dumps(obj, indent=1)
+
+
+class _NotPlain(Exception):
+    """A value :func:`_render` leaves to ``json.dumps``."""
+
+
+def _render(o, nl: str, open_ids: set) -> str:
+    """*o* as ``json.dumps(o, indent=1)`` renders it at the indentation
+    that *nl* (a newline and the current indent) sets; *open_ids* holds
+    the ids of the containers being rendered around *o*."""
+    t = type(o)
+    if t is str:
+        return encode_basestring_ascii(o)
+    if t is int:
+        return int.__repr__(o)
+    if t is float:
+        return _float_text(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if t is dict:
+        brackets = "{}"
+    elif t is list or t is tuple:
+        brackets = "[]"
+    else:
+        raise _NotPlain
+    if not o:
+        return brackets
+    if id(o) in open_ids:
+        raise _NotPlain  # circular: json.dumps raises ValueError
+    open_ids.add(id(o))
+    inner = nl + " "
+    sep = "," + inner
+    if t is not dict:
+        if _all_of(int, o):
+            body = sep.join(map(int.__repr__, o))
+        else:
+            body = sep.join([_render(v, inner, open_ids) for v in o])
+    elif _all_of(str, o) and _all_of(int, o.values()):
+        parts = [None, ": ", None, sep] * len(o)
+        parts[0::4] = map(encode_basestring_ascii, o)
+        parts[2::4] = map(int.__repr__, o.values())
+        parts.pop()
+        body = "".join(parts)
+    else:
+        body = sep.join([
+            _key_text(k) + ": " + _render(v, inner, open_ids)
+            for k, v in o.items()
+        ])
+    open_ids.discard(id(o))
+    return brackets[0] + inner + body + nl + brackets[1]
+
+
+def _all_of(t: type, items) -> bool:
+    """True when every item's type is exactly *t*."""
+    return {t}.issuperset(map(type, items))
+
+
+def _key_text(key) -> str:
+    """A dict key as json.dumps renders a ``str`` key."""
+    if type(key) is not str:
+        raise _NotPlain  # json.dumps converts or rejects other keys
+    return encode_basestring_ascii(key)
+
+
+_INF = float("inf")
+
+
+def _float_text(x: float) -> str:
+    """A float as json.dumps renders it (``allow_nan=True``)."""
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
 
 
 #: Severity mapping into SARIF's result levels.

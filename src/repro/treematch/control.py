@@ -114,6 +114,11 @@ def extend_for_control_threads(
                                 hyperthreading=hyperthreading)
     if not plan.slots:
         return a, plan
+    if p == 0:
+        raise MappingError(
+            f"empty affinity matrix: {plan.slots} control slots but no "
+            "compute thread to own them"
+        )
     owners = control_owners if control_owners is not None else [
         i % p for i in range(plan.slots)
     ]

@@ -113,9 +113,16 @@ def group_processes(
     are deterministic. *stats* is forwarded to :func:`refine_groups` when
     the refinement pass runs. *m* must pass
     :func:`~repro.treematch.commmatrix.check_affinity` (square, finite,
-    non-negative, symmetric; :class:`MappingError` names the defect).
+    non-negative, symmetric; :class:`MappingError` names the defect) and
+    be dense: the grouping engines index rows of a 2-D array, so a scipy
+    sparse matrix raises :class:`MappingError` too.
     """
     a = check_affinity(m)
+    if not isinstance(a, np.ndarray):
+        raise MappingError(
+            f"the grouping engines take a dense affinity matrix, got "
+            f"{type(m).__name__}; densify it first"
+        )
     p = a.shape[0]
     if arity <= 0:
         raise MappingError(f"arity must be positive, got {arity}")

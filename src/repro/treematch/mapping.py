@@ -543,23 +543,21 @@ def _leaf_view(
 PARALLEL_MIN_TASKS = 8192
 
 
-def _pad_affinity(aff, lv: int):
-    """Extend *aff* with zero-communication padding rows up to order *lv*."""
-    n = int(aff.shape[0])
+def _padded_affinity(comm: CommunicationMatrix, lv: int):
+    """*comm*'s affinity with zero-communication padding rows up to
+    order *lv*: CSR when *comm* is sparse, else dense, written once
+    into its ``lv x lv`` array."""
+    if not comm.is_sparse:
+        return comm.affinity_into(np.zeros((lv, lv)))
+    csr = comm.affinity_any()
+    n = comm.order
     if lv == n:
-        return aff
-    if _sp is not None and _sp.issparse(aff):
-        csr = _sp.csr_array(aff)
-        indptr = np.concatenate([
-            np.asarray(csr.indptr, dtype=np.int64),
-            np.full(lv - n, csr.indptr[-1], dtype=np.int64),
-        ])
-        return _sp.csr_array(
-            (csr.data, csr.indices, indptr), shape=(lv, lv)
-        )
-    out = np.zeros((lv, lv))
-    out[:n, :n] = aff
-    return out
+        return csr
+    indptr = np.concatenate([
+        np.asarray(csr.indptr, dtype=np.int64),
+        np.full(lv - n, csr.indptr[-1], dtype=np.int64),
+    ])
+    return _sp.csr_array((csr.data, csr.indices, indptr), shape=(lv, lv))
 
 
 def _order_block(aff, arities: list[int]) -> list[int]:
@@ -586,14 +584,12 @@ def _order_block(aff, arities: list[int]) -> list[int]:
         # Terminal blocks: the remainder cannot reorder within a part
         # (each part lands on one leaf / becomes singletons), so skip
         # the per-part submatrix extraction entirely.
-        return [int(i) for part in parts for i in part]
-    out: list[int] = []
+        return np.concatenate(parts).tolist()
+    out = []
     for part in parts:
         ia = np.asarray(part, dtype=np.intp)
-        sub = take_submatrix(aff, ia)
-        for q in _order_block(sub, rest):
-            out.append(int(ia[q]))
-    return out
+        out.append(ia[_order_block(take_submatrix(aff, ia), rest)])
+    return np.concatenate(out).tolist()
 
 
 def map_order_block(
@@ -665,7 +661,7 @@ def _subtree_orders(
             0,
         ))
     payloads = run_jobs(jobs, n_jobs=n_jobs, cache=cache)
-    return [[int(q) for q in payload["order"]] for payload in payloads]
+    return [payload["order"] for payload in payloads]
 
 
 def multilevel_map(
@@ -703,7 +699,7 @@ def multilevel_map(
 
     plan = manage_oversubscription(arities, p)
     lv = plan.virtual_leaves
-    aff = _pad_affinity(comm.affinity_any(), lv)
+    aff = _padded_affinity(comm, lv)
 
     seq = [a for a in plan.arities if a > 1]
     if seq:
@@ -725,17 +721,21 @@ def multilevel_map(
         sub_orders = _subtree_orders(
             aff, parts, seq[1:], n_jobs=n_jobs, cache=cache
         )
-        flat: list[int] = []
-        for part, sub_order in zip(parts, sub_orders):
-            for q in sub_order:
-                flat.append(part[q])
+        flat = np.concatenate([
+            np.asarray(part, dtype=np.intp)[sub_order]
+            for part, sub_order in zip(parts, sub_orders)
+        ])
     else:
-        flat = list(range(lv))
+        flat = np.arange(lv)
 
-    thread_to_pu: dict[int, int] = {}
-    for q, tid in enumerate(flat):
-        if tid < p:
-            thread_to_pu[tid] = leaf_objs[q // plan.factor].os_index
+    # Position q of flat is virtual leaf q, i.e. physical leaf
+    # q // factor; the padding tasks (ids >= p) bind nothing. The
+    # placement lists threads in position order.
+    leaf_os = np.array([leaf.os_index for leaf in leaf_objs], dtype=np.intp)
+    q = np.flatnonzero(flat < p)
+    thread_to_pu = dict(zip(
+        flat[q].tolist(), leaf_os[q // plan.factor].tolist()
+    ))
     return Placement(
         thread_to_pu=thread_to_pu,
         control_mode="os",

@@ -14,14 +14,19 @@ isolated vertices, orders 0, 1 and 2, permuted stencils, whose
 coarsening stalls at about 2.7% of their order, far above its target,
 and permuted rings, which coarsen all the way. One hand-built graph
 has a row whose nonzeros, summed in CSR order, beat the row that
-``sub.sum(axis=1)`` ranks first.
+``sub.sum(axis=1)`` ranks first. The families of
+:class:`TestMatchingRounds` cover the split of the library's matching
+into vectorized rounds and a sequential loop.
 """
+
+import sys
 
 import numpy as np
 import pytest
 
 from repro.treematch.bisect import _grow_side, _partition_weighted
 from repro.treematch.coarsen import (
+    ROUND_MIN_SHARE,
     coarsen,
     csr_parts,
     heavy_edge_matching,
@@ -132,6 +137,82 @@ class TestMatchingAgainstOracle:
             _assert_same_matching(
                 level.indptr, level.indices, level.data, level.n
             )
+
+
+def _path(n: int) -> CommunicationMatrix:
+    return CommunicationMatrix.from_edges(
+        n, {(i, i + 1): 100.0 for i in range(n - 1)}
+    )
+
+
+def _heavy_pairs(n: int, seed: int) -> np.ndarray:
+    """Disjoint pairs (2i, 2i + 1) of weight 10 joined by random edges of
+    weight 1: every pair edge is locally dominant, so round 1 matches
+    them all and drops every other edge."""
+    rng = np.random.default_rng(seed)
+    m = np.zeros((n, n))
+    ev = np.arange(0, n, 2)
+    m[ev, ev + 1] = m[ev + 1, ev] = 10.0
+    a, b = rng.integers(0, n, size=(2, 3 * n))
+    light = a // 2 != b // 2
+    m[a[light], b[light]] = m[b[light], a[light]] = 1.0
+    return m
+
+
+def _float_ties(n: int, seed: int) -> np.ndarray:
+    """Sparse random float weights rounded to one decimal: ten distinct
+    values, so long runs of exact ties."""
+    rng = np.random.default_rng(seed)
+    w = np.round(rng.random((n, n)), 1) * (rng.random((n, n)) < 0.03)
+    return _sym(w)
+
+
+#: Inputs for the round structure of the matching. With the default
+#: ROUND_MIN_SHARE, the sequential loop runs on every level of the
+#: natural-label rings, paths and stencil: their first round matches
+#: one edge (the stencil's coarser levels: a few dozen) and the loop
+#: takes every other edge. Round 1 matches the heavy pairs' first level
+#: completely, the float-tie graphs finish in rounds alone, and orders
+#: 0-2 have at most one edge.
+ROUND_FAMILIES = {
+    "ring-2000": lambda: _ring(2000).affinity_any(),
+    "ring-2001": lambda: _ring(2001).affinity_any(),
+    "path-2000": lambda: _path(2000).affinity_any(),
+    "stencil-2500": lambda: CommunicationMatrix.stencil2d(2500).affinity_any(),
+    "heavy-pairs-600": lambda: _heavy_pairs(600, 1),
+    "float-ties-600": lambda: _float_ties(600, 2),
+    "order-0": lambda: np.zeros((0, 0)),
+    "order-1": lambda: np.zeros((1, 1)),
+    "order-2": lambda: np.array([[0.0, 1.0], [1.0, 0.0]]),
+}
+
+
+class TestMatchingRounds:
+    """Every coarsening level of every round family matches the oracle
+    under three round-to-loop switches: the library's, never (rounds
+    until no edge is left) and after round 1 whatever it resolved (the
+    sequential loop takes the survivors of one round)."""
+
+    @pytest.mark.parametrize("share", [
+        pytest.param(ROUND_MIN_SHARE, id="default"),
+        pytest.param(0.0, id="rounds-only"),
+        pytest.param(2.0, id="loop-after-round-1"),
+    ])
+    @pytest.mark.parametrize("name", sorted(ROUND_FAMILIES))
+    def test_every_level(self, name, share, monkeypatch):
+        monkeypatch.setattr(
+            sys.modules["repro.treematch.coarsen"], "ROUND_MIN_SHARE", share
+        )
+        for level in coarsen(ROUND_FAMILIES[name](), target=8):
+            _assert_same_matching(
+                level.indptr, level.indices, level.data, level.n
+            )
+
+    def test_heavy_pairs_match_completely(self):
+        m = _heavy_pairs(600, 1)
+        coarse_of, n_coarse = heavy_edge_matching(*csr_parts(m))
+        assert n_coarse == 300
+        assert np.array_equal(coarse_of, np.arange(600) // 2)
 
 
 class TestPartitionAgainstOracle:

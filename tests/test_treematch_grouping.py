@@ -305,6 +305,20 @@ class TestTypedValidation:
             aggregate_comm_matrix(m, _pairs(m)),
         )
 
+    def test_group_processes_rejects_sparse(self):
+        sp = pytest.importorskip("scipy.sparse")
+        m = np.ones((4, 4))
+        np.fill_diagonal(m, 0.0)
+        with pytest.raises(MappingError, match="dense affinity matrix"):
+            group_processes(sp.csr_array(m), 2)
+        assert group_processes(m, 2) == [[0, 1], [2, 3]]
+
+    def test_control_extension_rejects_empty_matrix(self):
+        with pytest.raises(MappingError, match="empty affinity matrix"):
+            extend_for_control_threads(
+                np.zeros((0, 0)), 2, 8, hyperthreading=False
+            )
+
 
 def exhaustive_best_weight(m, arity):
     """Unpruned reference for group_optimal: enumerate every partition."""

@@ -331,6 +331,41 @@ class TestMultilevelMap:
         with pytest.raises(MappingError):
             multilevel_map(topo, CommunicationMatrix(np.zeros((0, 0))))
 
+    def test_threads_listed_in_leaf_order(self):
+        # Placements list threads by virtual leaf; their JSON form
+        # keeps that key order.
+        from repro.treematch.mapping import _leaf_view
+
+        topo = machine_by_name("SMP20E7")
+        pl = multilevel_map(topo, CommunicationMatrix.stencil2d(640))
+        leaves = [leaf.os_index for leaf in _leaf_view(topo, True)[0]]
+        ranks = [leaves.index(pu) for pu in pl.thread_to_pu.values()]
+        assert ranks == sorted(ranks)
+
+    @needs_scipy
+    def test_dense_backed_input_is_held_once(self):
+        # 2,000 tasks on SMP20E7 pad to lv = 2,080 virtual leaves. The
+        # sparse-backed run peaks at split_k's own working set, about
+        # 0.36 lv^2 * 8 B (the 1,040-vertex level is densified for
+        # refine_groups); a dense-backed input adds its one lv x lv
+        # affinity. Copying an n x n affinity into the padded matrix
+        # held two of them: 1.93 lv^2 * 8 B in all.
+        import tracemalloc
+
+        topo = machine_by_name("SMP20E7")
+        lv = 2080
+        peaks, placements = {}, {}
+        for sparse in (True, False):
+            comm = CommunicationMatrix.stencil2d(2000, sparse=sparse)
+            tracemalloc.start()
+            try:
+                placements[sparse] = multilevel_map(topo, comm)
+                _, peaks[sparse] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert placements[False] == placements[True]
+        assert peaks[False] < peaks[True] + 1.1 * lv * lv * 8
+
     @needs_scipy
     def test_sparse_and_dense_backends_agree(self):
         topo = machine_by_name("SMP20E7")
