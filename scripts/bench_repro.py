@@ -123,72 +123,6 @@ def engine_ring_events(
     return machine.engine.events_processed, time.perf_counter() - t0
 
 
-def shard_smoke() -> tuple[tuple, float]:
-    """Tiny 2-shard halo ring, workers=1 vs workers=2: one fingerprint.
-
-    The cheapest end-to-end exercise of the conservative shard protocol
-    — program build, epochs, message exchange, forked workers — with the
-    determinism invariant as the pass criterion.
-    """
-    from repro.sim.shard import halo_ring_scenario, run_sharded
-
-    t0 = time.perf_counter()
-    sc = halo_ring_scenario(
-        2, width=4, iters=2, flops=4e6, nbytes=1 << 13, latency=5e7
-    )
-    runs = run_sharded(sc, workers=1), run_sharded(sc, workers=2)
-    return runs, time.perf_counter() - t0
-
-
-def shard_scaling_probe() -> tuple[dict, float]:
-    """4-machine halo ring at 1/2/4 workers: invariance + wall clock,
-    recorded with the CPU count that decides whether the speedup is
-    gated (:func:`scaling_gate_skipped`)."""
-    from repro.sim.shard import available_cpus, halo_ring_scenario, run_sharded
-
-    t0 = time.perf_counter()
-    sc = halo_ring_scenario(
-        4, width=192, iters=60, flops=2e8, nbytes=1 << 16, latency=1e9
-    )
-    entry: dict = {"cpus_available": available_cpus(), "workers": {}}
-    fingerprints = set()
-    base = None
-    for w in (1, 2, 4):
-        r = run_sharded(sc, workers=w)
-        fingerprints.add(r.fingerprint)
-        entry["workers"][str(w)] = {
-            "wall_seconds": round(r.wall_seconds, 3),
-            "events": r.events_processed,
-        }
-        if w == 1:
-            base = r.wall_seconds
-        print(
-            f"  shard_scaling workers={w}: {r.wall_seconds:.3f}s "
-            f"({r.events_processed} events, {r.epochs} epochs)",
-            flush=True,
-        )
-    entry["epochs"] = r.epochs
-    entry["messages"] = r.messages
-    entry["fingerprint_invariant"] = len(fingerprints) == 1
-    w4 = entry["workers"]["4"]["wall_seconds"]
-    entry["speedup_at_4"] = round(base / w4, 2) if w4 > 0 else None
-    return entry, time.perf_counter() - t0
-
-
-def scaling_gate_skipped(cpus: int | None = None) -> str | None:
-    """Why the >= 2.5x scaling gate cannot apply with *cpus* CPUs (this
-    process's by default), or None. Below 4 CPUs the speedup is
-    necessarily ~1x: the record says why instead of encoding an
-    impossible expectation."""
-    if cpus is None:
-        from repro.sim.shard import available_cpus
-
-        cpus = available_cpus()
-    if cpus >= 4:
-        return None
-    return f"skipped ({cpus} cpu available; the speedup gate needs >= 4)"
-
-
 def fig4_probe() -> dict:
     """Wall-clock of one quick-scale Fig. 4 sweep (no cache, one worker)."""
     from repro.experiments.figures import fig4_lk23
@@ -437,10 +371,10 @@ def adaptive_overhead_probe(controlled: bool) -> tuple[int, float]:
 
     Both sides run the *windowed* drain at the controller's window
     spacing — the per-epoch teardown/re-entry cost of ``run_window`` is
-    the execution substrate's (the shard driver pays it with no
-    controller in sight), so the baseline includes it and the ratio
-    isolates what the controller itself adds: the telemetry tap, the
-    window fold and the drift score. The controller performs zero
+    paid by any windowed loop, so the uncontrolled baseline
+    (``run_windowed``) pays it too and the ratio isolates what the
+    controller itself adds: the telemetry tap, the window fold and the
+    drift score. The controller performs zero
     remaps here (virtual time is bit-identical to the uncontrolled
     run), and the addition is gated at <= 5%.
     """
@@ -496,7 +430,7 @@ class Verdict(NamedTuple):
 
     ok: bool
     text: str
-    fields: dict | None = None
+    fields: dict
 
 
 class Row(NamedTuple):
@@ -506,12 +440,10 @@ class Row(NamedTuple):
     without ``against``). ``quick_pairs`` replaces ``pairs`` under
     ``--quick``; None skips the row there. ``gate(ratios, num, den,
     recorded)`` gets :func:`_paired_ratios`' result and the committed
-    value of the ``key`` section's ``recorded`` field. ``skip`` says why
-    ``--check`` leaves the row out on this machine; full mode still
-    measures and records it.
+    value of the ``key`` section's ``recorded`` field.
     """
 
-    key: str | None
+    key: str
     probe: Callable[[], tuple]
     against: Callable[[], tuple] | None
     pairs: int
@@ -519,7 +451,6 @@ class Row(NamedTuple):
     inner: int
     gate: Callable[..., Verdict]
     recorded: str | None = None
-    skip: Callable[[], str | None] = lambda: None
 
 
 def _floor_gate(ratios, num, den, recorded: float | None) -> Verdict:
@@ -567,31 +498,6 @@ def _tap_gate(ratios, num, den, recorded: float | None) -> Verdict:
         f"(allowed <= {TAP_TOLERANCE:.0%}{UNSTABLE * (ratio < 1.0)})",
         {"events": ev_t, "seconds": dt_t, "events_per_second": ev_t / dt_t,
          "overhead_vs_batched": round(ratio, 3), "unstable": ratio < 1.0},
-    )
-
-
-def _shard_smoke_gate(ratios, num, den, recorded: float | None) -> Verdict:
-    one, two = num[0]
-    match = one.fingerprint == two.fingerprint
-    return Verdict(
-        match,
-        f"shard smoke fingerprint {one.fingerprint[:16]} ({one.epochs} "
-        f"epochs, {one.messages} msgs), workers 1 vs 2 "
-        f"{'match' if match else 'MISMATCH'}",
-    )
-
-
-def _scaling_gate(ratios, num, den, recorded: float | None) -> Verdict:
-    entry = num[0]
-    cpus, speedup = entry["cpus_available"], entry["speedup_at_4"]
-    skipped = scaling_gate_skipped(cpus)
-    ok = skipped is not None or (speedup or 0) >= 2.5
-    gate = skipped or ("pass" if ok else "FAIL (< 2.5x)")
-    return Verdict(
-        ok,
-        f"shard scaling speedup at 4 workers {speedup}x on {cpus} cpus "
-        f"(required >= 2.5x; gate {gate})",
-        {**entry, "gate": gate},
     )
 
 
@@ -655,8 +561,8 @@ def _phase_stable_gate(ratios, num, den, recorded: float | None) -> Verdict:
 
 #: The probe table, in gate order. ``--check`` stops at the first failing
 #: gate; full mode measures every row and merges each row's fields into
-#: its ``BENCH_sim.json`` section (the two ``adaptive_remap`` rows share
-#: one). The shard smoke is a gate only.
+#: its ``BENCH_sim.json`` section. The two ``adaptive_remap`` rows share
+#: one: both run the adaptive controller's ``run_window`` epochs.
 ROWS = (
     #   key, probe, against, pairs, quick_pairs, inner, gate
     Row("engine_ring", engine_ring_events, None, 5, 3, 1, _floor_gate),
@@ -665,9 +571,6 @@ ROWS = (
         recorded="batched_vs_object_speedup"),
     Row("engine_ring_traced", lambda: engine_ring_events(traced=True),
         engine_ring_events, 5, 5, 3, _tap_gate),
-    Row(None, shard_smoke, None, 1, 1, 1, _shard_smoke_gate),
-    Row("shard_scaling", shard_scaling_probe, None, 1, None, 1,
-        _scaling_gate, skip=scaling_gate_skipped),
     Row("mapping_check", mapping_probe, numpy_canary, 5, None, 3,
         _mapping_gate, recorded="probe_vs_canary_ratio"),
     Row("adaptive_remap", adaptive_static_probe, adaptive_adaptive_probe,
@@ -745,10 +648,6 @@ def run_check(record: dict, quick: bool = False) -> int:
     """Walk :data:`ROWS` and apply each gate; 1 at the first failure."""
     rows = [row for row in ROWS if not quick or row.quick_pairs]
     for row in rows:
-        reason = row.skip()
-        if reason:
-            print(f"bench_repro --check: {row.key} gate {reason}")
-            continue
         pairs = row.quick_pairs if quick else row.pairs
         if not _measure(row, pairs, record, "bench_repro --check: ").ok:
             return 1
@@ -764,8 +663,7 @@ def run_full(previous: dict) -> int:
     record: dict = {"timestamp": time.strftime("%Y-%m-%dT%H:%M:%S")}
     for row in ROWS:
         verdict = _measure(row, row.pairs, previous, "bench_repro: ")
-        if row.key:
-            record.setdefault(row.key, {}).update(verdict.fields)
+        record.setdefault(row.key, {}).update(verdict.fields)
     for key, probe in RECORD_ONLY:
         print(f"bench_repro: running {key} ...", flush=True)
         record[key] = probe()

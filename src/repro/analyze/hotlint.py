@@ -94,11 +94,6 @@ _RULE_CODES = {
 HOT_TARGETS: tuple[tuple[str, str, tuple[str, ...]], ...] = (
     ("repro/sim/machine.py", "SimMachine._run_batched",
      ("alloc", "self-attr", "tap")),
-    # The sharded sync loop runs once per conservative epoch — far
-    # cooler than per-event, but a per-message allocation inside it
-    # scales with traffic, so it stays under the alloc rule with
-    # amortized costs suppressed in place.
-    ("repro/sim/shard.py", "run_sharded", ("alloc",)),
     ("repro/sim/engine.py", "Engine.run", ("alloc", "tap")),
     ("repro/sim/cache.py", "L3State.install", ("alloc",)),
     # The ring recorders _bind_add builds once per RingTrace: the

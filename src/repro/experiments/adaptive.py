@@ -234,9 +234,10 @@ def run_windowed(declared: str, setup: AdaptSetup | None = None,
 
     This is the honest baseline for the controller-overhead probe: the
     windowed drain pays a per-epoch teardown/re-entry cost that exists
-    with or without a controller on top (the shard driver pays it too),
-    so comparing the controlled run against it isolates what the
-    *controller* adds. ``docs/ADAPTIVE.md`` reports both components.
+    with or without a controller on top (any loop of ``run_window``
+    calls pays it), so comparing the controlled run against it isolates
+    what the *controller* adds. ``docs/ADAPTIVE.md`` reports both
+    components.
     """
     if window_cycles is None:
         window_cycles = adapt_config().window_cycles

@@ -37,10 +37,9 @@ def available_cpus() -> int:
 
     ``sched_getaffinity`` where available (cgroup/taskset aware — the
     honest number for "can 4 workers really run in parallel here"),
-    ``os.cpu_count()`` otherwise. ``REPRO_JOBS=0``, ``run_jobs(n_jobs=0)``,
-    ``run_sharded(workers="auto")`` and the ``shard_scaling`` bench gate
-    all consult this, so a 1-CPU CI container records *why* it skipped
-    the speedup claim instead of silently failing it.
+    ``os.cpu_count()`` otherwise. ``REPRO_JOBS=0`` and
+    ``run_jobs(n_jobs=0)`` size the worker pool by it, and the
+    benchmark's provenance record reports it next to ``nproc``.
     """
     try:
         return len(os.sched_getaffinity(0))

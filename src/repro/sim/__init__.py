@@ -31,15 +31,6 @@ from repro.sim.process import (
     Wait,
     YieldCPU,
 )
-from repro.sim.shard import (
-    Channel,
-    Scenario,
-    ShardRunResult,
-    ShardSpec,
-    halo_ring_scenario,
-    register_program,
-    run_sharded,
-)
 
 __all__ = [
     "CostModel",
@@ -55,11 +46,4 @@ __all__ = [
     "MetricsRegistry",
     "RingTrace",
     "SimObserver",
-    "Channel",
-    "Scenario",
-    "ShardSpec",
-    "ShardRunResult",
-    "register_program",
-    "run_sharded",
-    "halo_ring_scenario",
 ]

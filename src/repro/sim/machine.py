@@ -42,11 +42,13 @@ applications plus a generated program family). When editing one path,
 mirror the other — the equivalence tests will catch any drift.
 
 :meth:`run_window` drains events only up to a virtual-time horizon and
-may be called repeatedly — the epoch primitive :mod:`repro.sim.shard`
-builds its conservative multi-machine synchronization on. Events in
-flight at a horizon stay where each core keeps them (the engine heap,
-the batched core's calendar) until the next call;
-:attr:`SimMachine.pending` counts them.
+may be called repeatedly — the epoch primitive of the adaptive
+controller (:mod:`repro.affinity`), which folds telemetry and may
+rebind threads between windows; callbacks an outside driver puts on the
+engine with ``engine.schedule_at`` between windows run in the window
+that covers their timestamp. Events in flight at a horizon stay where
+each core keeps them (the engine heap, the batched core's calendar)
+until the next call; :attr:`SimMachine.pending` counts them.
 """
 
 from __future__ import annotations
@@ -201,8 +203,9 @@ class SimMachine:
         #: Virtual time (cycles) at which the event queue last made
         #: progress. run_window() quantizes ``engine.now`` up to the
         #: epoch horizon even when the queue drained early, so windowed
-        #: drivers (repro.sim.shard, repro.affinity) read the honest
-        #: program end time here; run() sets it to the final clock.
+        #: drivers (the adaptive controller and its uncontrolled
+        #: baseline) read the honest program end time here; run() sets
+        #: it to the final clock.
         self.window_drained_at = 0.0
         self._ran = False
 
@@ -349,13 +352,15 @@ class SimMachine:
     ) -> float:
         """Drain events with timestamps ``<= until``; may be called again.
 
-        The epoch primitive of :mod:`repro.sim.shard`: a shard driver
-        alternates ``run_window(T_k)`` with cross-shard message exchange,
-        and the conservative window bound guarantees no event inside the
-        window depends on a message that arrives at a later one. Between
-        windows the machine is quiescent at a well-defined virtual time:
-        in-flight busy chunks and wakeups stay where the core keeps them
-        (the object path's engine heap, the batched core's calendar), and
+        The epoch primitive of the adaptive controller
+        (:mod:`repro.affinity`): it alternates ``run_window(T_k)`` with
+        folding the window's telemetry and, when the drift score asks,
+        rebinding threads. An outside driver may equally schedule
+        callbacks between windows with ``engine.schedule_at``; they run
+        in the window that covers their timestamp. Between windows the
+        machine is quiescent at a well-defined virtual time: in-flight
+        busy chunks and wakeups stay where the core keeps them (the
+        object path's engine heap, the batched core's calendar), and
         :attr:`pending` counts them.
 
         Differences from :meth:`run`: no deadlock check (threads are
@@ -397,9 +402,9 @@ class SimMachine:
         if self.engine.events_processed > ev0:
             self.window_drained_at = self.engine.now
         # The clock of a windowed run advances to the horizon even when
-        # the queue drains early — the shard protocol equates "machine
-        # time" with the epoch boundary, and a later window may receive
-        # messages stamped anywhere inside (T_{k-1}, T_k].
+        # the queue drains early: machine time is the epoch boundary, so
+        # engine.schedule_at takes an outside callback stamped at or
+        # after T_k and rejects one inside a window that already ran.
         if self.engine.now < until:
             self.engine.now = until
         return self.elapsed_seconds
@@ -420,8 +425,9 @@ class SimMachine:
         between windows (the adaptive controller and its uncontrolled
         baseline): after such a window nothing can wake the blocked
         threads again. :meth:`run_window` does not check this itself — a
-        shard's machine legitimately idles until a cross-shard message
-        arrives.
+        driver that schedules ``engine.schedule_at`` callbacks between
+        windows may legitimately leave every thread blocked until its
+        next callback wakes one.
         """
         if self.pending:
             return

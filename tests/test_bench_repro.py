@@ -8,7 +8,6 @@ what one gate, the table walk or the record reader does with them.
 import importlib.util
 import json
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -19,23 +18,11 @@ _spec = importlib.util.spec_from_file_location(
 bench_repro = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_repro)
 
-_SMOKE = SimpleNamespace(fingerprint="27a350a418f4b72e" * 4, epochs=3,
-                         messages=4)
-_SCALING = {
-    "cpus_available": 8,
-    "workers": {str(w): {"wall_seconds": 1.2 / w, "events": 599263}
-                for w in (1, 2, 4)},
-    "epochs": 71, "messages": 480, "fingerprint_invariant": True,
-    "speedup_at_4": 3.1,
-}
-
 #: gate name -> (probe result, against result) that passes the gate.
 PASSING = {
     "_floor_gate": ((3430, 0.020), None),
     "_core_gate": ((3430, 0.040), (3430, 0.020)),
     "_tap_gate": ((3430, 0.022), (3430, 0.020)),
-    "_shard_smoke_gate": (((_SMOKE, _SMOKE), 0.1), None),
-    "_scaling_gate": ((_SCALING, 2.0), None),
     "_mapping_gate": ((1, 0.60), (1, 0.10)),
     "_phase_shift_gate": (({"stencil": 0.038, "transpose": 0.020}, 0.020),
                           ({"remaps": [], "windows": 18}, 0.013)),
@@ -49,11 +36,6 @@ FAILING = {
     "_core_gate": (((3430, 0.030), (3430, 0.020)),
                    "engine_batched 171,500 ev/s"),
     "_tap_gate": (((3430, 0.027), (3430, 0.020)), "engine_ring_traced"),
-    "_shard_smoke_gate": (
-        (((_SMOKE, SimpleNamespace(fingerprint="0" * 64)), 0.1), None),
-        "shard smoke fingerprint"),
-    "_scaling_gate": ((({**_SCALING, "speedup_at_4": 2.0}, 2.0), None),
-                      "shard scaling speedup"),
     "_mapping_gate": (((1, 1.30), (1, 0.10)), "mapping probe/canary"),
     "_phase_shift_gate": (
         (({"stencil": 0.038, "transpose": 0.014}, 0.014),
@@ -90,12 +72,11 @@ def stub_rows(monkeypatch, calls, **results):
         rows.append(row._replace(
             probe=stub(name, probe),
             against=against and stub(name, against),
-            skip=lambda: None,
         ))
     monkeypatch.setattr(bench_repro, "ROWS", tuple(rows))
 
 
-def test_table_has_the_eight_gates_in_order():
+def test_table_has_the_six_gates_in_order():
     assert [row.gate.__name__ for row in bench_repro.ROWS] == GATES
 
 
@@ -104,7 +85,7 @@ def test_all_rows_pass(record, monkeypatch, capsys):
     stub_rows(monkeypatch, calls)
     assert bench_repro.main(["--check"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 8 and all(ln.endswith("[ok]") for ln in lines)
+    assert len(lines) == 6 and all(ln.endswith("[ok]") for ln in lines)
     assert list(dict.fromkeys(calls)) == GATES
 
 
@@ -126,10 +107,10 @@ def test_quick_runs_only_the_quick_rows(record, monkeypatch, capsys):
     stub_rows(monkeypatch, calls)
     assert bench_repro.main(["--check", "--quick"]) == 0
     assert list(dict.fromkeys(calls)) == [
-        "_floor_gate", "_core_gate", "_tap_gate", "_shard_smoke_gate"]
+        "_floor_gate", "_core_gate", "_tap_gate"]
     assert capsys.readouterr().out.splitlines()[-1] == (
-        "bench_repro --check: shard_scaling, mapping_check, adaptive_remap "
-        "gates skipped (--quick)")
+        "bench_repro --check: mapping_check, adaptive_remap gates skipped "
+        "(--quick)")
 
 
 def test_pair_counts():
@@ -209,14 +190,6 @@ def test_negative_tap_overhead_is_unstable_and_passes(record, monkeypatch,
     assert tap.endswith("[ok]")
 
 
-def test_scaling_gate_skips_below_four_cpus():
-    assert bench_repro.scaling_gate_skipped(4) is None
-    assert bench_repro.scaling_gate_skipped(2).startswith("skipped (2 cpu")
-    slow = {**_SCALING, "cpus_available": 2, "speedup_at_4": 1.3}
-    verdict = bench_repro._scaling_gate([], (slow, 2.0), None, None)
-    assert verdict.ok and verdict.fields["gate"].startswith("skipped")
-
-
 def test_full_mode_records_under_the_committed_keys(record, monkeypatch):
     committed = json.loads(record.read_text())
     previous = {**committed, "gone_probe": {"seconds": 1.0}}
@@ -232,7 +205,7 @@ def test_full_mode_records_under_the_committed_keys(record, monkeypatch):
     written = json.loads(record.read_text())
     assert set(written) == set(committed)
     for key in ("engine_ring", "engine_batched", "engine_ring_traced",
-                "shard_scaling", "mapping_check", "adaptive_remap"):
+                "mapping_check", "adaptive_remap"):
         assert set(written[key]) == set(committed[key]), key
     assert set(written["previous"]) == set(written) - {"previous"}
     assert written["previous"]["engine_ring"] == committed["engine_ring"]

@@ -23,20 +23,37 @@ PACKAGES = sorted(
 )
 
 
-@pytest.mark.parametrize("package", PACKAGES)
-def test_imports_first(package):
+def run_fresh(code: str) -> subprocess.CompletedProcess:
+    """Run *code* in a new interpreter that imports repro from this tree."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, (str(ROOT.parent), env.get("PYTHONPATH")))
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", f"import {package}"],
+    return subprocess.run(
+        [sys.executable, "-c", code],
         capture_output=True,
         text=True,
         env=env,
         timeout=120,
     )
+
+
+@pytest.mark.parametrize("package", PACKAGES)
+def test_imports_first(package):
+    proc = run_fresh(f"import {package}")
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_simulator_sits_below_the_executor():
+    """``repro.sim`` loads no ``repro.parallel`` module: the cell executor
+    runs simulations, never the other way round."""
+    proc = run_fresh(
+        "import sys, repro.sim\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[:2] == ['repro', 'parallel']))"
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "[]"
 
 
 def test_every_subpackage_listed():

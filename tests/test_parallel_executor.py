@@ -126,6 +126,9 @@ class TestDefaultJobs:
         assert sizes == [3]
 
     def test_shard_reexports_the_cpu_count(self):
+        """``bench/run.py``'s ``provenance()`` imports ``available_cpus``
+        from ``repro.sim.shard``; the module stays as that re-export
+        until the benchmark imports it from the executor."""
         from repro.sim import shard
 
         assert shard.available_cpus is executor.available_cpus

@@ -5,9 +5,10 @@ The cross-core bit-identity contract itself is pinned by
 module covers core selection defaults, per-thread state the batched
 core reads live rather than from columns sized at run entry (threads
 registered and bindings changed while it drains), and
-:meth:`SimMachine.run_window` (the shard-protocol epoch primitive)
-agreeing with a one-shot run on both cores, including bindings changed
-between windows, outside engine callbacks and a mid-bucket budget stop.
+:meth:`SimMachine.run_window` (the adaptive controller's epoch
+primitive) agreeing with a one-shot run on both cores, including
+bindings changed between windows, outside ``engine.schedule_at``
+callbacks and a mid-bucket budget stop.
 """
 
 from __future__ import annotations
@@ -171,12 +172,14 @@ class TestRunWindow:
             m.run_window(1e8)
 
     def test_window_advances_clock_to_horizon(self):
-        # Even a drained machine reports the horizon: the shard protocol
-        # equates machine time with the epoch boundary so messages
-        # stamped inside (T_{k-1}, T_k] are always schedulable.
+        # Even a drained machine reports the horizon: machine time is
+        # the epoch boundary, so an outside callback stamped inside the
+        # window that already ran is rejected, not run out of order.
         m = mixed_machine("batched")
         m.run_window(1e13)  # everything completes well before this
         assert m.engine.now == 1e13
+        with pytest.raises(SimulationError, match="in the past"):
+            m.engine.schedule_at(1e12, lambda: None)
 
     def test_window_respects_event_budget(self):
         m = mixed_machine("batched")
