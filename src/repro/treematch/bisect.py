@@ -13,8 +13,8 @@ Process Mapping*, Schulz & Woydt):
    greedily grows one side by affinity until it holds its share of the
    fine-task weight,
 3. uncoarsen: project the partition level by level, running the
-   ``refine_groups`` delta-gain local search on every level small enough
-   to densify, and
+   ``refine_groups`` delta-gain local search on the CSR rows of every
+   level of order up to :data:`REFINE_LIMIT` (no level is densified), and
 4. restore exact part sizes at the finest level with gain-aware moves
    (coarse vertices are indivisible, so steps 2–3 can overshoot).
 
@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import MappingError
-from repro.treematch.coarsen import _row_ids, coarsen, parts_to_dense
+from repro.treematch.coarsen import _row_ids, _spans, _take_parts, coarsen
 from repro.treematch.commmatrix import check_affinity
 from repro.treematch.grouping import group_processes, refine_groups
 
@@ -42,8 +42,10 @@ __all__ = ["split_k", "DIRECT_LIMIT", "REFINE_LIMIT"]
 #: full matrix — coarsening overhead would exceed the grouping cost.
 DIRECT_LIMIT = 512
 
-#: Coarse levels up to this order are densified for ``refine_groups``
-#: during uncoarsening; larger levels are projected without local search.
+#: Coarse levels up to this order are refined by ``refine_groups`` on
+#: their CSR rows during uncoarsening; larger levels are projected
+#: without local search (a row's full gain evaluation is n floats, so a
+#: sweep can cost O(n^2)).
 REFINE_LIMIT = 2048
 
 #: Coarsening stops around ``max(COARSE_MIN, COARSE_PER_PART * k)``
@@ -61,36 +63,6 @@ def _densify(aff) -> np.ndarray:
     if _sp is not None and _sp.issparse(aff):
         return np.asarray(aff.todense(), dtype=np.float64)
     return np.asarray(aff, dtype=np.float64)
-
-
-def _spans(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One gather of the CSR spans of *rows*, in the order given.
-
-    Returns ``(at, idx)``: entry ``idx[e]`` of the matrix belongs to
-    ``rows[at[e]]``. Span ``r`` starts at ``indptr[rows[r]]`` and sits
-    at ``ends[r] - lens[r]`` of the gather.
-    """
-    lens = indptr[rows + 1] - indptr[rows]
-    ends = np.cumsum(lens)
-    at = np.repeat(np.arange(rows.size), lens)
-    return at, np.arange(ends[-1]) + np.repeat(indptr[rows] - (ends - lens), lens)
-
-
-def _sub_csr(
-    indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, keep: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows and columns *keep* (a mask) of a canonical CSR, renumbered.
-
-    Kept vertices keep their relative order, so the result is canonical
-    too.
-    """
-    rows = _row_ids(indptr)
-    sel = keep[rows] & keep[indices]
-    new_id = np.cumsum(keep) - 1
-    counts = np.bincount(new_id[rows[sel]], minlength=int(keep.sum()))
-    indptr2 = np.zeros(counts.size + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr2[1:])
-    return indptr2, new_id[indices[sel]], data[sel]
 
 
 def _seed(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray) -> int:
@@ -189,16 +161,18 @@ def _partition_weighted(
         k1 = (kk + 1) // 2
         side = _grow_side(ip, ix, dv, weights[idx], per_part * k1)
         for keep, kp in ((side, k1), (~side, kk - k1)):
-            rec(idx[keep], *_sub_csr(ip, ix, dv, keep), kp)
+            rec(idx[keep], *_take_parts(ip, ix, dv, np.flatnonzero(keep)), kp)
 
     rec(np.arange(n), indptr, indices, data, k)
     return asg
 
 
-def _refine_asg(dense: np.ndarray, asg: np.ndarray, k: int) -> np.ndarray:
-    """Run ``refine_groups`` on an assignment array (size-preserving)."""
+def _refine_asg(level, asg: np.ndarray, k: int) -> np.ndarray:
+    """Run ``refine_groups`` on the CSR rows of *level* (a
+    :class:`~repro.treematch.coarsen.CoarseLevel`) and an assignment
+    array (size-preserving)."""
     groups = [np.flatnonzero(asg == g).tolist() for g in range(k)]
-    refined = refine_groups(dense, groups)
+    refined = refine_groups((level.indptr, level.indices, level.data), groups)
     out = np.empty_like(asg)
     for gi, g in enumerate(refined):
         out[np.asarray(g, dtype=np.intp)] = gi
@@ -322,8 +296,7 @@ def split_k(aff, k: int) -> list[list[int]]:
         if lvl.coarse_of is not None:
             asg = asg[lvl.coarse_of]
         if lvl.n <= REFINE_LIMIT:
-            dense = parts_to_dense(lvl.indptr, lvl.indices, lvl.data, lvl.n)
-            asg = _refine_asg(dense, asg, k)
+            asg = _refine_asg(lvl, asg, k)
     finest = levels[0]
     asg = _rebalance_exact(
         finest.indptr, finest.indices, finest.data, asg, k, size

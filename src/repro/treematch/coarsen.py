@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import MappingError
-from repro.treematch.commmatrix import check_affinity
+from repro.treematch.commmatrix import _canonical_csr, check_affinity
 
 try:  # pragma: no cover - optional dependency
     from scipy import sparse as _sp
@@ -74,9 +74,7 @@ def csr_parts(matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     modified.
     """
     if _sp is not None and _sp.issparse(matrix):
-        csr = _sp.csr_array(matrix)
-        csr.sum_duplicates()
-        csr.sort_indices()
+        csr = _canonical_csr(matrix)
         return (
             np.asarray(csr.indptr, dtype=np.int64),
             np.asarray(csr.indices, dtype=np.int64),
@@ -107,11 +105,65 @@ def parts_to_dense(
     return out
 
 
+def _spans(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One gather of the CSR spans of *rows* (non-empty), in the order given.
+
+    Returns ``(at, idx)``: entry ``idx[e]`` of the matrix belongs to
+    ``rows[at[e]]``. Span ``r`` starts at ``indptr[rows[r]]`` and sits
+    at ``ends[r] - lens[r]`` of the gather.
+    """
+    lens = indptr[rows + 1] - indptr[rows]
+    ends = np.cumsum(lens)
+    at = np.repeat(np.arange(rows.size), lens)
+    return at, np.arange(ends[-1]) + np.repeat(indptr[rows] - (ends - lens), lens)
+
+
+def _take_parts(
+    indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, idx: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows and columns *idx* of a canonical CSR, in one gather.
+
+    New vertex ``t`` is old vertex ``idx[t]``; the entries of *idx* must
+    be distinct (:class:`MappingError` otherwise). The result is
+    canonical: a sorted *idx* keeps every row's column order, any other
+    order is re-sorted row by row.
+    """
+    m = idx.size
+    new_id = np.full(indptr.size - 1, -1, dtype=np.int64)
+    new_id[idx] = np.arange(m)
+    if (new_id[idx] != np.arange(m)).any():
+        raise MappingError("submatrix indices repeat a vertex")
+    indptr2 = np.zeros(m + 1, dtype=np.int64)
+    if m == 0:
+        return indptr2, indices[:0], data[:0]
+    at, span = _spans(indptr, idx)
+    cols = new_id[indices[span]]
+    keep = cols >= 0
+    at, cols, vals = at[keep], cols[keep], data[span[keep]]
+    if (idx[1:] < idx[:-1]).any():
+        # at is already sorted; order each row's columns.
+        order = np.argsort(at * m + cols)
+        cols, vals = cols[order], vals[order]
+    np.cumsum(np.bincount(at, minlength=m), out=indptr2[1:])
+    return indptr2, cols, vals
+
+
 def take_submatrix(matrix, idx: np.ndarray):
-    """Rows+columns of *matrix* restricted to *idx*, same backend."""
+    """Rows+columns of *matrix* restricted to *idx*, same backend.
+
+    A sparse *matrix* gives a canonical CSR of its class, built by
+    :func:`_take_parts` from the stored entries of the *idx* rows, with
+    *matrix*'s index dtype.
+    """
     ia = np.asarray(idx, dtype=np.intp)
     if _sp is not None and _sp.issparse(matrix):
-        return matrix[ia][:, ia]
+        csr = _canonical_csr(matrix)
+        ip, ix, dv = _take_parts(csr.indptr, csr.indices, csr.data, ia)
+        cls = _sp.csr_matrix if _sp.isspmatrix(matrix) else _sp.csr_array
+        itype = csr.indices.dtype
+        return cls(
+            (dv, ix.astype(itype), ip.astype(itype)), shape=(ia.size, ia.size)
+        )
     return matrix[np.ix_(ia, ia)]
 
 
@@ -256,8 +308,7 @@ def coarsen(
     """
     if target < 1:
         raise MappingError(f"coarsening target must be >= 1, got {target}")
-    check_affinity(matrix)
-    indptr, indices, data, n = csr_parts(matrix)
+    indptr, indices, data, n = csr_parts(check_affinity(matrix))
     levels = [CoarseLevel(indptr, indices, data, n,
                           np.ones(n, dtype=np.int64))]
     while levels[-1].n > target and len(levels) < max_levels:

@@ -120,15 +120,33 @@ def _check_entries(data: np.ndarray, *, name: str = "matrix") -> None:
         raise MappingError(f"{name} contains negative entries")
 
 
-def _check_csr(m, *, name: str = "matrix"):
-    """CSR analogue of :func:`repro.util.matrix.check_square`."""
+def _canonical_csr(m):
+    """Sparse *m* as a CSR array with sorted, duplicate-free rows.
+
+    *m* is never modified: a canonical CSR input shares its arrays with
+    the result, and any other is canonicalized on a copy.
+    """
+    csr = _sp.csr_array(m)
+    if not csr.has_canonical_format:
+        csr = csr.copy()
+        csr.sum_duplicates()
+    return csr
+
+
+def _check_csr(m, *, name: str = "matrix", copy: bool = False):
+    """CSR analogue of :func:`repro.util.matrix.check_square`.
+
+    Returns a canonical float64 CSR array without modifying *m* (see
+    :func:`_canonical_csr`); *copy* makes its arrays its own even when
+    *m* is canonical already.
+    """
     csr = _sp.csr_array(m, dtype=np.float64)
     if csr.ndim != 2 or csr.shape[0] != csr.shape[1]:
         raise MappingError(f"{name} must be square 2-D, got shape {csr.shape}")
     _check_entries(csr.data, name=name)
-    csr.sum_duplicates()
-    csr.sort_indices()
-    return csr
+    if copy and csr.has_canonical_format:
+        return csr.copy()
+    return _canonical_csr(csr)
 
 
 def check_affinity(m):
@@ -189,7 +207,10 @@ class CommunicationMatrix:
                 self._m = _check_dense(data.toarray(),
                                        name="communication matrix")
             else:
-                self._m = _check_csr(data, name="communication matrix")
+                # A copy, so the caller's matrix and this one never
+                # share arrays.
+                self._m = _check_csr(data, name="communication matrix",
+                                     copy=True)
         else:
             dense = _check_dense(data, name="communication matrix")
             if sparse and HAVE_SPARSE:

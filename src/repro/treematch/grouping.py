@@ -23,8 +23,14 @@ from math import comb
 import numpy as np
 
 from repro.errors import MappingError
-from repro.treematch.commmatrix import check_affinity
+from repro.treematch.coarsen import _row_ids, _spans, _take_parts
+from repro.treematch.commmatrix import _canonical_csr, check_affinity
 from repro.util.matrix import row_blocks
+
+try:  # pragma: no cover - optional dependency
+    from scipy import sparse as _sp
+except ImportError:  # pragma: no cover
+    _sp = None
 
 __all__ = [
     "group_processes",
@@ -324,8 +330,116 @@ _REFINE_BLOCK = 32
 _MIN_GAIN = 1e-12
 
 
+class _DenseRows:
+    """What :func:`refine_groups` reads of a dense affinity: the
+    attraction, the pair terms, a swap's update and the negative-entry
+    term of the gain bound."""
+
+    def __init__(self, sub: np.ndarray) -> None:
+        self.sub = sub
+
+    def attraction(self, asg: np.ndarray, k: int) -> np.ndarray:
+        indicator = np.zeros((asg.size, k))
+        indicator[np.arange(asg.size), asg] = 1.0
+        return self.sub @ indicator
+
+    def low(self) -> np.ndarray | None:
+        row_min = self.sub.min(axis=1)
+        if not (row_min < 0).any():
+            return None
+        return 2.0 * np.minimum(row_min, 0.0)
+
+    def subtract_pairs(self, gain, rows, cols=None) -> None:
+        """``gain -= 2 m[rows, cols]`` (all columns when *cols* is None)."""
+        if cols is None:
+            gain -= 2.0 * self.sub[rows]
+        else:
+            gain -= 2.0 * self.sub[rows[:, None], cols]
+
+    def pair(self, i: int, j: int) -> float:
+        return self.sub[i, j]
+
+    def swap_diff(self, i: int, j: int):
+        """``(where, m[where, j] - m[where, i])`` over every row."""
+        return slice(None), self.sub[:, j] - self.sub[:, i]
+
+
+class _CsrRows:
+    """The same reads of a symmetric canonical CSR affinity.
+
+    Only stored entries are read: an absent entry would subtract or add
+    ``0.0``, which leaves every other operand's bits unchanged.
+    """
+
+    def __init__(self, indptr, indices, data) -> None:
+        self.indptr, self.indices, self.data = indptr, indices, data
+        n = indptr.size - 1
+        self.ptr = indptr.tolist()
+        self.pos = np.full(n, -1, dtype=np.intp)
+        self.scratch = np.zeros(n)
+
+    def attraction(self, asg: np.ndarray, k: int) -> np.ndarray:
+        # Each bin sums its row's entries in stored (column) order.
+        rows = _row_ids(self.indptr)
+        flat = np.bincount(rows * k + asg[self.indices], weights=self.data,
+                           minlength=asg.size * k)
+        return flat.reshape(asg.size, k)
+
+    def low(self) -> np.ndarray | None:
+        if not (self.data < 0).any():
+            return None
+        low = np.zeros(self.indptr.size - 1)
+        np.minimum.at(low, _row_ids(self.indptr), self.data)
+        return 2.0 * low
+
+    def subtract_pairs(self, gain, rows, cols=None) -> None:
+        if cols is None:
+            at, span = _spans(self.indptr, rows)
+            gain[at, self.indices[span]] -= 2.0 * self.data[span]
+            return
+        # By symmetry m[r, c] is stored in row c: gather the rows of
+        # the dirty columns, usually far fewer than the clean rows.
+        at, span = _spans(self.indptr, cols)
+        self.pos[rows] = np.arange(rows.size)
+        r = self.pos[self.indices[span]]
+        self.pos[rows] = -1
+        hit = r >= 0
+        gain[r[hit], at[hit]] -= 2.0 * self.data[span[hit]]
+
+    def pair(self, i: int, j: int) -> float:
+        lo, hi = self.ptr[i], self.ptr[i + 1]
+        t = lo + int(self.indices[lo:hi].searchsorted(j))
+        return self.data[t] if t < hi and self.indices[t] == j else 0.0
+
+    def swap_diff(self, i: int, j: int):
+        """``(where, m[j, where] - m[i, where])`` over the neighbours of
+        *i* and *j*; a neighbour of both is listed twice, with one
+        value."""
+        lo_i, hi_i, lo_j, hi_j = (self.ptr[i], self.ptr[i + 1],
+                                  self.ptr[j], self.ptr[j + 1])
+        ci, cj = self.indices[lo_i:hi_i], self.indices[lo_j:hi_j]
+        s = self.scratch
+        s[cj] = self.data[lo_j:hi_j]
+        s[ci] -= self.data[lo_i:hi_i]
+        where = np.concatenate((ci, cj))
+        diff = s[where]
+        s[where] = 0.0
+        return where, diff
+
+
+def _member_check(members: np.ndarray, p: int) -> None:
+    """Raise MappingError unless *members* are distinct indices below *p*."""
+    if members.size and (members.min() < 0 or members.max() >= p):
+        bad = members[(members < 0) | (members >= p)][0]
+        raise MappingError(f"group member {bad} outside order {p}")
+    counts = np.bincount(members, minlength=p)
+    if (counts > 1).any():
+        dup = int(np.flatnonzero(counts > 1)[0])
+        raise MappingError(f"process {dup} is listed more than once")
+
+
 def refine_groups(
-    m: np.ndarray,
+    m,
     groups: list[list[int]],
     *,
     max_rounds: int = 4,
@@ -335,14 +449,14 @@ def refine_groups(
     any swap increases total intra-group weight.
 
     Delta-gain formulation: with ``A[i, g]`` the attraction of element
-    *i* to group *g* (one matrix product to build, updated incrementally
-    after each applied swap), the gain of exchanging *i* and *j* is
+    *i* to group *g* (built once, updated incrementally after each
+    applied swap), the gain of exchanging *i* and *j* is
     ``A[i, gj] + A[j, gi] - A[i, gi] - A[j, gj] - 2 m[i, j]``. Each sweep
     finds every element's best partner, then applies the best
     non-conflicting swaps in descending-gain order, re-checking each
     candidate's exact gain against the current state so the objective
-    never decreases. Sweeps repeat until none improves (bounded by
-    ``8 * max_rounds`` as a safety stop).
+    never decreases. Sweeps repeat until none improves, at most
+    ``max(8 * max_rounds, 16)`` of them as a safety stop.
 
     Best partners are kept from sweep to sweep. A row is evaluated in
     full (vectorized, in row blocks) only when the last sweep's swaps
@@ -351,52 +465,83 @@ def refine_groups(
     merges just its gains toward the changed rows. The choices, ties
     included, are those of evaluating every pair each sweep.
 
+    *m* is symmetric, in either backend:
+
+    * a dense array. ``A`` is one BLAS product with the group indicator
+      matrix, so its sums follow the BLAS build's order;
+    * CSR: a scipy sparse matrix, or canonical rows ``(indptr, indices,
+      data)`` (sorted, duplicate-free, as ``split_k``'s coarse levels
+      hold them). ``A`` is one ``bincount`` that sums each row's stored
+      entries in column order, and the pair terms and swap updates
+      touch stored entries only, so no n x n array is built. On integer
+      weights whose sums are exact, both backends compute the same bits
+      and make the same choices; on other weights the attraction sums
+      may round differently.
+
+    When no entry of *m* is negative, the same-group pairs are not
+    masked out of the gains: such a pair's gain is ``0 + 0 - 2 m[i, j]
+    <= 0`` (finite sums), below the swap threshold, so the choices stay
+    the same. Signed input keeps the mask.
+
     Only the listed members move; elements of *m* outside *groups* are
-    untouched (the search then runs on the member submatrix).
+    untouched (the search then runs on the member submatrix). Members
+    must be distinct indices of *m* (:class:`MappingError` otherwise).
 
     *stats*, when given, accumulates ``"sweeps"`` (gain-evaluation
     rounds run, including the final no-improvement one) and ``"swaps"``
     (exchanges applied) across calls — how warm-start convergence is
     counted rather than timed.
 
-    *m* is not validated. Every caller derives it from a matrix that
-    was checked already: :func:`group_processes` and ``split_k`` check
-    their input, and ``treematch_map`` builds its matrices from a
-    validated :class:`~repro.treematch.commmatrix.CommunicationMatrix`.
-    One ``repro-paper map`` pass makes 275 calls, so a check here would
-    repeat that work 275 times.
+    *m*'s entries are not validated. Every caller derives it from a
+    matrix that was checked already: :func:`group_processes` and
+    ``split_k`` check their input, and ``treematch_map`` builds its
+    matrices from a validated
+    :class:`~repro.treematch.commmatrix.CommunicationMatrix`. One
+    ``repro-paper map`` pass makes 275 calls, 273 of them on
+    ``split_k``'s coarse levels, so a check here would repeat that work
+    275 times.
     """
     groups = [list(g) for g in groups]
     k = len(groups)
     if k < 2:
         return groups
-    m = np.asarray(m, dtype=np.float64)
-    p = m.shape[0]
+    if isinstance(m, tuple):
+        csr = m
+    elif _sp is not None and _sp.issparse(m):
+        c = _canonical_csr(m)
+        csr = (c.indptr, c.indices, c.data)
+    else:
+        csr = None
+        m = np.asarray(m, dtype=np.float64)
+    p = m.shape[0] if csr is None else csr[0].size - 1
     members = [i for g in groups for i in g]
     n = len(members)
     if n == p and sorted(members) == list(range(p)):
-        sub = m
         local_of: np.ndarray | None = None
         asg = np.empty(n, dtype=np.intp)
         for gi, g in enumerate(groups):
             asg[np.asarray(g, dtype=np.intp)] = gi
     else:
         local_of = np.asarray(members, dtype=np.intp)
-        sub = m[np.ix_(local_of, local_of)]
+        _member_check(local_of, p)
         asg = np.empty(n, dtype=np.intp)
         pos = 0
         for gi, g in enumerate(groups):
             asg[pos : pos + len(g)] = gi
             pos += len(g)
+    if csr is None:
+        aff = _DenseRows(m if local_of is None else m[np.ix_(local_of, local_of)])
+    elif local_of is None:
+        aff = _CsrRows(*csr)
+    else:
+        aff = _CsrRows(*_take_parts(*csr, local_of))
 
-    indicator = np.zeros((n, k))
-    indicator[np.arange(n), asg] = 1.0
-    attraction = sub @ indicator
-    del indicator
-
+    attraction = aff.attraction(asg, k)
     rows = np.arange(n)
-    # Row r's pair term -2 m[r, c] never exceeds -low[r].
-    low = 2.0 * np.minimum(sub.min(axis=1), 0.0)
+    # Row r's pair term -2 m[r, c] never exceeds -low[r]; None when no
+    # entry is negative, and then same-group pairs need no mask.
+    low = aff.low()
+    signed = low is not None
     # Kept across sweeps: best_gain[r] and best_j[r] are exact when
     # best_gain[r] > _MIN_GAIN; otherwise no gain of row r exceeds it.
     best_gain = np.full(n, -np.inf)
@@ -428,8 +573,9 @@ def refine_groups(
             blk = clean[part]
             gain = np.take(delta[blk], asg[cols], axis=1)
             gain += delta_t[asg[blk, None], cols]
-            gain -= 2.0 * sub[blk[:, None], cols]
-            np.putmask(gain, asg[blk, None] == asg[cols], -np.inf)
+            aff.subtract_pairs(gain, blk, cols)
+            if signed:
+                np.putmask(gain, asg[blk, None] == asg[cols], -np.inf)
             arg = gain.argmax(axis=1)
             new_gain = gain[rows[: blk.size], arg]
             new_j = cols[arg]
@@ -445,15 +591,18 @@ def refine_groups(
         # rounding is monotone, so neither does any computed gain.
         np.copyto(outer, delta)
         outer[rows, asg] = -np.inf
-        bound = (outer.max(axis=1) + outer.max(axis=0)[asg]) - low
+        bound = outer.max(axis=1) + outer.max(axis=0)[asg]
+        if signed:
+            bound -= low
         best_gain[full] = -np.inf
         todo = np.flatnonzero(full & (bound > _MIN_GAIN))
         for start in range(0, todo.size, _REFINE_BLOCK):
             blk = todo[start : start + _REFINE_BLOCK]
             gain_blk = np.take(delta[blk], asg, axis=1)
             gain_blk += delta_t[asg[blk]]
-            gain_blk -= 2.0 * sub[blk]
-            np.putmask(gain_blk, asg[blk, None] == asg, -np.inf)
+            aff.subtract_pairs(gain_blk, blk)
+            if signed:
+                np.putmask(gain_blk, asg[blk, None] == asg, -np.inf)
             arg = gain_blk.argmax(axis=1)
             best_j[blk] = arg
             best_gain[blk] = gain_blk[rows[: arg.size], arg]
@@ -474,16 +623,16 @@ def refine_groups(
                 + attraction[j, gi]
                 - attraction[i, gi]
                 - attraction[j, gj]
-                - 2.0 * sub[i, j]
+                - 2.0 * aff.pair(i, j)
             )
             if gain <= _MIN_GAIN:
                 continue
-            # -= diff is bit for bit += sub[:, i] - sub[:, j]. Only rows
+            # -= diff is bit for bit += m[:, i] - m[:, j]. Only rows
             # with diff != 0 get new gains.
-            diff = sub[:, j] - sub[:, i]
-            attraction[:, gi] += diff
-            attraction[:, gj] -= diff
-            dirty |= diff != 0
+            where, diff = aff.swap_diff(i, j)
+            attraction[where, gi] += diff
+            attraction[where, gj] -= diff
+            dirty[where] |= diff != 0
             asg[i], asg[j] = gj, gi
             touched[i] = touched[j] = dirty[i] = dirty[j] = True
             swaps += 1

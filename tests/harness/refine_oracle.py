@@ -9,7 +9,9 @@ stood before the gain evaluation was rewritten for memory locality:
 * :func:`attraction_rows` concatenates one ``np.arange`` per candidate
   vertex;
 * :func:`rebalance_exact` runs every pass's move loop to the end of its
-  candidate list, even after the total excess has reached zero.
+  candidate list, even after the total excess has reached zero;
+* :func:`split_k_densified` is the multilevel ``split_k`` that densifies
+  every coarse level it refines and refines it on the dense backend.
 
 Their logic is kept unchanged as the reference the library versions
 must agree with, group for group, swap for swap and move for move.
@@ -19,7 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["refine_groups", "attraction_rows", "rebalance_exact"]
+__all__ = ["refine_groups", "attraction_rows", "rebalance_exact",
+           "split_k_densified"]
 
 _REFINE_BLOCK = 512
 
@@ -189,3 +192,38 @@ def rebalance_exact(
             loads[asg[v]] -= 1
             loads[dst] += 1
             asg[v] = dst
+
+
+def split_k_densified(aff, k: int) -> list[list[int]]:
+    """Multilevel ``split_k`` with each refined level densified first.
+
+    Only the refinement's input differs from the library: the dense
+    level matrix instead of its CSR rows. For orders above
+    ``DIRECT_LIMIT`` with parts of two or more tasks.
+    """
+    from repro.treematch import bisect
+    from repro.treematch.coarsen import coarsen, parts_to_dense
+    from repro.treematch.grouping import refine_groups as library_refine
+
+    size = aff.shape[0] // k
+    levels = coarsen(
+        aff, target=max(bisect.COARSE_MIN, bisect.COARSE_PER_PART * k)
+    )
+    coarsest = levels[-1]
+    asg = bisect._partition_weighted(
+        coarsest.indptr, coarsest.indices, coarsest.data, coarsest.weights,
+        k, size,
+    )
+    for lvl in reversed(levels):
+        if lvl.coarse_of is not None:
+            asg = asg[lvl.coarse_of]
+        if lvl.n <= bisect.REFINE_LIMIT:
+            dense = parts_to_dense(lvl.indptr, lvl.indices, lvl.data, lvl.n)
+            groups = [np.flatnonzero(asg == g).tolist() for g in range(k)]
+            for gi, g in enumerate(library_refine(dense, groups)):
+                asg[np.asarray(g, dtype=np.intp)] = gi
+    finest = levels[0]
+    asg = bisect._rebalance_exact(
+        finest.indptr, finest.indices, finest.data, asg, k, size
+    )
+    return [np.flatnonzero(asg == g).tolist() for g in range(k)]

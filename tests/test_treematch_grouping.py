@@ -313,6 +313,23 @@ class TestTypedValidation:
             group_processes(sp.csr_array(m), 2)
         assert group_processes(m, 2) == [[0, 1], [2, 3]]
 
+    @pytest.mark.parametrize("groups, message", [
+        ([[0, 0], [1, 2]], "listed more than once"),
+        ([[-1, 0], [1, 2]], "outside order 4"),
+        ([[0, 5], [1, 2]], "outside order 4"),
+    ])
+    @pytest.mark.parametrize("backend", ["dense", "csr", "rows"])
+    def test_refine_rejects_malformed_members(self, groups, message, backend):
+        m = np.ones((4, 4))
+        np.fill_diagonal(m, 0.0)
+        if backend != "dense":
+            sp = pytest.importorskip("scipy.sparse")
+            m = sp.csr_array(m)
+            if backend == "rows":
+                m = (m.indptr, m.indices, m.data)
+        with pytest.raises(MappingError, match=message):
+            refine_groups(m, groups)
+
     def test_control_extension_rejects_empty_matrix(self):
         with pytest.raises(MappingError, match="empty affinity matrix"):
             extend_for_control_threads(

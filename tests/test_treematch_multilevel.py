@@ -310,6 +310,24 @@ class TestBisectionMemory:
         assert peak < n_c * n_c * 8 / 10
 
 
+    def test_split_k_never_densifies_a_level(self, monkeypatch):
+        import importlib
+
+        bisect = importlib.import_module("repro.treematch.bisect")
+        coarsen_mod = importlib.import_module("repro.treematch.coarsen")
+
+        def refuse(*args):
+            raise AssertionError("split_k densified a level")
+
+        monkeypatch.setattr(coarsen_mod, "parts_to_dense", refuse)
+        monkeypatch.setattr(bisect, "parts_to_dense", refuse, raising=False)
+        aff = CommunicationMatrix.stencil2d(1280, sparse=False).affinity()
+        levels = coarsen(aff, target=320)
+        assert levels[0].n > 512 and min(lv.n for lv in levels) <= REFINE_LIMIT
+        parts = split_k(aff, 20)
+        assert sorted(i for p in parts for i in p) == list(range(1280))
+
+
 class TestMultilevelMap:
     def test_valid_oversubscribed_placement(self):
         topo = machine_by_name("SMP20E7")

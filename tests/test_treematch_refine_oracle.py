@@ -14,6 +14,11 @@ weights spread from 1 to 1e15 (rounding differences show), member
 subsets (the ``local_of`` path), group sizes from 1 upward, and orders
 below, at and not a multiple of the row-block size.
 
+``TestCsrBackend`` runs the same instances through the CSR backend,
+and ``TestSplitKAgainstDensified`` compares ``split_k``, which refines
+coarse levels on their CSR rows, with a reference that densifies them,
+on float-weighted stencils.
+
 ``TestIncrementalSweeps`` targets the state ``refine_groups`` keeps
 between sweeps: sparse integer matrices that need several sweeps and
 whose swaps leave most rows clean, signed entries (the bound's
@@ -99,36 +104,53 @@ def _mixed_sizes(n, rng):
     return np.diff(np.concatenate(([0], cuts, [n]))).tolist()
 
 
-def _assert_same_refine(m, groups):
+def _assert_same_refine(m, groups, backend=None):
+    """The library on *m*, or on *m* in *backend*, against the oracle.
+
+    *backend* turns the dense *m* into the library's input (a CSR form);
+    None passes *m* itself.
+    """
     want_stats, got_stats = {}, {}
     want = refine_oracle.refine_groups(m, groups, stats=want_stats)
-    got = refine_groups(m, groups, stats=got_stats)
+    aff = m if backend is None else backend(m)
+    got = refine_groups(aff, groups, stats=got_stats)
     assert got == want
     assert got_stats == want_stats
     return want_stats
+
+
+def _full_cases(kind, n):
+    """A matrix of *kind* and order *n*, with equal and mixed groups."""
+    rng = np.random.default_rng([n, sorted(MATRICES).index(kind)])
+    m = MATRICES[kind](n, rng)
+    for sizes in (_equal_sizes(n, rng), _mixed_sizes(n, rng)):
+        yield m, _partition(np.arange(n), rng, sizes)
+
+
+def _subset_cases(kind, seed):
+    """Groups over a shuffled subset of a larger matrix of *kind*."""
+    rng = np.random.default_rng([seed, 17, sorted(MATRICES).index(kind)])
+    p = int(rng.integers(B + 5, 3 * B))
+    m = MATRICES[kind](p, rng)
+    n = int(rng.integers(B // 2, p))
+    members = rng.choice(p, size=n, replace=False)
+    for sizes in (_equal_sizes(n, rng), _mixed_sizes(n, rng)):
+        yield m, _partition(members, rng, sizes)
 
 
 class TestRefineAgainstOracle:
     @pytest.mark.parametrize("kind", sorted(MATRICES))
     @pytest.mark.parametrize("n", ORDERS)
     def test_full_member_set(self, kind, n):
-        rng = np.random.default_rng([n, sorted(MATRICES).index(kind)])
-        m = MATRICES[kind](n, rng)
-        for sizes in (_equal_sizes(n, rng), _mixed_sizes(n, rng)):
-            _assert_same_refine(m, _partition(np.arange(n), rng, sizes))
+        for m, groups in _full_cases(kind, n):
+            _assert_same_refine(m, groups)
 
     @pytest.mark.parametrize("kind", sorted(MATRICES))
     @pytest.mark.parametrize("seed", range(4))
     def test_member_subset(self, kind, seed):
-        # Groups over a shuffled subset of a larger matrix: the search
-        # runs on the member submatrix (the local_of path).
-        rng = np.random.default_rng([seed, 17, sorted(MATRICES).index(kind)])
-        p = int(rng.integers(B + 5, 3 * B))
-        m = MATRICES[kind](p, rng)
-        n = int(rng.integers(B // 2, p))
-        members = rng.choice(p, size=n, replace=False)
-        for sizes in (_equal_sizes(n, rng), _mixed_sizes(n, rng)):
-            _assert_same_refine(m, _partition(members, rng, sizes))
+        # The search runs on the member submatrix (the local_of path).
+        for m, groups in _subset_cases(kind, seed):
+            _assert_same_refine(m, groups)
 
     @pytest.mark.parametrize("arity", [1, 2, 3, 4, 7, 13, 26])
     def test_group_sizes(self, arity):
@@ -304,3 +326,135 @@ class TestIncrementalSweeps:
             for seed in range(48)
         ]
         assert sum(s >= 3 for s in sweeps) >= 16
+
+
+# -- the CSR backend ------------------------------------------------------------
+
+
+def _csr_array(m):
+    return sp.csr_array(m)
+
+
+def _csr_rows(m):
+    c = sp.csr_array(m)
+    return c.indptr, c.indices, c.data
+
+
+#: The CSR inputs ``refine_groups`` takes: a scipy matrix, and the
+#: canonical ``(indptr, indices, data)`` rows ``split_k`` hands it.
+CSR_FORMS = {"csr_array": _csr_array, "rows": _csr_rows}
+
+
+@pytest.mark.skipif(sp is None, reason="scipy not installed")
+class TestCsrBackend:
+    """The CSR backend against the same oracle, on the same instances.
+
+    Its attraction sums run in stored-entry order rather than the BLAS
+    order, so the float kinds (``uniform``, ``signed``) could round
+    differently; on these seeds every kind makes the dense choices.
+    ``signed`` also keeps the same-group mask covered.
+    """
+
+    @pytest.mark.parametrize("form", sorted(CSR_FORMS))
+    @pytest.mark.parametrize("kind", sorted(MATRICES))
+    @pytest.mark.parametrize("n", ORDERS)
+    def test_full_member_set(self, kind, n, form):
+        for m, groups in _full_cases(kind, n):
+            _assert_same_refine(m, groups, CSR_FORMS[form])
+
+    @pytest.mark.parametrize("form", sorted(CSR_FORMS))
+    @pytest.mark.parametrize("kind", sorted(MATRICES))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_member_subset(self, kind, seed, form):
+        for m, groups in _subset_cases(kind, seed):
+            _assert_same_refine(m, groups, CSR_FORMS[form])
+
+    @pytest.mark.parametrize("seed", range(48))
+    def test_sparse_integer_family(self, seed):
+        _assert_same_refine(*_incremental_case(seed), _csr_array)
+
+    @pytest.mark.parametrize("case", range(len(TIE_CASES)))
+    def test_dirty_column_ties_stored_best(self, case):
+        m, groups = TIE_CASES[case]
+        assert _assert_same_refine(m, groups, _csr_rows)["sweeps"] >= 2
+
+    def test_non_canonical_input_is_left_alone(self):
+        # Every row lists its entries twice, at half weight, in
+        # descending column order: summed on a copy.
+        rng = np.random.default_rng(4)
+        m = _ring(40, rng)
+        counts = 2 * np.count_nonzero(m, axis=1)
+        indptr = np.concatenate([[0], np.cumsum(counts)])
+        indices = np.concatenate(
+            [np.repeat(np.flatnonzero(row)[::-1], 2) for row in m]
+        )
+        messy = sp.csr_array(
+            (m[np.repeat(np.arange(40), counts), indices] / 2, indices, indptr),
+            shape=m.shape,
+        )
+        assert not messy.has_canonical_format
+        before = (messy.indptr.copy(), messy.indices.copy(), messy.data.copy())
+        groups = _partition(np.arange(40), rng, [10] * 4)
+        _assert_same_refine(m, groups, lambda _: messy)
+        for a, b in zip(before, (messy.indptr, messy.indices, messy.data)):
+            assert np.array_equal(a, b)
+
+    def test_builds_no_square_array(self):
+        import tracemalloc
+
+        n, k = 3000, 8
+        idx = np.arange(n)
+        w = sp.csr_array(
+            (np.full(n, 100.0), (idx, (idx + 1) % n)), shape=(n, n)
+        )
+        aff = sp.csr_array(w + w.T)
+        # Contiguous arcs of the ring with their ends exchanged: a few
+        # swaps to undo.
+        groups = [list(range(g * n // k, (g + 1) * n // k)) for g in range(k)]
+        for g in range(k - 1):
+            groups[g][-1], groups[g + 1][0] = groups[g + 1][0], groups[g][-1]
+        tracemalloc.start()
+        try:
+            stats = {}
+            refine_groups(aff, groups, stats=stats)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert stats["swaps"] >= k - 1
+        assert peak < n * n * 8 / 10
+
+
+def _weighted_stencil(n, rng, weights):
+    """A label-permuted stencil of order *n* with random edge weights."""
+    a = CommunicationMatrix.stencil2d(n, sparse=True).affinity_sparse()
+    upper = sp.triu(a, 1).tocoo()
+    e = upper.nnz
+    w = {
+        "uniform": lambda: rng.uniform(1.0, 100.0, e),
+        "lognormal": lambda: rng.lognormal(3.0, 1.0, e),
+        "two-decimal": lambda: np.round(rng.uniform(1.0, 100.0, e), 2),
+    }[weights]()
+    u = sp.coo_array((w, (upper.row, upper.col)), shape=a.shape)
+    perm = rng.permutation(n)
+    return sp.csr_array(u + u.T)[perm][:, perm]
+
+
+#: ``(n, k, weights)``: float weights, where the CSR backend's
+#: stored-order attraction sums can round unlike the BLAS product.
+SPLIT_CASES = [
+    (n, k, weights)
+    for weights in ("uniform", "lognormal", "two-decimal")
+    for n, k in ((3000, 8), (4000, 20), (6000, 40), (9000, 20))
+]
+
+
+@pytest.mark.skipif(sp is None, reason="scipy not installed")
+class TestSplitKAgainstDensified:
+    @pytest.mark.parametrize("n,k,weights", SPLIT_CASES)
+    @pytest.mark.parametrize("seed", range(2))
+    def test_same_parts(self, n, k, weights, seed):
+        rng = np.random.default_rng([n, k, seed, len(weights)])
+        aff = _weighted_stencil(n, rng, weights)
+        assert bisect_mod.split_k(aff, k) == refine_oracle.split_k_densified(
+            aff, k
+        )

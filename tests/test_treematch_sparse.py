@@ -19,9 +19,11 @@ from hypothesis import strategies as st
 
 from repro.errors import MappingError
 from repro.treematch.aggregate import aggregate_comm_matrix
+from repro.treematch.coarsen import take_submatrix
 from repro.treematch.commmatrix import (
     SPARSE_AUTO_ORDER,
     CommunicationMatrix,
+    check_affinity,
 )
 
 sp = pytest.importorskip("scipy.sparse")
@@ -215,3 +217,84 @@ class TestSparseRoundtrips:
         assert comm.labels[0] == "t0"
         assert comm.labels[4999] == "t4999"
         assert len(comm.labels) == 5000
+
+
+def _messy_csr(*, symmetric=False):
+    """3x3 CSR whose row 0 lists column 1 twice, after column 2; with
+    *symmetric*, rows 1 and 2 mirror row 0's sums."""
+    if symmetric:
+        data, indices, indptr = [1.0, 2.0, 3.0, 5.0, 1.0], [2, 1, 1, 0, 0], [
+            0, 3, 4, 5]
+    else:
+        data, indices, indptr = [1.0, 2.0, 3.0], [2, 1, 1], [0, 3, 3, 3]
+    return sp.csr_array(
+        (np.array(data), np.array(indices), np.array(indptr)), shape=(3, 3)
+    )
+
+
+class TestCallerMatrixUntouched:
+    """Checking or wrapping a CSR never rewrites the caller's arrays."""
+
+    def test_constructor_leaves_non_canonical_input_alone(self):
+        m = _messy_csr()
+        comm = CommunicationMatrix(m)
+        assert m.indices.tolist() == [2, 1, 1]
+        assert m.data.tolist() == [1.0, 2.0, 3.0]
+        assert comm.raw[0].tolist() == [0.0, 5.0, 1.0]
+
+    def test_constructor_owns_its_arrays(self):
+        m = sp.csr_array(int_matrix(6, 1))
+        comm = CommunicationMatrix(m)
+        want = comm.raw
+        m.data[:] = 99.0
+        assert np.array_equal(comm.raw, want)
+
+    def test_check_affinity_leaves_input_alone(self):
+        m = _messy_csr(symmetric=True)
+        a = check_affinity(m)
+        assert a.has_canonical_format
+        assert a.toarray().tolist() == [[0, 5, 1], [5, 0, 0], [1, 0, 0]]
+        assert m.indices.tolist() == [2, 1, 1, 0, 0]
+        assert m.data.tolist() == [1.0, 2.0, 3.0, 5.0, 1.0]
+
+    def test_canonical_input_is_not_copied_by_the_check(self):
+        m = sp.csr_array(int_matrix(6, 2) + int_matrix(6, 2).T)
+        assert np.shares_memory(check_affinity(m).data, m.data)
+
+
+class TestTakeSubmatrix:
+    """One gather of the stored entries gives the matrix of scipy's two
+    fancy-index passes, canonical, with new ids numbered in *idx*
+    order."""
+
+    @pytest.mark.parametrize("cls", ["csr_array", "csr_matrix"])
+    @pytest.mark.parametrize("itype", [np.int32, np.int64])
+    @pytest.mark.parametrize("order", ["sorted", "shuffled"])
+    def test_matches_fancy_indexing(self, cls, itype, order):
+        rng = np.random.default_rng([len(cls), np.dtype(itype).itemsize])
+        m = int_matrix(60, 3)
+        c = sp.csr_array(m)
+        mat = getattr(sp, cls)(
+            (c.data, c.indices.astype(itype), c.indptr.astype(itype)),
+            shape=c.shape,
+        )
+        idx = np.sort(rng.choice(60, size=25, replace=False))
+        if order == "shuffled":
+            idx = rng.permutation(idx)
+        got = take_submatrix(mat, idx)
+        want = mat[idx][:, idx]
+        assert type(got) is type(want)
+        assert got.has_canonical_format
+        # scipy leaves a shuffled idx's rows unsorted; sorting them
+        # gives the same arrays.
+        want.sort_indices()
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert np.array_equal(got.toarray(), m[np.ix_(idx, idx)])
+
+    def test_empty_and_repeated_indices(self):
+        mat = sp.csr_array(int_matrix(8, 4))
+        assert take_submatrix(mat, np.array([], dtype=np.intp)).shape == (0, 0)
+        with pytest.raises(MappingError, match="repeat"):
+            take_submatrix(mat, np.array([1, 2, 1]))
