@@ -112,6 +112,12 @@ HOT_TARGETS: tuple[tuple[str, str, tuple[str, ...]], ...] = (
     ("repro/treematch/bisect.py", "_grow_side", ("alloc",)),
     ("repro/treematch/bisect.py", "_rebalance_exact", ("alloc",)),
     ("repro/treematch/grouping.py", "group_greedy", ("alloc",)),
+    # The row reads of the greedy grow loop and seed refresh, one call
+    # per selection step, in both backends.
+    ("repro/treematch/grouping.py", "_DenseRows.copy_row", ("alloc",)),
+    ("repro/treematch/grouping.py", "_DenseRows.add_row", ("alloc",)),
+    ("repro/treematch/grouping.py", "_CsrRows.copy_row", ("alloc",)),
+    ("repro/treematch/grouping.py", "_CsrRows.add_row", ("alloc",)),
     # Adaptive controller (ISSUE 10): the epoch loop runs once per
     # window — cool next to per-event code, but anything allocating in
     # it scales with run length — and the telemetry tap rides the
@@ -135,6 +141,10 @@ PER_CALL_TARGETS = frozenset({
     "RingTrace._bind_add.add_raw",
     "BlockRng.random",
     "BlockRng.uniform",
+    "_DenseRows.copy_row",
+    "_DenseRows.add_row",
+    "_CsrRows.copy_row",
+    "_CsrRows.add_row",
 })
 
 #: Classes that must keep ``__slots__`` (path -> class names).

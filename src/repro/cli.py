@@ -93,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "(greedy strategy only)")
     p_map.add_argument("--strategy", choices=("auto", "greedy", "multilevel"),
                        default="auto",
-                       help="mapping engine: greedy = dense group+refine, "
+                       help="mapping engine: greedy = bottom-up group+refine, "
                             "multilevel = coarsening + recursive bisection "
                             "for very large task counts (default: auto = "
                             "cut over by task count)")

@@ -60,8 +60,11 @@ def aggregate_comm_matrix(m, groups: list[list[int]]) -> np.ndarray:
     single ``G.T @ m @ G`` product with the group indicator matrix ``G``
     (then the diagonal zeroed and the upper triangle mirrored, matching
     the loop reference). The sparse path scatters the stored entries
-    onto group pairs with one ``bincount`` — identical totals, O(nnz)
-    instead of O(n²).
+    onto group pairs with one ``bincount`` — O(nnz) instead of O(n²).
+    It sums each pair in stored-entry order where the dense path follows
+    the BLAS build's order: the totals are equal whenever the partial
+    sums are exact, as on integer weights, and equal up to rounding on
+    others.
     """
     k = len(groups)
     if _sp is not None and _sp.issparse(m):
@@ -76,12 +79,13 @@ def aggregate_comm_matrix(m, groups: list[list[int]]) -> np.ndarray:
         gi = asg[coo.row]
         gj = asg[coo.col]
         upper = gi < gj
-        out = np.zeros((k, k))
         # Entries with group(row) < group(col) are exactly the terms of
         # the dense reference's upper triangle of G.T @ m @ G; the
         # mirrored stored entries (group(row) > group(col)) are the same
         # pairs seen from the other side and must not be added twice.
-        np.add.at(out, (gi[upper], gj[upper]), coo.data[upper])
+        # Each bin sums its entries in stored order.
+        out = np.bincount(gi[upper] * k + gj[upper], weights=coo.data[upper],
+                          minlength=k * k).reshape(k, k)
         iu, ju = np.triu_indices(k, 1)
         out[ju, iu] = out[iu, ju]
         return out

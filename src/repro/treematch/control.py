@@ -25,6 +25,7 @@ __all__ = [
     "ControlPlan",
     "plan_control_threads",
     "add_control_edges",
+    "control_edges",
     "extend_for_control_threads",
     "CONTROL_EPSILON",
 ]
@@ -70,24 +71,39 @@ def plan_control_threads(
     return ControlPlan("spare-core", min(spare, n_control))
 
 
+def control_edges(
+    p: int, owners: list[int], heaviest: float
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """The control edges of *p* compute threads: ``(rows, cols, eps)``.
+
+    Control pseudo-thread ``p + s`` is tied to compute thread
+    ``owners[s]`` both ways, so the entries ``(rows[e], cols[e])`` are
+    symmetric. Each weighs ``CONTROL_EPSILON`` times *heaviest*, the
+    heaviest compute affinity, or times 1 when that is not positive.
+    Both matrix backends place their control edges with this.
+    """
+    own = np.asarray(owners, dtype=np.intp)
+    bad = (own < 0) | (own >= p)
+    if bad.any():
+        raise MappingError(
+            f"control owner {own[bad][0]} outside [0, {p})"
+        )
+    slot = p + np.arange(own.size)
+    eps = CONTROL_EPSILON * (heaviest if heaviest > 0 else 1.0)
+    return np.concatenate([slot, own]), np.concatenate([own, slot]), eps
+
+
 def add_control_edges(m: np.ndarray, p: int, owners: list[int]) -> None:
-    """Give control pseudo-thread ``p + s`` its affinity towards compute
-    thread ``owners[s]``, in place.
+    """Write the :func:`control_edges` of *owners* into dense *m*, in place.
 
     ``m[:p, :p]`` is the compute affinity and rows and columns
-    ``p .. p + len(owners) - 1`` of *m* are zero. Each edge weighs
-    ``CONTROL_EPSILON`` times the heaviest compute affinity (1 when
-    there is none).
+    ``p .. p + len(owners) - 1`` of *m* are zero.
     """
     if not owners:
         return
     a = m[:p, :p]
-    scale = float(a.max()) if a.size and a.max() > 0 else 1.0
-    eps = CONTROL_EPSILON * scale
-    for s, owner in enumerate(owners):
-        if not 0 <= owner < p:
-            raise MappingError(f"control owner {owner} outside [0, {p})")
-        m[p + s, owner] = m[owner, p + s] = eps
+    rows, cols, eps = control_edges(p, owners, float(a.max()) if a.size else 0.0)
+    m[rows, cols] = eps
 
 
 def extend_for_control_threads(

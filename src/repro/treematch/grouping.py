@@ -13,6 +13,8 @@ keeps lazy row maxima instead of rescanning the matrix, and the
 refinement pass is a delta-gain local search driven by a precomputed
 element-to-group attraction matrix — all three stay usable at
 ``p ≈ 4096`` (see the ``mapping_bench`` entries of ``BENCH_sim.json``).
+The greedy and refinement engines read a dense or a CSR affinity
+through one reader class per backend (``_DenseRows``, ``_CsrRows``).
 """
 
 from __future__ import annotations
@@ -85,14 +87,33 @@ def partition_count_exceeds(p: int, a: int, limit: int) -> bool:
     return count > limit
 
 
-def intra_group_weight(m: np.ndarray, groups: list[list[int]]) -> float:
+def intra_group_weight(m, groups: list[list[int]]) -> float:
     """Total affinity kept inside groups (the maximization objective).
 
     *m* is assumed symmetric (the TreeMatch affinity view); each group's
-    contribution is half its off-diagonal submatrix sum.
+    contribution is half its off-diagonal submatrix sum. A CSR *m* (a
+    scipy sparse matrix or canonical ``(indptr, indices, data)`` rows)
+    sums the stored entries of each group's rows whose column is in the
+    group too: the dense value on integer weights, and up to rounding on
+    others.
     """
-    m = np.asarray(m, dtype=np.float64)
+    csr = _csr_rows(m)
     total = 0.0
+    if csr is not None:
+        indptr, indices, data = csr
+        inside = np.zeros(indptr.size - 1, dtype=bool)
+        for g in groups:
+            idx = np.asarray(g, dtype=np.intp)
+            if not idx.size:
+                continue
+            at, span = _spans(indptr, idx)
+            inside[idx] = True
+            cols = indices[span]
+            keep = inside[cols] & (cols != idx[at])
+            inside[idx] = False
+            total += data[span[keep]].sum() / 2.0
+        return float(total)
+    m = np.asarray(m, dtype=np.float64)
     for g in groups:
         idx = np.asarray(g, dtype=np.intp)
         sub = m[np.ix_(idx, idx)]
@@ -100,8 +121,32 @@ def intra_group_weight(m: np.ndarray, groups: list[list[int]]) -> float:
     return float(total)
 
 
+def _check_arity(p: int, arity: int) -> None:
+    """Raise MappingError unless *p* processes split into groups of *arity*."""
+    if arity <= 0:
+        raise MappingError(f"arity must be positive, got {arity}")
+    if p % arity:
+        raise MappingError(f"{p} processes are not divisible into groups of {arity}")
+
+
+def _csr_rows(m):
+    """Canonical ``(indptr, indices, data)`` rows of a CSR *m*, float64,
+    or None when *m* is dense.
+
+    *m* is a scipy sparse matrix (canonicalized on a copy only when it
+    is not canonical) or rows already canonical, which are taken as
+    they are.
+    """
+    if isinstance(m, tuple):
+        return m
+    if _sp is not None and _sp.issparse(m):
+        c = _canonical_csr(m)
+        return c.indptr, c.indices, np.asarray(c.data, dtype=np.float64)
+    return None
+
+
 def group_processes(
-    m: np.ndarray,
+    m,
     arity: int,
     *,
     force: str | None = None,
@@ -119,26 +164,24 @@ def group_processes(
     are deterministic. *stats* is forwarded to :func:`refine_groups` when
     the refinement pass runs. *m* must pass
     :func:`~repro.treematch.commmatrix.check_affinity` (square, finite,
-    non-negative, symmetric; :class:`MappingError` names the defect) and
-    be dense: the grouping engines index rows of a 2-D array, so a scipy
-    sparse matrix raises :class:`MappingError` too.
+    non-negative, symmetric; :class:`MappingError` names the defect).
+
+    *m* is dense or a scipy sparse matrix. A sparse one stays CSR
+    through :func:`group_greedy` and :func:`refine_groups`, so no
+    ``p x p`` array is built; only the exhaustive engine, whose orders
+    stay below ~25, densifies it. The greedy groups are the dense ones
+    on any input, and the refined ones too when the refinement's sums
+    are exact, as on integer weights; on other weights the CSR
+    attraction sums in stored-entry order instead of BLAS order, so a
+    near-tie can resolve differently (see :func:`refine_groups`).
     """
     a = check_affinity(m)
-    if not isinstance(a, np.ndarray):
-        raise MappingError(
-            f"the grouping engines take a dense affinity matrix, got "
-            f"{type(m).__name__}; densify it first"
-        )
     p = a.shape[0]
-    if arity <= 0:
-        raise MappingError(f"arity must be positive, got {arity}")
-    if p % arity:
-        raise MappingError(f"{p} processes are not divisible into groups of {arity}")
+    _check_arity(p, arity)
     if arity == 1:
         return [[i] for i in range(p)]
     if arity == p:
         return [list(range(p))]
-
     if force == "optimal":
         if partition_count_exceeds(p, arity, OPTIMAL_SEARCH_LIMIT):
             raise MappingError(
@@ -146,20 +189,21 @@ def group_processes(
                 f"exceeds OPTIMAL_SEARCH_LIMIT ({OPTIMAL_SEARCH_LIMIT} "
                 f"partitions); use the greedy engine"
             )
-        groups = group_optimal(a, arity)
+        exact = True
     elif force == "greedy":
+        exact = False
+    elif force is None:
+        exact = not partition_count_exceeds(p, arity, OPTIMAL_SEARCH_LIMIT)
+    else:
+        raise MappingError(f"unknown grouping engine {force!r}")
+    if exact:
+        groups = group_optimal(
+            a if isinstance(a, np.ndarray) else a.toarray(), arity
+        )
+    else:
         groups = group_greedy(a, arity)
         if refine:
             groups = refine_groups(a, groups, stats=stats)
-    elif force is None:
-        if not partition_count_exceeds(p, arity, OPTIMAL_SEARCH_LIMIT):
-            groups = group_optimal(a, arity)
-        else:
-            groups = group_greedy(a, arity)
-            if refine:
-                groups = refine_groups(a, groups, stats=stats)
-    else:
-        raise MappingError(f"unknown grouping engine {force!r}")
     return _canonical(groups)
 
 
@@ -234,7 +278,7 @@ def group_optimal(m: np.ndarray, arity: int) -> list[list[int]]:
 # -- greedy engine ---------------------------------------------------------------
 
 
-def group_greedy(m: np.ndarray, arity: int) -> list[list[int]]:
+def group_greedy(m, arity: int) -> list[list[int]]:
     """Greedy grouping: seed each group with the heaviest unassigned pair,
     then grow it with the element most attracted to the group.
 
@@ -244,15 +288,36 @@ def group_greedy(m: np.ndarray, arity: int) -> list[list[int]]:
     the engine stays near-linear even at thousands of threads.
 
     *m* is any finite, non-negative square matrix; its diagonal is never
-    selected. Rows of *m* are read in place, with no p x p copy: the
-    first row maxima come from row blocks whose diagonal is set to -inf,
-    and a refreshed row sets its own column to -inf. Every other
-    diagonal entry only reaches a retired column, which the mask sends
-    to -inf anyway, so each selection, ties included, is that of
-    grouping on a copy with a -inf diagonal.
+    selected. :class:`MappingError` is raised, before any work, unless
+    *arity* is positive and divides the order. Two backends run the same
+    loop and differ in three reads: the first row maxima, a row
+    refreshed after its witness column retired, and the row a grow step
+    adds.
+
+    * Dense: rows of *m* are read in place, with no p x p copy. The
+      first row maxima come from row blocks whose diagonal is set to
+      -inf, and a refreshed row sets its own column to -inf. Every
+      other diagonal entry only reaches a retired column, which the
+      mask sends to -inf anyway, so each selection, ties included, is
+      that of grouping on a copy with a -inf diagonal.
+    * CSR: a scipy sparse matrix, or canonical ``(indptr, indices,
+      data)`` rows. A first row maximum is the largest stored
+      off-diagonal entry, lowest column on ties, and 0.0 at the lowest
+      column other than the row itself when no stored entry is
+      positive. A refreshed row zero-fills its buffer and writes the
+      stored entries; a grow step adds them. Every entry left out is a
+      ``+ 0.0``, so each value, and each selection, is the dense one on
+      any input, float weights included.
     """
-    m = np.asarray(m, dtype=np.float64)
-    p = m.shape[0]
+    csr = _csr_rows(m)
+    if csr is None:
+        m = np.asarray(m, dtype=np.float64)
+        p = m.shape[0]
+        aff = _DenseRows(m)
+    else:
+        p = csr[0].size - 1
+        aff = _CsrRows(*csr)
+    _check_arity(p, arity)
     if arity == 1:
         return [[i] for i in range(p)]
     # Retired vertices are masked by an additive -inf penalty vector
@@ -265,14 +330,7 @@ def group_greedy(m: np.ndarray, arity: int) -> list[list[int]]:
     mask = np.zeros(p)
     cand = np.empty(p)
     attract = np.empty(p)
-    row_max = np.empty(p)
-    row_arg = np.empty(p, dtype=np.intp)
-    for rows in row_blocks(p, p):
-        block = m[rows].copy()
-        local = np.arange(block.shape[0])
-        block[local, local + rows.start] = -np.inf
-        row_max[rows] = block.max(axis=1)
-        row_arg[rows] = block.argmax(axis=1)
+    row_max, row_arg = aff.row_maxima()
     groups: list[list[int]] = []
 
     def retire(i: int) -> None:
@@ -290,7 +348,8 @@ def group_greedy(m: np.ndarray, arity: int) -> list[list[int]]:
                 return i, j
             # Stale witness: recompute this row's maximum over free
             # columns (the mask sends retired ones to -inf).
-            np.add(m[i], mask, out=cand)
+            aff.copy_row(i, cand)
+            np.add(cand, mask, out=cand)
             cand[i] = -np.inf
             row_max[i] = cand.max()
             row_arg[i] = cand.argmax()
@@ -301,7 +360,8 @@ def group_greedy(m: np.ndarray, arity: int) -> list[list[int]]:
             break
         seed_i, seed_j = heaviest_pair()
         group = [seed_i, seed_j]
-        np.add(m[seed_i], m[seed_j], out=attract)
+        aff.copy_row(seed_i, attract)
+        aff.add_row(seed_j, attract)
         retire(seed_i)
         retire(seed_j)
         while len(group) < arity:
@@ -309,7 +369,7 @@ def group_greedy(m: np.ndarray, arity: int) -> list[list[int]]:
             best = int(cand.argmax())
             retire(best)
             group.append(best)
-            attract += m[best]
+            aff.add_row(best, attract)
         groups.append(group)
     return groups
 
@@ -331,12 +391,34 @@ _MIN_GAIN = 1e-12
 
 
 class _DenseRows:
-    """What :func:`refine_groups` reads of a dense affinity: the
-    attraction, the pair terms, a swap's update and the negative-entry
-    term of the gain bound."""
+    """What the greedy and refinement engines read of a dense affinity:
+    the first row maxima, whole rows, the attraction, the pair terms, a
+    swap's update and the negative-entry term of the gain bound."""
 
     def __init__(self, sub: np.ndarray) -> None:
         self.sub = sub
+
+    def row_maxima(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's largest off-diagonal entry and its lowest column,
+        read in row blocks whose diagonal is set to -inf."""
+        p = self.sub.shape[0]
+        row_max = np.empty(p)
+        row_arg = np.empty(p, dtype=np.intp)
+        for rows in row_blocks(p, p):
+            block = self.sub[rows].copy()
+            local = np.arange(block.shape[0])
+            block[local, local + rows.start] = -np.inf
+            row_max[rows] = block.max(axis=1)
+            row_arg[rows] = block.argmax(axis=1)
+        return row_max, row_arg
+
+    def copy_row(self, i: int, out: np.ndarray) -> None:
+        """``out[:] = m[i]``."""
+        np.copyto(out, self.sub[i])
+
+    def add_row(self, i: int, out: np.ndarray) -> None:
+        """``out += m[i]``."""
+        out += self.sub[i]
 
     def attraction(self, asg: np.ndarray, k: int) -> np.ndarray:
         indicator = np.zeros((asg.size, k))
@@ -365,7 +447,7 @@ class _DenseRows:
 
 
 class _CsrRows:
-    """The same reads of a symmetric canonical CSR affinity.
+    """The same reads of a canonical CSR affinity.
 
     Only stored entries are read: an absent entry would subtract or add
     ``0.0``, which leaves every other operand's bits unchanged.
@@ -377,6 +459,38 @@ class _CsrRows:
         self.ptr = indptr.tolist()
         self.pos = np.full(n, -1, dtype=np.intp)
         self.scratch = np.zeros(n)
+
+    def row_maxima(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's largest off-diagonal entry and its lowest column.
+
+        A row with no positive stored entry peaks at 0.0 in its lowest
+        column other than itself, which is what a dense argmax picks
+        among equal zeros.
+        """
+        n = self.indptr.size - 1
+        row_max = np.zeros(n)
+        row_arg = (np.arange(n) == 0).astype(np.intp)
+        rows = _row_ids(self.indptr)
+        keep = (self.data > 0) & (self.indices != rows)
+        r, c, d = rows[keep], self.indices[keep], self.data[keep]
+        if r.size:
+            head = np.flatnonzero(np.r_[True, r[1:] != r[:-1]])
+            row_max[r[head]] = np.maximum.reduceat(d, head)
+            # Columns ascend within a row: the first maximum is the
+            # lowest column.
+            top = np.flatnonzero(d == row_max[r])
+            first = top[np.r_[True, r[top[1:]] != r[top[:-1]]]]
+            row_arg[r[first]] = c[first]
+        return row_max, row_arg
+
+    def copy_row(self, i: int, out: np.ndarray) -> None:
+        lo, hi = self.ptr[i], self.ptr[i + 1]
+        out.fill(0.0)
+        out[self.indices[lo:hi]] = self.data[lo:hi]
+
+    def add_row(self, i: int, out: np.ndarray) -> None:
+        lo, hi = self.ptr[i], self.ptr[i + 1]
+        out[self.indices[lo:hi]] += self.data[lo:hi]
 
     def attraction(self, asg: np.ndarray, k: int) -> np.ndarray:
         # Each bin sums its row's entries in stored (column) order.
@@ -505,13 +619,8 @@ def refine_groups(
     k = len(groups)
     if k < 2:
         return groups
-    if isinstance(m, tuple):
-        csr = m
-    elif _sp is not None and _sp.issparse(m):
-        c = _canonical_csr(m)
-        csr = (c.indptr, c.indices, c.data)
-    else:
-        csr = None
+    csr = _csr_rows(m)
+    if csr is None:
         m = np.asarray(m, dtype=np.float64)
     p = m.shape[0] if csr is None else csr[0].size - 1
     members = [i for g in groups for i in g]

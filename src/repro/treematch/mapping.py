@@ -19,6 +19,7 @@ from repro.treematch.commmatrix import CommunicationMatrix
 from repro.treematch.control import (
     ControlPlan,
     add_control_edges,
+    control_edges,
     plan_control_threads,
 )
 from repro.treematch.grouping import _canonical, group_processes, refine_groups
@@ -363,10 +364,17 @@ def treematch_map(
       is counted. Raises :class:`MappingError` when the warm placement
       is structurally incompatible.
 
-    The run holds one ``lv × lv`` float64 matrix, lv being the compute
-    and control-slot count rounded up to a multiple of the leaf count:
-    the affinity is written into it in place, and every level above the
-    first works on its small aggregates.
+    The first level groups lv threads, lv being the compute and
+    control-slot count rounded up to a multiple of the leaf count, on a
+    matrix in *comm*'s backend; every level above it works on its small
+    dense aggregates. A dense *comm* writes its affinity into one
+    ``lv × lv`` float64 array. A CSR *comm* keeps its CSR affinity,
+    with the control edges as stored entries and empty padding rows, so
+    no ``lv × lv`` array is built: the greedy engine makes the dense
+    choices on any weights, and the refinement and the first aggregate
+    give the dense bits whenever their sums are exact, as on integer
+    weights (on others they sum in stored-entry order instead of BLAS
+    order, so a near-tie can resolve differently).
     """
     if warm_start is not None:
         _check_warm_start(topology, warm_start)
@@ -394,11 +402,9 @@ def treematch_map(
     plan = manage_oversubscription(list(arities), p_ext)
     lv = plan.virtual_leaves
 
-    # The one lv x lv matrix of the run: the affinity, the control
-    # edges and zero-communication padding threads up to the leaf
-    # count, written in place.
-    m_cur = comm.affinity_into(np.zeros((lv, lv)))
-    add_control_edges(m_cur, p, owners[: control_plan.slots])
+    # The affinity, the control edges and zero-communication padding
+    # threads up to the leaf count.
+    m_cur = _padded_affinity(comm, lv, owners[: control_plan.slots])
 
     # Lines 4-7: group bottom-up, aggregating between levels.
     clusters: list[list[int]] = [[i] for i in range(lv)]
@@ -543,14 +549,24 @@ def _leaf_view(
 PARALLEL_MIN_TASKS = 8192
 
 
-def _padded_affinity(comm: CommunicationMatrix, lv: int):
+def _padded_affinity(comm: CommunicationMatrix, lv: int, owners=()):
     """*comm*'s affinity with zero-communication padding rows up to
-    order *lv*: CSR when *comm* is sparse, else dense, written once
-    into its ``lv x lv`` array."""
-    if not comm.is_sparse:
-        return comm.affinity_into(np.zeros((lv, lv)))
-    csr = comm.affinity_any()
+    order *lv*, and the control edges of *owners* (pseudo-thread
+    ``comm.order + s`` tied to ``owners[s]``): CSR when *comm* is
+    sparse, else dense, written once into its ``lv x lv`` array."""
     n = comm.order
+    if not comm.is_sparse:
+        m = comm.affinity_into(np.zeros((lv, lv)))
+        add_control_edges(m, n, owners)
+        return m
+    csr = comm.affinity_any()
+    if owners:
+        rows, cols, eps = control_edges(n, owners, csr.data.max(initial=0.0))
+        coo = csr.tocoo()
+        return _sp.csr_array((
+            np.concatenate([coo.data, np.full(rows.size, eps)]),
+            (np.concatenate([coo.row, rows]), np.concatenate([coo.col, cols])),
+        ), shape=(lv, lv))
     if lv == n:
         return csr
     indptr = np.concatenate([

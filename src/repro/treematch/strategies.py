@@ -29,8 +29,8 @@ __all__ = [
     "MULTILEVEL_CUTOVER",
 ]
 
-#: ``strategy="auto"`` switches from the dense greedy+refine engine to
-#: the multilevel engine above this task count — past it the dense
+#: ``strategy="auto"`` switches from the bottom-up greedy+refine engine
+#: to the multilevel engine above this task count — past it the
 #: O(p²) grouping sweeps dominate (BENCH_sim.json ``mapping_bench``:
 #: ~6 s at p=4096 and growing quadratically, vs seconds at 100k for
 #: multilevel).
@@ -174,7 +174,7 @@ def mapping_strategy(name: str, n_tasks: int) -> str:
     """Resolve a mapping-strategy name to a concrete engine.
 
     ``"auto"`` picks ``"multilevel"`` above :data:`MULTILEVEL_CUTOVER`
-    tasks and ``"greedy"`` (the dense group+refine pipeline of
+    tasks and ``"greedy"`` (the bottom-up group+refine pipeline of
     ``treematch_map``) otherwise.
     """
     if name not in MAPPING_STRATEGIES:

@@ -6,14 +6,12 @@ works. So each case starts a new interpreter that imports one package
 and nothing else.
 """
 
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
 import repro
+from tests.harness.fresh import run_fresh
 
 ROOT = Path(repro.__file__).resolve().parent
 PACKAGES = sorted(
@@ -21,21 +19,6 @@ PACKAGES = sorted(
     for init in ROOT.rglob("__init__.py")
     if init.parent != ROOT
 )
-
-
-def run_fresh(code: str) -> subprocess.CompletedProcess:
-    """Run *code* in a new interpreter that imports repro from this tree."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, (str(ROOT.parent), env.get("PYTHONPATH")))
-    )
-    return subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
-    )
 
 
 @pytest.mark.parametrize("package", PACKAGES)

@@ -11,7 +11,11 @@ small integers (many exact ties, so argmax tie-breaks show), matrices
 with all-zero rows, non-zero diagonals (a diagonal entry that escapes
 the -inf treatment wins a row and pairs an element with itself),
 asymmetric matrices and sparse 0/1 matrices, at group sizes 1 to 8.
-Orders past one row block check the blocked first row maxima.
+Orders past one row block check the blocked first row maxima. Every
+instance also runs through the CSR backend, as a scipy CSR array and
+as canonical rows with explicit zeros, and must give the same groups
+and member order: float kinds included, since the CSR reads leave out
+only ``+ 0.0`` terms.
 
 ``TestDenseSparseEquality`` checks the whole dense pipeline: the
 dense- and sparse-backed versions of one stencil or ring, with natural
@@ -73,6 +77,25 @@ KINDS = {"uniform": _uniform, "ties": _ties, "zero_rows": _zero_rows,
 PER_KIND = 350
 
 
+def _as_backend(m: np.ndarray, backend: str):
+    """*m* as the dense array, a scipy CSR array of its nonzeros, or
+    canonical CSR rows that also store every zero at ``(i + j) % 3 ==
+    0``, diagonal included (explicit zeros, as an input may hold)."""
+    if backend == "dense":
+        return m
+    sp = pytest.importorskip("scipy.sparse")
+    if backend == "csr_array":
+        return sp.csr_array(m)
+    i, j = np.indices(m.shape)
+    r, c = np.nonzero((m != 0) | ((i + j) % 3 == 0))
+    csr = sp.csr_array((m[r, c], (r, c)), shape=m.shape)
+    assert csr.has_canonical_format
+    return csr.indptr, csr.indices, csr.data
+
+
+BACKENDS = ("dense", "csr_array", "rows")
+
+
 @pytest.mark.parametrize("kind", sorted(KINDS))
 def test_greedy_matches_oracle_on_gallery(kind):
     make = KINDS[kind]
@@ -82,7 +105,9 @@ def test_greedy_matches_oracle_on_gallery(kind):
         p = arity * int(rng.integers(1, 13))
         m = make(p, rng)
         want = greedy_oracle.group_greedy(m, arity)
-        assert group_greedy(m, arity) == want, (kind, case, p, arity)
+        for backend in BACKENDS:
+            got = group_greedy(_as_backend(m, backend), arity)
+            assert got == want, (kind, case, p, arity, backend)
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
@@ -92,7 +117,10 @@ def test_greedy_matches_oracle_across_row_blocks(kind):
     rng = np.random.default_rng(100 + sorted(KINDS).index(kind))
     m = KINDS[kind](p, rng)
     for arity in (2, 5, 24):
-        assert group_greedy(m, arity) == greedy_oracle.group_greedy(m, arity)
+        want = greedy_oracle.group_greedy(m, arity)
+        for backend in BACKENDS:
+            got = group_greedy(_as_backend(m, backend), arity)
+            assert got == want, (kind, arity, backend)
 
 
 def test_greedy_leaves_input_unchanged():

@@ -18,6 +18,7 @@ from repro.treematch.grouping import (
     partition_count_exceeds,
     refine_groups,
 )
+from tests.harness.fresh import run_fresh
 
 
 def symmetric(n, rng):
@@ -149,6 +150,29 @@ class TestGroupProcesses:
         rng = np.random.default_rng(5)
         m = symmetric(16, rng)
         assert group_processes(m, 2) == group_processes(m, 2)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_intra_group_weight_csr_matches_dense(self, seed):
+        """Stored entries inside a group, diagonal left out, halved: the
+        dense value on integer weights, for partitions and for groups
+        that cover only some elements."""
+        sp = pytest.importorskip("scipy.sparse")
+        rng = np.random.default_rng(seed)
+        p = int(rng.integers(2, 40))
+        m = rng.integers(0, 9, size=(p, p)).astype(float)
+        m[rng.random((p, p)) < 0.5] = 0.0
+        m = m + m.T  # the diagonal stays: it must be left out
+        csr = sp.csr_array(m)
+        order = rng.permutation(p).tolist()
+        cut = sorted(rng.choice(np.arange(1, p), size=min(3, p - 1),
+                                replace=False).tolist())
+        groups = [order[a:b] for a, b in zip([0, *cut], [*cut, p])]
+        for gs in (groups, groups[1:], [[0]], []):
+            want = intra_group_weight(m, gs)
+            assert intra_group_weight(csr, gs) == want
+            assert intra_group_weight(
+                (csr.indptr, csr.indices, csr.data), gs
+            ) == want
 
 
 class TestAggregate:
@@ -305,13 +329,24 @@ class TestTypedValidation:
             aggregate_comm_matrix(m, _pairs(m)),
         )
 
-    def test_group_processes_rejects_sparse(self):
+    def test_group_processes_takes_sparse(self):
+        """A scipy sparse affinity gives the dense groups on every engine:
+        the exhaustive one on a densified copy, greedy and refinement on
+        the CSR rows."""
         sp = pytest.importorskip("scipy.sparse")
-        m = np.ones((4, 4))
-        np.fill_diagonal(m, 0.0)
-        with pytest.raises(MappingError, match="dense affinity matrix"):
-            group_processes(sp.csr_array(m), 2)
-        assert group_processes(m, 2) == [[0, 1], [2, 3]]
+        for p, arity, force in [(4, 2, None), (12, 3, "optimal"),
+                                (48, 4, None), (48, 6, "greedy")]:
+            rng = np.random.default_rng(p * arity)
+            m = rng.integers(0, 4, size=(p, p)).astype(float)
+            m[rng.random((p, p)) < 0.6] = 0.0
+            m = m + m.T
+            np.fill_diagonal(m, 0.0)
+            for refine in (True, False):
+                want = group_processes(m, arity, force=force, refine=refine)
+                got = group_processes(
+                    sp.csr_array(m), arity, force=force, refine=refine
+                )
+                assert got == want, (p, arity, force, refine)
 
     @pytest.mark.parametrize("groups, message", [
         ([[0, 0], [1, 2]], "listed more than once"),
@@ -329,6 +364,37 @@ class TestTypedValidation:
                 m = (m.indptr, m.indices, m.data)
         with pytest.raises(MappingError, match=message):
             refine_groups(m, groups)
+
+    def test_greedy_rejects_an_arity_that_does_not_divide(self):
+        # Run in a fresh interpreter: the unchecked loop spun forever.
+        proc = run_fresh(
+            "import numpy as np\n"
+            "from repro.errors import MappingError\n"
+            "from repro.treematch.grouping import group_greedy\n"
+            "for arity in (3, 0, -2):\n"
+            "    try:\n"
+            "        group_greedy(np.ones((4, 4)), arity)\n"
+            "    except MappingError as exc:\n"
+            "        print(exc)\n",
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.splitlines() == [
+            "4 processes are not divisible into groups of 3",
+            "arity must be positive, got 0",
+            "arity must be positive, got -2",
+        ]
+
+    @pytest.mark.parametrize("backend", ["csr", "rows"])
+    def test_greedy_and_weight_take_csr(self, backend):
+        sp = pytest.importorskip("scipy.sparse")
+        m = np.ones((4, 4))
+        np.fill_diagonal(m, 0.0)
+        csr = sp.csr_array(m)
+        a = csr if backend == "csr" else (csr.indptr, csr.indices, csr.data)
+        groups = group_greedy(a, 2)
+        assert groups == group_greedy(m, 2)
+        assert intra_group_weight(a, groups) == intra_group_weight(m, groups)
 
     def test_control_extension_rejects_empty_matrix(self):
         with pytest.raises(MappingError, match="empty affinity matrix"):

@@ -299,10 +299,11 @@ class TestScale:
     @pytest.mark.parametrize("sparse", [False, True])
     def test_dense_path_holds_one_leaf_order_matrix(self, sparse):
         # 2000 tasks on 160 PUs pad to lv = 2080 virtual leaves, and one
-        # lv x lv float64 matrix is 33 MiB. One such matrix plus
-        # refine_groups' lv x 160 arrays peaks at 1.44 of it on either
-        # backend; a second lv x lv copy (of the input's affinity, or a
-        # working copy in the greedy engine) would reach 2.0.
+        # lv x lv float64 matrix is 33 MiB. The dense backend holds one
+        # such matrix plus refine_groups' lv x 160 arrays, 1.44 of it; a
+        # second lv x lv copy (of the input's affinity, or a working
+        # copy in the greedy engine) would reach 2.0. The CSR backend
+        # builds none (test_treematch_sparse bounds it).
         import tracemalloc
 
         lv = 2080

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import MappingError
+from repro.topology import ObjType, TopoObject, Topology, machine_by_name
 from repro.treematch.aggregate import aggregate_comm_matrix
 from repro.treematch.coarsen import take_submatrix
 from repro.treematch.commmatrix import (
@@ -25,6 +26,7 @@ from repro.treematch.commmatrix import (
     CommunicationMatrix,
     check_affinity,
 )
+from repro.treematch.mapping import _padded_affinity, treematch_map
 
 sp = pytest.importorskip("scipy.sparse")
 
@@ -298,3 +300,144 @@ class TestTakeSubmatrix:
         assert take_submatrix(mat, np.array([], dtype=np.intp)).shape == (0, 0)
         with pytest.raises(MappingError, match="repeat"):
             take_submatrix(mat, np.array([1, 2, 1]))
+
+
+def _flat_machine(cores: int) -> Topology:
+    """*cores* two-PU cores straight under the root. Mapped one thread
+    per core, the root's level is the only one, so the first level
+    groups at the root."""
+    root = TopoObject(ObjType.MACHINE, name="flat")
+    for c in range(cores):
+        core = root.add_child(TopoObject(ObjType.CORE))
+        for t in range(2):
+            core.add_child(TopoObject(ObjType.PU, os_index=2 * c + t))
+    return Topology(root, name=f"flat{cores}")
+
+
+def _machine(name: str) -> Topology:
+    if name.startswith("flat"):
+        return _flat_machine(int(name[4:]))
+    return machine_by_name(name)
+
+
+#: ``id: (machine, order, treematch_map keywords)``. Each first level
+#: groups more than one thread per group, except at the flat root.
+MAP_CASES = {
+    "pu-pairs": ("SMP12E5", 180, {"hyperthread_aware": False}),
+    "spare-core": ("SMP12E5", 100,
+                   {"hyperthread_aware": False, "n_control": 60}),
+    "spare-core-owners": ("SMP12E5-4S", 40, {
+        "hyperthread_aware": False, "n_control": 24,
+        "control_owners": [(7 * j) % 40 for j in range(24)]}),
+    "oversubscribed": ("SMP20E7", 900, {}),
+    "oversubscribed-ht": ("SMP12E5", 500, {}),
+    "greedy": ("SMP12E5-4S", 300, {"engine": "greedy"}),
+    "no-refine": ("SMP20E7", 700, {"refine": False}),
+    "greedy-no-refine": ("SMP12E5-4S", 250,
+                         {"engine": "greedy", "refine": False}),
+    "flat-root": ("flat6", 6, {"distance_aware": False}),
+    "flat-root-padded": ("flat6", 5, {"distance_aware": False}),
+    "flat-root-pair": ("flat2", 2, {}),
+}
+
+
+def _sparse_traffic(n: int, seed: int, weights: str = "int") -> np.ndarray:
+    """About six partners per thread; integer weights 1-99, or floats."""
+    rng = np.random.default_rng(seed)
+    if weights == "int":
+        m = rng.integers(1, 100, size=(n, n)).astype(np.float64)
+    elif weights == "uniform":
+        m = rng.uniform(0.5, 100.0, size=(n, n))
+    else:
+        m = rng.lognormal(3.0, 1.0, size=(n, n))
+    m[rng.random((n, n)) >= min(1.0, 6.0 / n)] = 0.0
+    np.fill_diagonal(m, 0.0)
+    return m
+
+
+class TestTreematchMapBackends:
+    """``treematch_map`` groups a CSR-backed matrix on its CSR rows and
+    must place it as it places the dense matrix: the greedy engine makes
+    the dense choices on any weights, and on integer weights the
+    refinement and the aggregates compute the dense bits."""
+
+    @pytest.mark.parametrize("traffic", ["int", "zero"])
+    @pytest.mark.parametrize("owners", [[], [3, 0, 3, 9]])
+    def test_first_level_matrix_matches_dense(self, traffic, owners):
+        """The CSR first level stores the dense one's entries: the
+        affinity, the control edges at the same positions with the same
+        epsilon (scaled by the heaviest affinity, or by 1 with no
+        traffic), and empty padding rows."""
+        n, lv = 10, 16
+        m = _sparse_traffic(n, 4) if traffic == "int" else np.zeros((n, n))
+        dense, sparse = pair(m)
+        want = _padded_affinity(dense, lv, owners)
+        got = _padded_affinity(sparse, lv, owners)
+        assert sp.issparse(got) and got.has_canonical_format
+        assert np.array_equal(got.toarray(), want)
+        assert got.nnz == np.count_nonzero(want)
+
+    @pytest.mark.parametrize("case", sorted(MAP_CASES))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_integer_weights_map_equally(self, case, seed):
+        machine, n, kwargs = MAP_CASES[case]
+        topo = _machine(machine)
+        dense, sparse = pair(_sparse_traffic(n, seed))
+        assert sparse.is_sparse and not dense.is_sparse
+        stats = [{}, {}]
+        want = treematch_map(topo, dense, refine_stats=stats[0], **kwargs)
+        got = treematch_map(topo, sparse, refine_stats=stats[1], **kwargs)
+        assert got == want
+        assert stats[0] == stats[1]
+
+    @pytest.mark.parametrize("machine, n", [("SMP20E7", 500),
+                                            ("SMP12E5", 150)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_warm_start_maps_equally(self, machine, n, seed):
+        topo = machine_by_name(machine)
+        kwargs = {"hyperthread_aware": machine != "SMP12E5"}
+        prior = treematch_map(
+            topo, CommunicationMatrix(_sparse_traffic(n, seed + 100)), **kwargs
+        )
+        dense, sparse = pair(_sparse_traffic(n, seed))
+        stats = [{}, {}]
+        want = treematch_map(topo, dense, warm_start=prior,
+                             refine_stats=stats[0], **kwargs)
+        got = treematch_map(topo, sparse, warm_start=prior,
+                            refine_stats=stats[1], **kwargs)
+        assert got == want
+        assert stats[0] == stats[1] and stats[0]["swaps"] > 0
+
+    @pytest.mark.parametrize("weights", ["uniform", "lognormal"])
+    @pytest.mark.parametrize("machine, n, kwargs", [
+        ("SMP20E7", 700, {}),
+        ("SMP12E5", 180, {"hyperthread_aware": False}),
+        ("SMP12E5", 100, {"hyperthread_aware": False, "n_control": 60}),
+    ])
+    def test_float_weights_map_equally(self, weights, machine, n, kwargs):
+        """On float weights the CSR refinement and first aggregate sum in
+        stored-entry order, not BLAS order, so a near-tie could resolve
+        differently; none of these 48 instances does."""
+        topo = machine_by_name(machine)
+        for seed in range(8):
+            dense, sparse = pair(_sparse_traffic(n, seed, weights))
+            want = treematch_map(topo, dense, **kwargs)
+            assert treematch_map(topo, sparse, **kwargs) == want, seed
+
+    def test_csr_stencil_builds_no_leaf_order_matrix(self):
+        """4,096 tasks on SMP20E7 pad to lv = 4,160 virtual leaves; one
+        lv x lv float64 matrix is 138 MB. The CSR first level and the
+        refinement's lv x 160 arrays peak near 0.2 of it."""
+        import tracemalloc
+
+        lv = 4160
+        comm = CommunicationMatrix.stencil2d(4096)
+        assert comm.is_sparse
+        tracemalloc.start()
+        try:
+            pl = treematch_map(machine_by_name("SMP20E7"), comm)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sorted(pl.thread_to_pu) == list(range(4096))
+        assert peak < 0.3 * lv * lv * 8
