@@ -12,7 +12,7 @@ paper's OpenMP/MKL comparisons live in :mod:`repro.treematch.strategies`.
 
 from repro.treematch.aggregate import aggregate_comm_matrix
 from repro.treematch.commmatrix import CommunicationMatrix
-from repro.treematch.control import ControlPlan, extend_for_control_threads
+from repro.treematch.control import ControlPlan
 from repro.treematch.grouping import group_processes
 from repro.treematch.maporder import child_distance_matrix, order_top_groups
 from repro.treematch.bisect import split_k
@@ -24,11 +24,8 @@ from repro.treematch.strategies import (
     compact_placement,
     cores_close_placement,
     cores_spread_placement,
-    map_with_strategy,
     mapping_strategy,
     scatter_placement,
-    sequential_placement,
-    strategy_by_name,
 )
 
 __all__ = [
@@ -37,11 +34,9 @@ __all__ = [
     "aggregate_comm_matrix",
     "manage_oversubscription",
     "ControlPlan",
-    "extend_for_control_threads",
     "Placement",
     "treematch_map",
     "multilevel_map",
-    "map_with_strategy",
     "mapping_strategy",
     "MULTILEVEL_CUTOVER",
     "coarsen",
@@ -52,6 +47,4 @@ __all__ = [
     "scatter_placement",
     "cores_close_placement",
     "cores_spread_placement",
-    "sequential_placement",
-    "strategy_by_name",
 ]

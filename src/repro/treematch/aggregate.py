@@ -12,14 +12,10 @@ subtree count, never large.
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse as _sp
 
 from repro.errors import MappingError
 from repro.treematch.commmatrix import _check_dense, _check_entries
-
-try:  # pragma: no cover - optional dependency
-    from scipy import sparse as _sp
-except ImportError:  # pragma: no cover
-    _sp = None
 
 __all__ = ["aggregate_comm_matrix", "group_assignment"]
 
@@ -67,7 +63,7 @@ def aggregate_comm_matrix(m, groups: list[list[int]]) -> np.ndarray:
     others.
     """
     k = len(groups)
-    if _sp is not None and _sp.issparse(m):
+    if _sp.issparse(m):
         p = m.shape[0]
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise MappingError(

@@ -25,16 +25,12 @@ every sweep visits candidates in a sorted order.
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse as _sp
 
 from repro.errors import MappingError
 from repro.treematch.coarsen import _row_ids, _spans, _take_parts, coarsen
 from repro.treematch.commmatrix import check_affinity
 from repro.treematch.grouping import group_processes, refine_groups
-
-try:  # pragma: no cover - optional dependency
-    from scipy import sparse as _sp
-except ImportError:  # pragma: no cover
-    _sp = None
 
 __all__ = ["split_k", "DIRECT_LIMIT", "REFINE_LIMIT"]
 
@@ -60,7 +56,7 @@ _SEED_BLOCK = 1 << 18
 
 
 def _densify(aff) -> np.ndarray:
-    if _sp is not None and _sp.issparse(aff):
+    if _sp.issparse(aff):
         return np.asarray(aff.todense(), dtype=np.float64)
     return np.asarray(aff, dtype=np.float64)
 

@@ -7,9 +7,9 @@ level — each level merges matched pairs of heavily-communicating
 vertices into one coarse vertex — until the graph is small enough to
 partition with the dense engines, then projects the partition back up.
 
-Everything here works on a plain CSR triple ``(indptr, indices, data)``
-so the module needs no scipy: a dense array or a ``scipy.sparse`` matrix
-is converted on entry (:func:`csr_parts`). Matrices must be symmetric,
+Everything here works on a plain CSR triple ``(indptr, indices, data)``:
+a dense array or a ``scipy.sparse`` matrix is converted on entry
+(:func:`csr_parts`). Matrices must be symmetric,
 finite and non-negative affinity views (what
 ``CommunicationMatrix.affinity_any`` returns); :func:`coarsen` checks
 that with :func:`check_affinity`.
@@ -29,14 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse as _sp
 
 from repro.errors import MappingError
 from repro.treematch.commmatrix import _canonical_csr, check_affinity
-
-try:  # pragma: no cover - optional dependency
-    from scipy import sparse as _sp
-except ImportError:  # pragma: no cover
-    _sp = None
 
 __all__ = [
     "CoarseLevel",
@@ -73,7 +69,7 @@ def csr_parts(matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     Rows are returned with sorted column indices; the input is not
     modified.
     """
-    if _sp is not None and _sp.issparse(matrix):
+    if _sp.issparse(matrix):
         csr = _canonical_csr(matrix)
         return (
             np.asarray(csr.indptr, dtype=np.int64),
@@ -156,7 +152,7 @@ def take_submatrix(matrix, idx: np.ndarray):
     *matrix*'s index dtype.
     """
     ia = np.asarray(idx, dtype=np.intp)
-    if _sp is not None and _sp.issparse(matrix):
+    if _sp.issparse(matrix):
         csr = _canonical_csr(matrix)
         ip, ix, dv = _take_parts(csr.indptr, csr.indices, csr.data, ia)
         cls = _sp.csr_matrix if _sp.isspmatrix(matrix) else _sp.csr_array
@@ -290,20 +286,21 @@ def coarsen_matrix(
     return indptr2, cols2, sums.astype(np.float64)
 
 
-def coarsen(
-    matrix,
-    *,
-    target: int,
-    max_levels: int = 64,
-    min_shrink: float = 0.95,
-) -> list[CoarseLevel]:
+#: :func:`coarsen` stops when a matching keeps at least this share of
+#: the vertices (edge-free graphs stall immediately) ...
+_MIN_SHRINK = 0.95
+#: ... or once it holds this many levels.
+_MAX_LEVELS = 64
+
+
+def coarsen(matrix, *, target: int) -> list[CoarseLevel]:
     """Build the coarsening hierarchy of *matrix* down to ~*target* vertices.
 
     Stops when the level order reaches *target*, when a matching fails
-    to shrink the graph below ``min_shrink`` of its size (edge-free
-    graphs stall immediately), or after *max_levels*. Returns the levels
-    finest-first; the caller partitions the last one and projects back
-    through ``coarse_of``. A *matrix* that :func:`check_affinity`
+    to shrink the graph below :data:`_MIN_SHRINK` of its size, or after
+    :data:`_MAX_LEVELS` levels. Returns the levels finest-first; the
+    caller partitions the last one and projects back through
+    ``coarse_of``. A *matrix* that :func:`check_affinity`
     rejects raises :class:`~repro.errors.MappingError`.
     """
     if target < 1:
@@ -311,12 +308,12 @@ def coarsen(
     indptr, indices, data, n = csr_parts(check_affinity(matrix))
     levels = [CoarseLevel(indptr, indices, data, n,
                           np.ones(n, dtype=np.int64))]
-    while levels[-1].n > target and len(levels) < max_levels:
+    while levels[-1].n > target and len(levels) < _MAX_LEVELS:
         cur = levels[-1]
         coarse_of, n_c = heavy_edge_matching(
             cur.indptr, cur.indices, cur.data, cur.n
         )
-        if n_c >= cur.n * min_shrink:
+        if n_c >= cur.n * _MIN_SHRINK:
             break
         indptr2, indices2, data2 = coarsen_matrix(
             cur.indptr, cur.indices, cur.data, cur.n, coarse_of, n_c

@@ -13,36 +13,21 @@ Two storage backends share one API:
   from edges (:meth:`from_edges`, :meth:`stencil2d`). A million-task
   stencil has ~4 entries per row; CSR keeps it at O(nnz) instead of an
   8 TB dense allocation.
-
-When ``scipy`` is not installed the sparse backend degrades gracefully:
-``sparse=True`` falls back to dense storage (callers that genuinely need
-CSR check :data:`HAVE_SPARSE`).
 """
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Mapping, Sequence
 
 import numpy as np
+from scipy import sparse as _sp
 
 from repro.errors import MappingError
-from repro.util.matrix import (
-    check_square,
-    first_asymmetry,
-    submatrix,
-    write_affinity,
-)
+from repro.util.matrix import check_square, first_asymmetry, write_affinity
 
-try:  # pragma: no cover - exercised implicitly by every test run
-    from scipy import sparse as _sp
-except ImportError:  # pragma: no cover - scipy is an optional dependency
-    _sp = None
-
-__all__ = ["CommunicationMatrix", "HAVE_SPARSE", "check_affinity",
+__all__ = ["CommunicationMatrix", "check_affinity",
            "SPARSE_AUTO_ORDER", "SPARSE_AUTO_DENSITY"]
-
-#: True when scipy.sparse is importable and the CSR backend is available.
-HAVE_SPARSE = _sp is not None
 
 #: Edge-built matrices of at least this order are candidates for the
 #: automatic CSR backend selection ...
@@ -54,24 +39,21 @@ SPARSE_AUTO_DENSITY = 0.25
 def _pick_sparse(flag: bool | None, n: int, nnz: int) -> bool:
     """Resolve the ``sparse`` constructor flag (None = auto by density)."""
     if flag is not None:
-        return bool(flag) and HAVE_SPARSE
-    if not HAVE_SPARSE:
-        return False
+        return bool(flag)
     return n >= SPARSE_AUTO_ORDER and nnz <= SPARSE_AUTO_DENSITY * n * n
 
 
 class _DefaultLabels(Sequence):
-    """Lazy ``t{i}`` labels (with a ``pad{i}`` tail after padding).
+    """Lazy ``t{i}`` labels.
 
     A million-task matrix must not materialize a million strings just to
     satisfy the label API; this sequence renders each name on demand.
     """
 
-    __slots__ = ("_n", "_base")
+    __slots__ = ("_n",)
 
-    def __init__(self, n: int, base: int | None = None) -> None:
+    def __init__(self, n: int) -> None:
         self._n = n
-        self._base = base  # labels >= base are pad labels
 
     def __len__(self) -> int:
         return self._n
@@ -81,8 +63,6 @@ class _DefaultLabels(Sequence):
             i += self._n
         if not 0 <= i < self._n:
             raise IndexError(i)
-        if self._base is not None and i >= self._base:
-            return f"pad{i - self._base}"
         return f"t{i}"
 
     def __getitem__(self, i):
@@ -92,7 +72,7 @@ class _DefaultLabels(Sequence):
 
     def __eq__(self, other) -> bool:
         if isinstance(other, _DefaultLabels):
-            return self._n == other._n and self._base == other._base
+            return self._n == other._n
         if isinstance(other, (list, tuple)):
             return len(other) == self._n and all(
                 a == b for a, b in zip(self, other)
@@ -100,7 +80,7 @@ class _DefaultLabels(Sequence):
         return NotImplemented
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"<_DefaultLabels n={self._n} base={self._base}>"
+        return f"<_DefaultLabels n={self._n}>"
 
 
 def _check_dense(m, *, name: str = "matrix") -> np.ndarray:
@@ -112,8 +92,10 @@ def _check_dense(m, *, name: str = "matrix") -> np.ndarray:
 
 
 def _check_entries(data: np.ndarray, *, name: str = "matrix") -> None:
-    """The finiteness and sign checks over a sparse matrix's stored
-    entries."""
+    """The type, finiteness and sign checks over a sparse matrix's stored
+    entries, made before they are cast to float64."""
+    if np.iscomplexobj(data):
+        raise MappingError(f"{name} contains complex entries")
     if not np.isfinite(data).all():
         raise MappingError(f"{name} contains non-finite entries")
     if data.size and data.min() < 0:
@@ -140,10 +122,11 @@ def _check_csr(m, *, name: str = "matrix", copy: bool = False):
     :func:`_canonical_csr`); *copy* makes its arrays its own even when
     *m* is canonical already.
     """
-    csr = _sp.csr_array(m, dtype=np.float64)
+    csr = _sp.csr_array(m)
     if csr.ndim != 2 or csr.shape[0] != csr.shape[1]:
         raise MappingError(f"{name} must be square 2-D, got shape {csr.shape}")
     _check_entries(csr.data, name=name)
+    csr = csr.astype(np.float64, copy=False)
     if copy and csr.has_canonical_format:
         return csr.copy()
     return _canonical_csr(csr)
@@ -160,7 +143,7 @@ def check_affinity(m):
     as canonical CSR; a dense one is walked in row blocks and tiles, so
     no temporary of its size is allocated, and returned as float64.
     """
-    if HAVE_SPARSE and _sp.issparse(m):
+    if _sp.issparse(m):
         a = _check_csr(m, name="affinity matrix")
         t = a.T.tocsr()
         if (np.array_equal(a.indptr, t.indptr)
@@ -183,6 +166,24 @@ def check_affinity(m):
     return a
 
 
+def _bad_edge(n: int, edges: Mapping) -> str | None:
+    """What is wrong with the first of *edges* whose key is not a pair
+    of integer task indices below *n* or whose traffic is not a real
+    number; None when every edge is well-formed."""
+    for key, w in edges.items():
+        try:
+            i, j = map(operator.index, key)
+        except (TypeError, ValueError):
+            return f"edge {key!r} is not a pair of integer task indices"
+        if not (0 <= i < n and 0 <= j < n):
+            return f"edge ({i}, {j}) outside order {n}"
+        try:
+            float(w)
+        except (TypeError, ValueError):
+            return f"traffic {w!r} on edge ({i}, {j}) is not a real number"
+    return None
+
+
 def _sym_zero_diag_csr(m):
     """CSR symmetrize + zero diagonal without inserting explicit zeros."""
     s = (m + m.T).tocoo()
@@ -202,7 +203,7 @@ class CommunicationMatrix:
         *,
         sparse: bool | None = None,
     ) -> None:
-        if HAVE_SPARSE and _sp.issparse(data):
+        if _sp.issparse(data):
             if sparse is False:
                 self._m = _check_dense(data.toarray(),
                                        name="communication matrix")
@@ -213,7 +214,7 @@ class CommunicationMatrix:
                                      copy=True)
         else:
             dense = _check_dense(data, name="communication matrix")
-            if sparse and HAVE_SPARSE:
+            if sparse:
                 self._m = _check_csr(_sp.csr_array(dense),
                                      name="communication matrix")
             else:
@@ -240,19 +241,25 @@ class CommunicationMatrix:
         """Build from sparse ``{(receiver, producer): bytes}`` edges.
 
         The backend follows *sparse* (None = automatic: CSR for large,
-        low-density instances when scipy is available). Construction is
-        vectorized and — on the CSR path — never touches an O(n²) array.
+        low-density instances). Construction is vectorized and — on the
+        CSR path — never touches an O(n²) array. A key that is not a
+        pair of integer task indices below *n*, or traffic that is not
+        a real number, raises :class:`MappingError` naming the edge.
         """
         if n < 0:
             raise MappingError(f"negative order {n}")
         k = len(edges)
-        if k:
-            rows = np.fromiter((e[0] for e in edges), dtype=np.int64, count=k)
-            cols = np.fromiter((e[1] for e in edges), dtype=np.int64, count=k)
+        index = operator.index
+        try:
+            # Unpacking rejects a key that is not a pair, operator.index
+            # one whose entries are not integers (instead of truncating).
+            rows = np.fromiter(map(index, (i for i, _ in edges)),
+                               dtype=np.int64, count=k)
+            cols = np.fromiter(map(index, (j for _, j in edges)),
+                               dtype=np.int64, count=k)
             vals = np.fromiter(edges.values(), dtype=np.float64, count=k)
-        else:
-            rows = cols = np.zeros(0, dtype=np.int64)
-            vals = np.zeros(0, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise MappingError(_bad_edge(n, edges) or str(exc)) from None
         bad = (rows < 0) | (rows >= n) | (cols < 0) | (cols >= n)
         if bad.any():
             b = int(np.flatnonzero(bad)[0])
@@ -333,7 +340,7 @@ class CommunicationMatrix:
     @property
     def is_sparse(self) -> bool:
         """True when the CSR backend holds this matrix."""
-        return HAVE_SPARSE and _sp.issparse(self._m)
+        return _sp.issparse(self._m)
 
     @property
     def nnz(self) -> int:
@@ -350,12 +357,7 @@ class CommunicationMatrix:
         return self._m.copy()
 
     def tocsr(self):
-        """The directed matrix as a ``scipy.sparse`` CSR array (copy).
-
-        Raises :class:`MappingError` when scipy is unavailable.
-        """
-        if not HAVE_SPARSE:
-            raise MappingError("scipy is not installed; no CSR view")
+        """The directed matrix as a ``scipy.sparse`` CSR array (copy)."""
         if self.is_sparse:
             return self._m.copy()
         return _sp.csr_array(self._m)
@@ -363,8 +365,8 @@ class CommunicationMatrix:
     def affinity(self) -> np.ndarray:
         """Symmetrized, zero-diagonal traffic — what TreeMatch groups on.
 
-        Always dense; use :meth:`affinity_sparse` for the CSR view when
-        the instance is too large to densify.
+        Always dense; use :meth:`affinity_any` for the CSR view when the
+        instance is too large to densify.
         """
         return self.affinity_into(np.zeros((self.order, self.order)))
 
@@ -386,14 +388,6 @@ class CommunicationMatrix:
             write_affinity(out[:n, :n], self._m)
         return out
 
-    def affinity_sparse(self):
-        """The affinity view as a CSR array (requires scipy)."""
-        if not HAVE_SPARSE:
-            raise MappingError("scipy is not installed; no CSR affinity")
-        if self.is_sparse:
-            return _sym_zero_diag_csr(self._m)
-        return _sp.csr_array(self.affinity())
-
     def affinity_any(self):
         """Affinity in the native backend: CSR when sparse, else dense.
 
@@ -403,52 +397,6 @@ class CommunicationMatrix:
         if self.is_sparse:
             return _sym_zero_diag_csr(self._m)
         return self.affinity()
-
-    def total_traffic(self) -> float:
-        """Total off-diagonal traffic (both directions)."""
-        if self.is_sparse:
-            return float(_sym_zero_diag_csr(self._m).data.sum()) / 2.0
-        return float(self.affinity().sum()) / 2.0
-
-    def restricted(self, indices: Sequence[int]) -> CommunicationMatrix:
-        """Sub-matrix over *indices* (new thread ids follow that order)."""
-        idx = list(indices)
-        labels = [self.labels[i] for i in idx]
-        if self.is_sparse:
-            ia = np.asarray(idx, dtype=np.intp)
-            return CommunicationMatrix(self._m[ia][:, ia], labels)
-        return CommunicationMatrix(submatrix(self._m, idx), labels)
-
-    def padded(self, new_order: int) -> CommunicationMatrix:
-        """Zero-pad to *new_order* (dummy threads communicate nothing)."""
-        if new_order < self.order:
-            raise MappingError(
-                f"cannot pad order {self.order} down to {new_order}"
-            )
-        if isinstance(self.labels, _DefaultLabels):
-            labels: Sequence[str] = _DefaultLabels(new_order, base=self.order)
-        else:
-            labels = list(self.labels) + [
-                f"pad{i}" for i in range(new_order - self.order)
-            ]
-        if self.is_sparse:
-            csr = self._m
-            indptr = np.concatenate([
-                csr.indptr,
-                np.full(new_order - self.order, csr.indptr[-1],
-                        dtype=csr.indptr.dtype),
-            ])
-            padded = _sp.csr_array(
-                (csr.data.copy(), csr.indices.copy(), indptr),
-                shape=(new_order, new_order),
-            )
-            out = CommunicationMatrix(padded)
-        else:
-            m = np.zeros((new_order, new_order))
-            m[: self.order, : self.order] = self._m
-            out = CommunicationMatrix(m)
-        out.labels = labels
-        return out
 
     # -- persistence -------------------------------------------------------------
 
@@ -489,39 +437,6 @@ class CommunicationMatrix:
             )
         return cls(np.asarray(rows), labels)
 
-    # -- quality metric ---------------------------------------------------------
-
-    def placement_cost(
-        self, placement: Mapping[int, int], hop_depth: Mapping[tuple[int, int], int]
-    ) -> float:
-        """Weighted communication distance of a placement.
-
-        ``hop_depth[(pu_a, pu_b)]`` must give a *distance* (larger = farther)
-        between the PUs; the cost is ``sum traffic(i,j) * distance`` — the
-        objective TreeMatch minimizes.
-
-        Both backends accumulate the nonzero upper-triangle terms in
-        row-major order, so CSR and dense agree bit-for-bit.
-        """
-        cost = 0.0
-        if self.is_sparse:
-            coo = self.affinity_sparse().tocoo()
-            for i, j, w in zip(coo.row.tolist(), coo.col.tolist(),
-                               coo.data.tolist()):
-                if i < j and w and i in placement and j in placement:
-                    cost += w * hop_depth[(placement[i], placement[j])]
-            return cost
-        aff = self.affinity()
-        for i in range(self.order):
-            for j in range(i + 1, self.order):
-                w = aff[i, j]
-                if w and i in placement and j in placement:
-                    cost += w * hop_depth[(placement[i], placement[j])]
-        return cost
-
     def __repr__(self) -> str:  # pragma: no cover
         kind = "sparse" if self.is_sparse else "dense"
-        return (
-            f"<CommunicationMatrix order={self.order} {kind} "
-            f"traffic={self.total_traffic():.3g}>"
-        )
+        return f"<CommunicationMatrix order={self.order} {kind} nnz={self.nnz}>"

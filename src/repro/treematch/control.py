@@ -19,14 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import MappingError
-from repro.treematch.commmatrix import check_affinity
 
 __all__ = [
     "ControlPlan",
     "plan_control_threads",
     "add_control_edges",
     "control_edges",
-    "extend_for_control_threads",
     "CONTROL_EPSILON",
 ]
 
@@ -104,45 +102,3 @@ def add_control_edges(m: np.ndarray, p: int, owners: list[int]) -> None:
     a = m[:p, :p]
     rows, cols, eps = control_edges(p, owners, float(a.max()) if a.size else 0.0)
     m[rows, cols] = eps
-
-
-def extend_for_control_threads(
-    m: np.ndarray,
-    n_control: int,
-    n_leaves: int,
-    *,
-    hyperthreading: bool,
-    control_owners: list[int] | None = None,
-) -> tuple[np.ndarray, ControlPlan]:
-    """Return the (possibly extended) affinity matrix and the control plan.
-
-    *m* is the compute-thread affinity matrix; it must pass
-    :func:`~repro.treematch.commmatrix.check_affinity` (square, finite,
-    non-negative, symmetric). *n_leaves* is the number of
-    compute-granularity leaves of the tree (cores when hyperthread-aware,
-    PUs otherwise). :func:`~repro.treematch.mapping.treematch_map` plans
-    with :func:`plan_control_threads` and writes the edges into its own
-    matrix with :func:`add_control_edges` instead.
-    """
-    a = check_affinity(m)
-    p = a.shape[0]
-    plan = plan_control_threads(p, n_control, n_leaves,
-                                hyperthreading=hyperthreading)
-    if not plan.slots:
-        return a, plan
-    if p == 0:
-        raise MappingError(
-            f"empty affinity matrix: {plan.slots} control slots but no "
-            "compute thread to own them"
-        )
-    owners = control_owners if control_owners is not None else [
-        i % p for i in range(plan.slots)
-    ]
-    if len(owners) < plan.slots:
-        raise MappingError(
-            f"{len(owners)} control owners for {plan.slots} control slots"
-        )
-    ext = np.zeros((p + plan.slots, p + plan.slots))
-    ext[:p, :p] = a
-    add_control_edges(ext, p, owners[: plan.slots])
-    return ext, plan

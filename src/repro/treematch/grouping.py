@@ -23,16 +23,12 @@ from itertools import combinations
 from math import comb
 
 import numpy as np
+from scipy import sparse as _sp
 
 from repro.errors import MappingError
 from repro.treematch.coarsen import _row_ids, _spans, _take_parts
 from repro.treematch.commmatrix import _canonical_csr, check_affinity
 from repro.util.matrix import row_blocks
-
-try:  # pragma: no cover - optional dependency
-    from scipy import sparse as _sp
-except ImportError:  # pragma: no cover
-    _sp = None
 
 __all__ = [
     "group_processes",
@@ -139,7 +135,7 @@ def _csr_rows(m):
     """
     if isinstance(m, tuple):
         return m
-    if _sp is not None and _sp.issparse(m):
+    if _sp.issparse(m):
         c = _canonical_csr(m)
         return c.indptr, c.indices, np.asarray(c.data, dtype=np.float64)
     return None
@@ -389,6 +385,10 @@ _REFINE_BLOCK = 32
 #: are bounded by it are not evaluated at all.
 _MIN_GAIN = 1e-12
 
+#: Safety stop of :func:`refine_groups`: sweeps repeat until none
+#: improves, at most this many.
+_MAX_SWEEPS = 32
+
 
 class _DenseRows:
     """What the greedy and refinement engines read of a dense affinity:
@@ -556,7 +556,6 @@ def refine_groups(
     m,
     groups: list[list[int]],
     *,
-    max_rounds: int = 4,
     stats: dict | None = None,
 ) -> list[list[int]]:
     """Pairwise-swap local search: exchange elements between groups while
@@ -570,7 +569,7 @@ def refine_groups(
     non-conflicting swaps in descending-gain order, re-checking each
     candidate's exact gain against the current state so the objective
     never decreases. Sweeps repeat until none improves, at most
-    ``max(8 * max_rounds, 16)`` of them as a safety stop.
+    :data:`_MAX_SWEEPS` of them as a safety stop.
 
     Best partners are kept from sweep to sweep. A row is evaluated in
     full (vectorized, in row blocks) only when the last sweep's swaps
@@ -663,7 +662,7 @@ def refine_groups(
     delta = np.empty((n, k))
     delta_t = np.empty((k, n))
     outer = np.empty((n, k))
-    for _ in range(max(8 * max_rounds, 16)):
+    for _ in range(_MAX_SWEEPS):
         sweeps += 1
         own = attraction[rows, asg]
         np.subtract(attraction, own[:, None], out=delta)

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse as _sp
 
 from repro.errors import MappingError
 from repro.topology.tree import Topology
@@ -25,11 +26,6 @@ from repro.treematch.control import (
 from repro.treematch.grouping import _canonical, group_processes, refine_groups
 from repro.treematch.maporder import child_distance_matrix, order_top_groups
 from repro.treematch.oversub import manage_oversubscription
-
-try:  # pragma: no cover - optional dependency
-    from scipy import sparse as _sp
-except ImportError:  # pragma: no cover
-    _sp = None
 
 __all__ = ["Placement", "treematch_map", "multilevel_map", "map_order_block"]
 
@@ -55,12 +51,6 @@ class Placement:
     @property
     def reserved_pus(self) -> list[int]:
         return sorted(set(self.control_to_pu.values()) - set(self.thread_to_pu.values()))
-
-    def cpuset_of_thread(self, tid: int) -> int:
-        try:
-            return self.thread_to_pu[tid]
-        except KeyError:
-            raise MappingError(f"thread {tid} not in placement") from None
 
     def to_dict(self) -> dict:
         """JSON-compatible form (inverse of :meth:`from_dict`)."""
@@ -254,10 +244,10 @@ class Placement:
         """
         if tids.size < 2:
             return 0.0
-        if getattr(comm, "is_sparse", False):
+        if comm.is_sparse:
             # O(nnz) path: walk the stored affinity entries once instead
             # of densifying (a million-task matrix never fits dense).
-            coo = comm.affinity_sparse().tocoo()
+            coo = comm.affinity_any().tocoo()
             pos = np.full(comm.order, -1, dtype=np.int64)
             pos[tids] = np.arange(tids.size)
             pr = pos[coo.row]
@@ -613,19 +603,15 @@ def map_order_block(
 ) -> list[int]:
     """Order a CSR-triple block — the pure core of the ``map-subtree`` job.
 
-    Rebuilds the affinity backend (sparse when scipy is available, dense
-    otherwise) and runs the same :func:`_order_block` recursion the
-    in-process path uses, so results are identical for any worker count.
+    Rebuilds the CSR affinity and runs the same :func:`_order_block`
+    recursion the in-process path uses, so results are identical for any
+    worker count.
     """
-    ip = np.asarray(indptr, dtype=np.int64)
-    ix = np.asarray(indices, dtype=np.int64)
-    dv = np.asarray(data, dtype=np.float64)
-    if _sp is not None:
-        aff = _sp.csr_array((dv, ix, ip), shape=(n, n))
-    else:  # pragma: no cover - exercised only without scipy
-        from repro.treematch.coarsen import parts_to_dense
-
-        aff = parts_to_dense(ip, ix, dv, n)
+    aff = _sp.csr_array((
+        np.asarray(data, dtype=np.float64),
+        np.asarray(indices, dtype=np.int64),
+        np.asarray(indptr, dtype=np.int64),
+    ), shape=(n, n))
     return _order_block(aff, list(arities))
 
 
@@ -651,7 +637,6 @@ def _subtree_orders(
         n_jobs != 1
         and len(parts) > 1
         and size >= PARALLEL_MIN_TASKS
-        and _sp is not None
         and all(_sp.issparse(s) for s in subs)
     )
     if not use_jobs:

@@ -21,10 +21,7 @@ __all__ = [
     "scatter_placement",
     "cores_close_placement",
     "cores_spread_placement",
-    "sequential_placement",
-    "strategy_by_name",
     "mapping_strategy",
-    "map_with_strategy",
     "MAPPING_STRATEGIES",
     "MULTILEVEL_CUTOVER",
 ]
@@ -36,8 +33,7 @@ __all__ = [
 #: multilevel).
 MULTILEVEL_CUTOVER = 8192
 
-#: Affinity-aware mapping engines selectable by name (the baselines
-#: above stay in ``_STRATEGIES`` — they ignore the matrix entirely).
+#: Affinity-aware mapping engines selectable by name.
 MAPPING_STRATEGIES = ("auto", "greedy", "multilevel")
 
 
@@ -64,8 +60,7 @@ def _placement(
     topology: Topology,
     order: list[TopoObject],
     n: int,
-    name: str,
-    factor: int = 1,
+    factor: int,
 ) -> Placement:
     # Threads wrap around the leaf order when oversubscribed, mirroring
     # how the affinity-blind baselines behave on an overcommitted node.
@@ -88,7 +83,7 @@ def compact_placement(
     pus = [pu for core in topology.cores for pu in core.leaves()]
     factor = _check_n(topology, n_threads, len(pus),
                       oversubscribe=oversubscribe)
-    return _placement(topology, pus, n_threads, "compact", factor)
+    return _placement(topology, pus, n_threads, factor)
 
 
 def scatter_placement(
@@ -113,7 +108,7 @@ def scatter_placement(
                         order.append(leaves[sib])
     factor = _check_n(topology, n_threads, len(order),
                       oversubscribe=oversubscribe)
-    return _placement(topology, order, n_threads, "scatter", factor)
+    return _placement(topology, order, n_threads, factor)
 
 
 def cores_close_placement(
@@ -124,7 +119,7 @@ def cores_close_placement(
     order = [core.children[0] for core in topology.cores]
     factor = _check_n(topology, n_threads, len(order),
                       oversubscribe=oversubscribe)
-    return _placement(topology, order, n_threads, "cores-close", factor)
+    return _placement(topology, order, n_threads, factor)
 
 
 def cores_spread_placement(
@@ -145,29 +140,7 @@ def cores_spread_placement(
     ]
     factor = _check_n(topology, n_threads, len(order),
                       oversubscribe=oversubscribe)
-    return _placement(topology, order, n_threads, "cores-spread", factor)
-
-
-def sequential_placement(topology: Topology, n_threads: int = 1) -> Placement:
-    """Everything on PU 0 — the sequential baseline of Fig. 6."""
-    pu0 = topology.pus[0]
-    if n_threads <= 0:
-        raise MappingError("n_threads must be positive")
-    return Placement(
-        thread_to_pu={i: pu0.os_index for i in range(n_threads)},
-        control_mode="os",
-        granularity="pu",
-        topology_name=topology.name,
-    )
-
-
-_STRATEGIES = {
-    "compact": compact_placement,
-    "scatter": scatter_placement,
-    "cores-close": cores_close_placement,
-    "cores-spread": cores_spread_placement,
-    "sequential": sequential_placement,
-}
+    return _placement(topology, order, n_threads, factor)
 
 
 def mapping_strategy(name: str, n_tasks: int) -> str:
@@ -185,36 +158,3 @@ def mapping_strategy(name: str, n_tasks: int) -> str:
     if name == "auto":
         return "multilevel" if n_tasks > MULTILEVEL_CUTOVER else "greedy"
     return name
-
-
-def map_with_strategy(
-    topology: Topology,
-    comm,
-    *,
-    strategy: str = "auto",
-    n_jobs: int | None = 1,
-    **kwargs,
-) -> Placement:
-    """Run the selected affinity-aware mapping engine.
-
-    Extra keyword arguments go to the chosen engine
-    (:func:`~repro.treematch.mapping.treematch_map` for ``"greedy"``,
-    :func:`~repro.treematch.mapping.multilevel_map` for
-    ``"multilevel"``); ``n_jobs`` only applies to the multilevel path.
-    """
-    from repro.treematch.mapping import multilevel_map, treematch_map
-
-    engine = mapping_strategy(strategy, comm.order)
-    if engine == "multilevel":
-        return multilevel_map(topology, comm, n_jobs=n_jobs, **kwargs)
-    return treematch_map(topology, comm, **kwargs)
-
-
-def strategy_by_name(name: str):
-    """Look up a baseline strategy callable by name."""
-    try:
-        return _STRATEGIES[name]
-    except KeyError:
-        raise MappingError(
-            f"unknown strategy {name!r}; known: {', '.join(sorted(_STRATEGIES))}"
-        ) from None

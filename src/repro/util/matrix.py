@@ -14,7 +14,6 @@ __all__ = [
     "check_square",
     "first_asymmetry",
     "row_blocks",
-    "submatrix",
     "write_affinity",
 ]
 
@@ -35,12 +34,17 @@ def row_blocks(n_rows: int, n_cols: int) -> list[slice]:
 
 
 def check_square(m: np.ndarray, *, name: str = "matrix") -> np.ndarray:
-    """Validate that *m* is a finite, non-negative 2-D square array.
+    """Validate that *m* is a finite, non-negative 2-D square array and
+    return it as float64.
 
-    Each row block passes when its minimum is ``>= 0`` and its maximum
-    ``< inf`` (a NaN fails both comparisons); the defect is named only
-    on the error path, where non-finite entries are reported first.
+    Complex entries are rejected before the cast, which would drop their
+    imaginary parts. Each row block passes when its minimum is ``>= 0``
+    and its maximum ``< inf`` (a NaN fails both comparisons); the defect
+    is named only on the error path, where non-finite entries are
+    reported first.
     """
+    if np.iscomplexobj(m):
+        raise ValueError(f"{name} contains complex entries")
     a = np.asarray(m, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be square 2-D, got shape {a.shape}")
@@ -85,10 +89,3 @@ def write_affinity(out: np.ndarray, m: np.ndarray) -> np.ndarray:
     out += m.T
     np.fill_diagonal(out, 0.0)
     return out
-
-
-def submatrix(m: np.ndarray, indices: list[int]) -> np.ndarray:
-    """Rows+columns of *m* restricted to *indices* (in the given order)."""
-    a = check_square(m)
-    idx = np.asarray(indices, dtype=np.intp)
-    return a[np.ix_(idx, idx)]

@@ -34,7 +34,7 @@ def _pairwise_cost(placement, comm, pu_metric: dict, metric_matrix) -> float:
         dtype=np.intp,
     )
     if getattr(comm, "is_sparse", False):
-        coo = comm.affinity_sparse().tocoo()
+        coo = comm.affinity_any().tocoo()
         pos = np.full(comm.order, -1, dtype=np.int64)
         pos[tids] = np.arange(tids.size)
         pr = pos[coo.row]

@@ -14,17 +14,13 @@ and the placements TreeMatch itself computes.
 
 import numpy as np
 import pytest
+from scipy import sparse as sp
 
 from repro.topology import list_machines, machine_by_name
 from repro.treematch import CommunicationMatrix
 from repro.treematch.mapping import Placement, multilevel_map, treematch_map
 from tests.harness import cost_oracle
 from tests.harness.sched_oracle import skewed_machine
-
-try:
-    from scipy import sparse as sp
-except ImportError:  # pragma: no cover - scipy is a test dependency
-    sp = None
 
 MACHINES = [*list_machines(), "skewed"]
 
@@ -64,8 +60,6 @@ def _assert_same(placement, topo, comm):
 @pytest.mark.parametrize("sparse", [False, True])
 @pytest.mark.parametrize("name", MACHINES)
 def test_random_placements(name, sparse):
-    if sparse and sp is None:
-        pytest.skip("scipy not installed")
     topo = _machine(name)
     rng = np.random.default_rng([MACHINES.index(name), sparse])
     for order in (1, 2, topo.n_pus // 2, 2 * topo.n_pus + 3):
@@ -95,6 +89,5 @@ def test_treematch_placements(name):
     n = topo.n_cores + 4
     comm = CommunicationMatrix.stencil2d(n, sparse=False)
     _assert_same(treematch_map(topo, comm), topo, comm)
-    if sp is not None:
-        comm = CommunicationMatrix.stencil2d(3 * topo.n_pus)
-        _assert_same(multilevel_map(topo, comm), topo, comm)
+    comm = CommunicationMatrix.stencil2d(3 * topo.n_pus)
+    _assert_same(multilevel_map(topo, comm), topo, comm)

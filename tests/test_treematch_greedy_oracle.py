@@ -24,9 +24,10 @@ and permuted labels, map to equal placements.
 
 import numpy as np
 import pytest
+from scipy import sparse as sp
 
 from repro.topology import machine_by_name
-from repro.treematch.commmatrix import HAVE_SPARSE, CommunicationMatrix
+from repro.treematch.commmatrix import CommunicationMatrix
 from repro.treematch.grouping import group_greedy
 from repro.treematch.mapping import treematch_map
 from repro.util.matrix import row_blocks
@@ -83,7 +84,6 @@ def _as_backend(m: np.ndarray, backend: str):
     0``, diagonal included (explicit zeros, as an input may hold)."""
     if backend == "dense":
         return m
-    sp = pytest.importorskip("scipy.sparse")
     if backend == "csr_array":
         return sp.csr_array(m)
     i, j = np.indices(m.shape)
@@ -145,7 +145,6 @@ def _relabel(comm: CommunicationMatrix, perm) -> CommunicationMatrix:
     return CommunicationMatrix(comm.raw[np.ix_(perm, perm)])
 
 
-@pytest.mark.skipif(not HAVE_SPARSE, reason="needs scipy")
 class TestDenseSparseEquality:
     @pytest.mark.parametrize("n", [300, 1000, 2000])
     @pytest.mark.parametrize("pattern", ["stencil", "ring"])

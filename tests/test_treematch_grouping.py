@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse as sp
 
 from repro.errors import MappingError
 from repro.treematch.aggregate import aggregate_comm_matrix
-from repro.treematch.control import extend_for_control_threads
+from repro.treematch.control import control_edges
 from repro.treematch.grouping import (
     OPTIMAL_SEARCH_LIMIT,
     group_greedy,
@@ -156,7 +157,6 @@ class TestGroupProcesses:
         """Stored entries inside a group, diagonal left out, halved: the
         dense value on integer weights, for partitions and for groups
         that cover only some elements."""
-        sp = pytest.importorskip("scipy.sparse")
         rng = np.random.default_rng(seed)
         p = int(rng.integers(2, 40))
         m = rng.integers(0, 9, size=(p, p)).astype(float)
@@ -272,6 +272,7 @@ BAD_INPUTS = {
     "upper-only": (_upper_only, r"not symmetric: \[0, 1\] = 2.0 but \[1, 0\] = 0.0"),
     "non-square": (lambda: np.ones((4, 6)), "square"),
     "negative": (_negative, "negative"),
+    "complex": (lambda: np.full((4, 4), 1 + 2j), "complex entries"),
 }
 
 
@@ -282,9 +283,6 @@ def _pairs(m):
 #: The public grouping entry points, each with valid other arguments.
 ENTRY_POINTS = {
     "group_processes": lambda m: group_processes(m, 2),
-    "extend_for_control_threads": lambda m: extend_for_control_threads(
-        m, 2, 8, hyperthreading=False
-    ),
     "aggregate_comm_matrix": lambda m: aggregate_comm_matrix(m, _pairs(m)),
 }
 
@@ -313,16 +311,15 @@ class TestTypedValidation:
                 ref[gi, gj] = ref[gj, gi] = m[np.ix_(groups[gi], groups[gj])].sum()
         assert np.array_equal(aggregate_comm_matrix(m, groups), ref)
 
-    @pytest.mark.parametrize("defect", ["nan", "negative", "non-square"])
+    @pytest.mark.parametrize("defect", ["nan", "negative", "non-square",
+                                        "complex"])
     def test_sparse_aggregate_checks_stored_entries(self, defect):
-        sp = pytest.importorskip("scipy.sparse")
         make, message = BAD_INPUTS[defect]
         m = make()
         with pytest.raises(MappingError, match=message):
             aggregate_comm_matrix(sp.csr_array(m), _pairs(m))
 
     def test_sparse_aggregate_accepts_upper_triangle(self):
-        sp = pytest.importorskip("scipy.sparse")
         m = _upper_only()
         assert np.array_equal(
             aggregate_comm_matrix(sp.csr_array(m), _pairs(m)),
@@ -333,7 +330,6 @@ class TestTypedValidation:
         """A scipy sparse affinity gives the dense groups on every engine:
         the exhaustive one on a densified copy, greedy and refinement on
         the CSR rows."""
-        sp = pytest.importorskip("scipy.sparse")
         for p, arity, force in [(4, 2, None), (12, 3, "optimal"),
                                 (48, 4, None), (48, 6, "greedy")]:
             rng = np.random.default_rng(p * arity)
@@ -358,7 +354,6 @@ class TestTypedValidation:
         m = np.ones((4, 4))
         np.fill_diagonal(m, 0.0)
         if backend != "dense":
-            sp = pytest.importorskip("scipy.sparse")
             m = sp.csr_array(m)
             if backend == "rows":
                 m = (m.indptr, m.indices, m.data)
@@ -387,7 +382,6 @@ class TestTypedValidation:
 
     @pytest.mark.parametrize("backend", ["csr", "rows"])
     def test_greedy_and_weight_take_csr(self, backend):
-        sp = pytest.importorskip("scipy.sparse")
         m = np.ones((4, 4))
         np.fill_diagonal(m, 0.0)
         csr = sp.csr_array(m)
@@ -397,10 +391,10 @@ class TestTypedValidation:
         assert intra_group_weight(a, groups) == intra_group_weight(m, groups)
 
     def test_control_extension_rejects_empty_matrix(self):
-        with pytest.raises(MappingError, match="empty affinity matrix"):
-            extend_for_control_threads(
-                np.zeros((0, 0)), 2, 8, hyperthreading=False
-            )
+        # With no compute thread, a control slot has no owner to tie to.
+        with pytest.raises(MappingError,
+                           match=r"control owner 0 outside \[0, 0\)"):
+            control_edges(0, [0, 0], 0.0)
 
 
 def exhaustive_best_weight(m, arity):

@@ -15,11 +15,14 @@ from repro.treematch import (
     cores_close_placement,
     cores_spread_placement,
     scatter_placement,
-    sequential_placement,
-    strategy_by_name,
     treematch_map,
 )
-from repro.treematch.control import extend_for_control_threads
+from repro.treematch.control import (
+    CONTROL_EPSILON,
+    ControlPlan,
+    control_edges,
+    plan_control_threads,
+)
 from repro.treematch.oversub import manage_oversubscription
 
 
@@ -47,31 +50,30 @@ class TestCommunicationMatrix:
     def test_from_edges(self):
         comm = CommunicationMatrix.from_edges(3, {(1, 0): 10.0, (2, 1): 5.0})
         assert comm.raw[1, 0] == 10.0
-        assert comm.total_traffic() == pytest.approx(15.0)
+        assert comm.raw[2, 1] == 5.0
+        assert comm.raw.sum() == 15.0
 
     def test_from_edges_validates(self):
-        with pytest.raises(MappingError):
-            CommunicationMatrix.from_edges(2, {(0, 5): 1.0})
-        with pytest.raises(MappingError):
-            CommunicationMatrix.from_edges(2, {(0, 1): -1.0})
+        for edges, message in [
+            ({(0, 5): 1.0}, r"edge \(0, 5\) outside order 2"),
+            ({(0, 1): -1.0}, r"negative traffic on edge \(0, 1\)"),
+            # A float or str index is rejected, not truncated.
+            ({(0.5, 1): 1.0}, r"edge \(0.5, 1\) is not a pair of integer"),
+            ({(1.9, 0): 1.0}, r"edge \(1.9, 0\) is not a pair of integer"),
+            ({("1", 0): 1.0}, r"edge \('1', 0\) is not a pair of integer"),
+            # A 3-tuple is rejected, not cut to its first two entries.
+            ({(0, 1, 1): 1.0}, r"edge \(0, 1, 1\) is not a pair of integer"),
+            ({(0, 2**70): 1.0}, rf"edge \(0, {2**70}\) outside order 2"),
+            ({(0, 1): 1.0, (1, 0): 1 + 2j},
+             r"traffic \(1\+2j\) on edge \(1, 0\) is not a real number"),
+        ]:
+            for sparse in (False, True):
+                with pytest.raises(MappingError, match=message):
+                    CommunicationMatrix.from_edges(2, edges, sparse=sparse)
 
     def test_label_length_checked(self):
         with pytest.raises(MappingError):
             CommunicationMatrix(np.zeros((2, 2)), labels=["only-one"])
-
-    def test_restricted(self):
-        comm = pipeline_matrix(4)
-        sub = comm.restricted([2, 3])
-        assert sub.order == 2
-        assert sub.raw[1, 0] == 50.0
-
-    def test_padded(self):
-        comm = ring_matrix(3)
-        pad = comm.padded(5)
-        assert pad.order == 5
-        assert pad.raw[:3, :3].sum() == comm.raw.sum()
-        with pytest.raises(MappingError):
-            comm.padded(2)
 
     def test_stencil2d_matches_loop_reference(self):
         # 3x4 grid, row-major: the vectorized builder must produce exactly
@@ -98,7 +100,7 @@ class TestCommunicationMatrix:
         assert np.count_nonzero(comm.raw[5]) == 4
 
     def test_stencil2d_degenerate_sizes(self):
-        assert CommunicationMatrix.stencil2d(1).total_traffic() == 0.0
+        assert not CommunicationMatrix.stencil2d(1).raw.any()
         comm = CommunicationMatrix.stencil2d(2)
         assert comm.raw[0, 1] > 0
 
@@ -123,34 +125,57 @@ class TestOversubscription:
 
 
 class TestControlExtension:
+    """Line 1 of Algorithm 1 as ``treematch_map`` runs it: the plan is
+    sized from the counts, then the control edges are placed."""
+
     def test_ht_mode_keeps_matrix(self):
-        m = np.ones((4, 4))
-        np.fill_diagonal(m, 0)
-        ext, plan = extend_for_control_threads(m, 4, 8, hyperthreading=True)
-        assert plan.mode == "ht-sibling"
-        assert ext.shape == (4, 4)
+        plan = plan_control_threads(4, 4, 8, hyperthreading=True)
+        assert plan == ControlPlan("ht-sibling", 0)
 
     def test_spare_core_mode_extends(self):
-        m = np.ones((4, 4))
-        np.fill_diagonal(m, 0)
-        ext, plan = extend_for_control_threads(m, 4, 8, hyperthreading=False)
-        assert plan.mode == "spare-core"
-        assert plan.slots == 4
-        assert ext.shape == (8, 8)
-        # epsilon edges present but tiny
-        assert 0 < ext[4, 0] < 1e-3
+        assert plan_control_threads(
+            4, 4, 8, hyperthreading=False
+        ) == ControlPlan("spare-core", 4)
+        # One slot per spare leaf, at most one per control thread.
+        assert plan_control_threads(
+            4, 9, 8, hyperthreading=False
+        ) == ControlPlan("spare-core", 4)
+        assert plan_control_threads(
+            4, 3, 8, hyperthreading=False
+        ) == ControlPlan("spare-core", 3)
 
     def test_os_mode_when_no_room(self):
-        m = np.ones((8, 8))
-        np.fill_diagonal(m, 0)
-        ext, plan = extend_for_control_threads(m, 4, 8, hyperthreading=False)
-        assert plan.mode == "os"
-        assert ext.shape == (8, 8)
+        plan = plan_control_threads(8, 4, 8, hyperthreading=False)
+        assert plan == ControlPlan("os", 0)
 
     def test_zero_control_is_os(self):
-        m = np.zeros((2, 2))
-        _, plan = extend_for_control_threads(m, 0, 8, hyperthreading=False)
-        assert plan.mode == "os"
+        for ht in (False, True):
+            assert plan_control_threads(
+                2, 0, 8, hyperthreading=ht
+            ) == ControlPlan("os", 0)
+
+    def test_negative_control_count_rejected(self):
+        with pytest.raises(MappingError, match="n_control must be >= 0"):
+            plan_control_threads(2, -1, 8, hyperthreading=False)
+
+    def test_edges_are_symmetric_pairs(self):
+        rows, cols, _ = control_edges(4, [2, 0, 2], 10.0)
+        assert rows.tolist() == [4, 5, 6, 2, 0, 2]
+        assert cols.tolist() == [2, 0, 2, 4, 5, 6]
+        assert set(zip(rows.tolist(), cols.tolist())) == set(
+            zip(cols.tolist(), rows.tolist())
+        )
+
+    def test_epsilon_scales_with_heaviest(self):
+        assert control_edges(4, [0], 250.0)[2] == CONTROL_EPSILON * 250.0
+        for heaviest in (0.0, -1.0):
+            assert control_edges(4, [0], heaviest)[2] == CONTROL_EPSILON
+
+    @pytest.mark.parametrize("owner", [-1, 4])
+    def test_out_of_range_owner_rejected(self, owner):
+        with pytest.raises(MappingError, match=rf"control owner {owner} "
+                           r"outside \[0, 4\)"):
+            control_edges(4, [0, owner], 1.0)
 
 
 class TestTreematchMap:
@@ -345,11 +370,6 @@ class TestBaselineStrategies:
         )
         assert all(v == 2 for v in per_socket.values())
 
-    def test_sequential_stacks_on_pu0(self):
-        topo = fig2_machine()
-        pl = sequential_placement(topo, 3)
-        assert set(pl.thread_to_pu.values()) == {0}
-
     def test_capacity_checked(self):
         topo = fig2_machine()
         with pytest.raises(MappingError):
@@ -376,8 +396,3 @@ class TestBaselineStrategies:
             assert pl.oversub_factor >= 2
             with pytest.raises(MappingError):
                 strat(topo, 80)
-
-    def test_registry(self):
-        assert strategy_by_name("compact") is compact_placement
-        with pytest.raises(MappingError):
-            strategy_by_name("nope")

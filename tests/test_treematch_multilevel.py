@@ -16,6 +16,7 @@ deterministic, so each gap is exact and reproducible.
 
 import numpy as np
 import pytest
+from scipy import sparse as sp
 
 from repro.errors import MappingError
 from repro.topology import machine_by_name
@@ -23,7 +24,6 @@ from repro.treematch import (
     MULTILEVEL_CUTOVER,
     CommunicationMatrix,
     coarsen,
-    map_with_strategy,
     mapping_strategy,
     multilevel_map,
     split_k,
@@ -31,11 +31,6 @@ from repro.treematch import (
 )
 from repro.treematch.bisect import REFINE_LIMIT
 from repro.treematch.coarsen import heavy_edge_matching, parts_to_dense
-from repro.treematch.commmatrix import HAVE_SPARSE
-
-needs_scipy = pytest.mark.skipif(
-    not HAVE_SPARSE, reason="CSR backend requires scipy"
-)
 
 
 def clustered(n, seed, k=None):
@@ -155,10 +150,7 @@ class TestSplitK:
         aff = clustered(640, 2).affinity()
         assert split_k(aff, 20) == split_k(aff, 20)
 
-    @needs_scipy
     def test_dense_and_sparse_agree(self):
-        import scipy.sparse as sp
-
         comm = CommunicationMatrix.stencil2d(1280)
         dense = comm.affinity()
         parts_d = split_k(dense, 20)
@@ -194,8 +186,6 @@ def stars(n_stars: int, leaves: int, seed: int):
     Heavy-edge matching can merge only one leaf per hub, too few for
     ``coarsen``'s shrink threshold, so the coarsest level is the graph.
     """
-    import scipy.sparse as sp
-
     rng = np.random.default_rng(seed)
     n = n_stars * (leaves + 1)
     hubs = np.arange(n_stars) * (leaves + 1)
@@ -244,22 +234,16 @@ class TestBadAffinity:
         make, _ = DEFECTS[defect]
         m = make(CommunicationMatrix.stencil2d(600).affinity())
         if backend == "csr":
-            import scipy.sparse as sp
-
             return sp.csr_array(m)
         return m
 
-    @pytest.mark.parametrize("backend", [
-        "dense", pytest.param("csr", marks=needs_scipy),
-    ])
+    @pytest.mark.parametrize("backend", ["dense", "csr"])
     @pytest.mark.parametrize("defect", sorted(DEFECTS))
     def test_split_k_rejects(self, defect, backend):
         with pytest.raises(MappingError, match=DEFECTS[defect][1]):
             split_k(self.matrix(defect, backend), 4)
 
-    @pytest.mark.parametrize("backend", [
-        "dense", pytest.param("csr", marks=needs_scipy),
-    ])
+    @pytest.mark.parametrize("backend", ["dense", "csr"])
     @pytest.mark.parametrize("defect", sorted(DEFECTS))
     def test_coarsen_rejects(self, defect, backend):
         with pytest.raises(MappingError, match=DEFECTS[defect][1]):
@@ -275,10 +259,7 @@ class TestBadAffinity:
         with pytest.raises(MappingError, match="square"):
             coarsen(np.zeros(5), target=2)
 
-    @needs_scipy
     def test_explicit_zero_is_not_an_asymmetry(self):
-        import scipy.sparse as sp
-
         m = sp.csr_array(CommunicationMatrix.stencil2d(600).affinity())
         assert m[0, 300] == 0
         # Store a zero at [0, 300] but none at [300, 0]: equal values.
@@ -292,7 +273,6 @@ class TestBadAffinity:
 
 
 class TestBisectionMemory:
-    @needs_scipy
     def test_stalled_coarsest_level_is_never_densified(self):
         import tracemalloc
 
@@ -360,7 +340,6 @@ class TestMultilevelMap:
         ranks = [leaves.index(pu) for pu in pl.thread_to_pu.values()]
         assert ranks == sorted(ranks)
 
-    @needs_scipy
     def test_dense_backed_input_is_held_once(self):
         # 2,000 tasks on SMP20E7 pad to lv = 2,080 virtual leaves. The
         # sparse-backed run peaks at split_k's own working set, about
@@ -384,7 +363,6 @@ class TestMultilevelMap:
         assert placements[False] == placements[True]
         assert peaks[False] < peaks[True] + 1.1 * lv * lv * 8
 
-    @needs_scipy
     def test_sparse_and_dense_backends_agree(self):
         topo = machine_by_name("SMP20E7")
         raw = CommunicationMatrix.stencil2d(640).raw
@@ -392,7 +370,6 @@ class TestMultilevelMap:
         pl_sparse = multilevel_map(topo, CommunicationMatrix(raw, sparse=True))
         assert pl_dense.thread_to_pu == pl_sparse.thread_to_pu
 
-    @needs_scipy
     def test_parallel_fanout_matches_serial(self, monkeypatch):
         # Shrink the fan-out threshold so a small instance exercises the
         # map-subtree job path with a real worker pool.
@@ -405,10 +382,7 @@ class TestMultilevelMap:
         fanned = multilevel_map(topo, comm, n_jobs=2, cache=False)
         assert serial.thread_to_pu == fanned.thread_to_pu
 
-    @needs_scipy
     def test_map_subtree_cell_roundtrip(self):
-        import scipy.sparse as sp
-
         from repro.experiments.runner import TINY
         from repro.parallel.executor import run_jobs
         from repro.parallel.jobs import make_job
@@ -439,15 +413,6 @@ class TestStrategySelection:
     def test_unknown_rejected(self):
         with pytest.raises(MappingError, match="unknown mapping strategy"):
             mapping_strategy("anneal", 100)
-
-    def test_dispatch_matches_engines(self):
-        topo = machine_by_name("SMP20E7")
-        comm = CommunicationMatrix.stencil2d(320)
-        via_auto = map_with_strategy(topo, comm)  # 320 <= cutover -> greedy
-        direct = treematch_map(topo, comm)
-        assert via_auto.thread_to_pu == direct.thread_to_pu
-        via_ml = map_with_strategy(topo, comm, strategy="multilevel")
-        assert via_ml.thread_to_pu == multilevel_map(topo, comm).thread_to_pu
 
 
 # Curated instances (pre-scanned): multilevel lands within 5% of the

@@ -29,16 +29,12 @@ stored best gain.
 
 import numpy as np
 import pytest
+from scipy import sparse as sp
 
 from repro.treematch import bisect as bisect_mod
 from repro.treematch.commmatrix import CommunicationMatrix
 from repro.treematch.grouping import _REFINE_BLOCK, refine_groups
 from tests.harness import refine_oracle
-
-try:
-    from scipy import sparse as sp
-except ImportError:  # pragma: no cover - scipy is a test dependency
-    sp = None
 
 B = _REFINE_BLOCK
 #: Orders below, at and around the row block, plus one past the oracle's
@@ -199,7 +195,6 @@ def _skewed_assignment(n, k, rng):
     return rng.choice(k, size=n, p=weights / weights.sum()).astype(np.intp)
 
 
-@pytest.mark.skipif(sp is None, reason="scipy not installed")
 class TestRebalanceAgainstOracle:
     @pytest.mark.parametrize("integer", [True, False])
     @pytest.mark.parametrize("seed", range(12))
@@ -345,7 +340,6 @@ def _csr_rows(m):
 CSR_FORMS = {"csr_array": _csr_array, "rows": _csr_rows}
 
 
-@pytest.mark.skipif(sp is None, reason="scipy not installed")
 class TestCsrBackend:
     """The CSR backend against the same oracle, on the same instances.
 
@@ -426,7 +420,7 @@ class TestCsrBackend:
 
 def _weighted_stencil(n, rng, weights):
     """A label-permuted stencil of order *n* with random edge weights."""
-    a = CommunicationMatrix.stencil2d(n, sparse=True).affinity_sparse()
+    a = CommunicationMatrix.stencil2d(n, sparse=True).affinity_any()
     upper = sp.triu(a, 1).tocoo()
     e = upper.nnz
     w = {
@@ -448,7 +442,6 @@ SPLIT_CASES = [
 ]
 
 
-@pytest.mark.skipif(sp is None, reason="scipy not installed")
 class TestSplitKAgainstDensified:
     @pytest.mark.parametrize("n,k,weights", SPLIT_CASES)
     @pytest.mark.parametrize("seed", range(2))

@@ -10,7 +10,6 @@ from repro.util.matrix import (
     check_square,
     first_asymmetry,
     row_blocks,
-    submatrix,
     write_affinity,
 )
 from repro.util.rng import BlockRng, derive_rng, make_rng
@@ -81,13 +80,6 @@ class TestMatrixHelpers:
         assert first_asymmetry(m) == (3, 650)
         m[650, 3] = 1.0
         assert first_asymmetry(m) == (600, 690)
-
-    def test_submatrix_order(self):
-        m = np.arange(9).reshape(3, 3).astype(float)
-        sub = submatrix(m, [2, 0])
-        assert sub[0, 0] == m[2, 2]
-        assert sub[0, 1] == m[2, 0]
-        assert sub[1, 0] == m[0, 2]
 
 
 class TestRng:
