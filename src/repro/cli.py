@@ -323,11 +323,7 @@ def _cmd_map(
     if pattern == "stencil":
         comm = CommunicationMatrix.stencil2d(threads)
     else:  # ring: each thread talks to its successor (wrap-around)
-        comm = CommunicationMatrix.from_edges(
-            threads,
-            {(i, (i + 1) % threads): 100.0 for i in range(threads)}
-            if threads > 1 else {},
-        )
+        comm = CommunicationMatrix.ring(threads)
 
     t0 = time.perf_counter()
     if resolved == "multilevel":

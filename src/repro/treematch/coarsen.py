@@ -32,7 +32,7 @@ import numpy as np
 from scipy import sparse as _sp
 
 from repro.errors import MappingError
-from repro.treematch.commmatrix import _canonical_csr, check_affinity
+from repro.treematch.commmatrix import _canonical_csr, _row_ids, check_affinity
 
 __all__ = [
     "CoarseLevel",
@@ -85,11 +85,6 @@ def csr_parts(matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     indptr = np.zeros(m.shape[0] + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
     return indptr, cols.astype(np.int64), m[rows, cols], m.shape[0]
-
-
-def _row_ids(indptr: np.ndarray) -> np.ndarray:
-    """The row of every stored entry of a CSR matrix."""
-    return np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
 
 
 def parts_to_dense(

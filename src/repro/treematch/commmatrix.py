@@ -18,6 +18,7 @@ Two storage backends share one API:
 from __future__ import annotations
 
 import operator
+import warnings
 from collections.abc import Mapping, Sequence
 
 import numpy as np
@@ -34,6 +35,9 @@ __all__ = ["CommunicationMatrix", "check_affinity",
 SPARSE_AUTO_ORDER = 4096
 #: ... when their density (nnz / n^2) stays at or below this bound.
 SPARSE_AUTO_DENSITY = 0.25
+
+#: numpy >= 1.25 keeps its warning classes in ``np.exceptions``.
+_ComplexWarning = getattr(np, "exceptions", np).ComplexWarning
 
 
 def _pick_sparse(flag: bool | None, n: int, nnz: int) -> bool:
@@ -177,6 +181,10 @@ def _bad_edge(n: int, edges: Mapping) -> str | None:
             return f"edge {key!r} is not a pair of integer task indices"
         if not (0 <= i < n and 0 <= j < n):
             return f"edge ({i}, {j}) outside order {n}"
+        # float() of a numpy complex scalar drops its imaginary part with
+        # only a warning, so complex traffic is rejected by type.
+        if np.iscomplexobj(w):
+            return f"traffic {w!r} on edge ({i}, {j}) is not a real number"
         try:
             float(w)
         except (TypeError, ValueError):
@@ -184,12 +192,30 @@ def _bad_edge(n: int, edges: Mapping) -> str | None:
     return None
 
 
+def _row_ids(indptr: np.ndarray) -> np.ndarray:
+    """The row of every stored entry of a CSR matrix."""
+    return np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+
+
 def _sym_zero_diag_csr(m):
-    """CSR symmetrize + zero diagonal without inserting explicit zeros."""
-    s = (m + m.T).tocoo()
-    keep = s.row != s.col
+    """``m + m.T`` as a canonical CSR array without its diagonal.
+
+    scipy's sum stores no explicit zeros and no duplicates, and sorted
+    rows whenever *m*'s are. Masking out its stored diagonal entries
+    then leaves a canonical CSR with the sum's index dtype, in one pass
+    over the stored entries. *m* is read as a CSR array: a
+    ``csr_matrix`` sum would pick its index dtype from the contents of
+    an uninitialized buffer.
+    """
+    m = _sp.csr_array(m)
+    s = m + m.T
+    s.sort_indices()
+    rows = _row_ids(s.indptr)
+    keep = s.indices != rows
+    indptr = np.zeros_like(s.indptr)
+    np.cumsum(np.bincount(rows[keep], minlength=s.shape[0]), out=indptr[1:])
     return _sp.csr_array(
-        (s.data[keep], (s.row[keep], s.col[keep])), shape=s.shape
+        (s.data[keep], s.indices[keep], indptr), shape=s.shape
     )
 
 
@@ -244,7 +270,8 @@ class CommunicationMatrix:
         low-density instances). Construction is vectorized and — on the
         CSR path — never touches an O(n²) array. A key that is not a
         pair of integer task indices below *n*, or traffic that is not
-        a real number, raises :class:`MappingError` naming the edge.
+        a real number (a numpy complex scalar included, whatever its
+        imaginary part), raises :class:`MappingError` naming the edge.
         """
         if n < 0:
             raise MappingError(f"negative order {n}")
@@ -257,8 +284,13 @@ class CommunicationMatrix:
                                dtype=np.int64, count=k)
             cols = np.fromiter(map(index, (j for _, j in edges)),
                                dtype=np.int64, count=k)
-            vals = np.fromiter(edges.values(), dtype=np.float64, count=k)
-        except (TypeError, ValueError, OverflowError) as exc:
+            with warnings.catch_warnings():
+                # numpy casts its complex scalars to float64 with only a
+                # ComplexWarning, dropping the imaginary part.
+                warnings.simplefilter("error", _ComplexWarning)
+                vals = np.fromiter(edges.values(), dtype=np.float64,
+                                   count=k)
+        except (TypeError, ValueError, OverflowError, _ComplexWarning) as exc:
             raise MappingError(_bad_edge(n, edges) or str(exc)) from None
         bad = (rows < 0) | (rows >= n) | (cols < 0) | (cols >= n)
         if bad.any():
@@ -272,7 +304,16 @@ class CommunicationMatrix:
             raise MappingError(
                 f"negative traffic on edge ({rows[b]}, {cols[b]})"
             )
-        if _pick_sparse(sparse, n, k):
+        return cls._from_entries(n, rows, cols, vals, labels, sparse=sparse)
+
+    @classmethod
+    def _from_entries(
+        cls, n: int, rows, cols, vals, labels=None, *, sparse: bool | None
+    ) -> CommunicationMatrix:
+        """The order-*n* matrix that sums each ``vals[e]`` into entry
+        ``[rows[e], cols[e]]``, on the backend :func:`_pick_sparse`
+        picks for that many entries."""
+        if _pick_sparse(sparse, n, rows.size):
             csr = _sp.csr_array(
                 _sp.coo_array((vals, (rows, cols)), shape=(n, n))
             )
@@ -315,21 +356,35 @@ class CommunicationMatrix:
         ok_d = down < n
         src_r, dst_r = idx[ok_r], right[ok_r]
         src_d, dst_d = idx[ok_d], down[ok_d]
-        nnz = 2 * (src_r.size + src_d.size)
-        if _pick_sparse(sparse, n, nnz):
-            rows = np.concatenate([src_r, dst_r, src_d, dst_d])
-            cols = np.concatenate([dst_r, src_r, dst_d, src_d])
-            vals = np.full(rows.size, float(weight))
-            csr = _sp.csr_array(
-                _sp.coo_array((vals, (rows, cols)), shape=(n, n))
-            )
-            return cls(csr)
-        m = np.zeros((n, n))
-        m[src_r, dst_r] = weight
-        m[dst_r, src_r] = weight
-        m[src_d, dst_d] = weight
-        m[dst_d, src_d] = weight
-        return cls(m)
+        rows = np.concatenate([src_r, dst_r, src_d, dst_d])
+        cols = np.concatenate([dst_r, src_r, dst_d, src_d])
+        vals = np.full(rows.size, float(weight))
+        return cls._from_entries(n, rows, cols, vals, sparse=sparse)
+
+    @classmethod
+    def ring(
+        cls,
+        n: int,
+        *,
+        weight: float = 100.0,
+        sparse: bool | None = None,
+    ) -> CommunicationMatrix:
+        """Synthetic one-directional ring: thread *i* receives *weight*
+        bytes per iteration from thread ``(i + 1) % n``.
+
+        The entries of ``from_edges(n, {(i, (i + 1) % n): weight, ...})``
+        (none for ``n == 1``), with the same backend rule, built from
+        arrays rather than an n-entry dict. This is the ``ring`` pattern
+        of ``repro-paper map``.
+        """
+        if n <= 0:
+            raise MappingError(f"ring order must be positive, got {n}")
+        if weight < 0:
+            raise MappingError(f"negative ring weight {weight}")
+        rows = np.arange(n if n > 1 else 0)
+        cols = (rows + 1) % n
+        vals = np.full(rows.size, float(weight))
+        return cls._from_entries(n, rows, cols, vals, sparse=sparse)
 
     # -- views ----------------------------------------------------------------
 
@@ -362,6 +417,24 @@ class CommunicationMatrix:
             return self._m.copy()
         return _sp.csr_array(self._m)
 
+    def csr_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The CSR backend's stored entries as ``(indptr, indices,
+        data)``: sorted, duplicate-free rows and float64 data, explicit
+        zeros and diagonal entries kept as stored.
+
+        The arrays are read-only views of this matrix's own, not copies,
+        so reading a million-task matrix costs nothing. A dense matrix
+        raises :class:`MappingError` (:meth:`tocsr` converts it).
+        """
+        if not self.is_sparse:
+            raise MappingError("csr_rows() reads the CSR backend; this "
+                               "matrix is dense (use tocsr())")
+        views = (self._m.indptr.view(), self._m.indices.view(),
+                 self._m.data.view())
+        for v in views:
+            v.flags.writeable = False
+        return views
+
     def affinity(self) -> np.ndarray:
         """Symmetrized, zero-diagonal traffic — what TreeMatch groups on.
 
@@ -382,8 +455,8 @@ class CommunicationMatrix:
         """
         n = self.order
         if self.is_sparse:
-            coo = _sym_zero_diag_csr(self._m).tocoo()
-            out[coo.row, coo.col] = coo.data
+            s = _sym_zero_diag_csr(self._m)
+            out[_row_ids(s.indptr), s.indices] = s.data
         else:
             write_affinity(out[:n, :n], self._m)
         return out

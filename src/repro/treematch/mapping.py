@@ -16,7 +16,7 @@ from scipy import sparse as _sp
 from repro.errors import MappingError
 from repro.topology.tree import Topology
 from repro.treematch.aggregate import aggregate_comm_matrix
-from repro.treematch.commmatrix import CommunicationMatrix
+from repro.treematch.commmatrix import CommunicationMatrix, _row_ids
 from repro.treematch.control import (
     ControlPlan,
     add_control_edges,
@@ -218,17 +218,15 @@ class Placement:
         return True
 
     def _bound_arrays(self, order: int) -> tuple[np.ndarray, np.ndarray]:
-        """Thread ids < *order* that have a PU binding, ascending, and
-        their PUs."""
+        """Thread ids < *order* that have a PU binding, in the order of
+        ``thread_to_pu``, and their PUs."""
         count = len(self.thread_to_pu)
         tids = np.fromiter(self.thread_to_pu, dtype=np.intp, count=count)
         pus = np.fromiter(
             self.thread_to_pu.values(), dtype=np.intp, count=count
         )
         keep = (tids >= 0) & (tids < order)
-        tids, pus = tids[keep], pus[keep]
-        by_tid = np.argsort(tids)
-        return tids[by_tid], pus[by_tid]
+        return tids[keep], pus[keep]
 
     def _pairwise_cost(
         self, comm: CommunicationMatrix, tids: np.ndarray, midx: np.ndarray,
@@ -238,26 +236,34 @@ class Placement:
 
         Shared engine of :meth:`cost` and :meth:`slit_cost`: *tids* are
         the bound threads (see :meth:`_bound_arrays`) and *midx* their
-        rows of *metric_matrix*; the weighted sum runs in row blocks of
-        the affinity matrix, so a 4096-thread evaluation is a handful of
-        vectorized passes instead of p^2 dict lookups.
+        rows of *metric_matrix*, which is symmetric.
+
+        A CSR *comm* is scored on its own stored entries: the sum of
+        ``m[i, j] * metric[midx_i, midx_j]`` over every stored ``(i,
+        j)``, ``i != j``, whose threads are both bound. By the metric's
+        symmetry that is the half-sum over the affinity ``m + m.T``,
+        in one O(nnz) pass with no affinity built: the same value
+        whenever the partial sums are exact, as on integer weights, and
+        up to rounding on others. A dense *comm* runs in row blocks of
+        its affinity, in ascending thread order, so a 4096-thread
+        evaluation is a handful of vectorized passes instead of p^2
+        dict lookups.
         """
         if tids.size < 2:
             return 0.0
         if comm.is_sparse:
-            # O(nnz) path: walk the stored affinity entries once instead
-            # of densifying (a million-task matrix never fits dense).
-            coo = comm.affinity_any().tocoo()
-            pos = np.full(comm.order, -1, dtype=np.int64)
-            pos[tids] = np.arange(tids.size)
-            pr = pos[coo.row]
-            pc = pos[coo.col]
-            ok = (pr >= 0) & (pc >= 0)
-            total = float(
-                (coo.data[ok]
-                 * metric_matrix[midx[pr[ok]], midx[pc[ok]]]).sum()
-            )
-            return total / 2.0
+            indptr, indices, data = comm.csr_rows()
+            # int32 halves the gathers' memory traffic; metric rows
+            # number the used PUs or NUMA nodes.
+            slot = np.full(comm.order, -1, dtype=np.int32)
+            slot[tids] = midx
+            sr, sc = np.repeat(slot, np.diff(indptr)), slot[indices]
+            ok = (sr >= 0) & (sc >= 0) & (indices != _row_ids(indptr))
+            if not ok.all():
+                data, sr, sc = data[ok], sr[ok], sc[ok]
+            return float((data * metric_matrix[sr, sc]).sum())
+        by_tid = np.argsort(tids)
+        tids, midx = tids[by_tid], midx[by_tid]
         aff = comm.affinity()
         total = 0.0
         block = 1024
@@ -396,8 +402,10 @@ def treematch_map(
     # threads up to the leaf count.
     m_cur = _padded_affinity(comm, lv, owners[: control_plan.slots])
 
-    # Lines 4-7: group bottom-up, aggregating between levels.
-    clusters: list[list[int]] = [[i] for i in range(lv)]
+    # Lines 4-7: group bottom-up, aggregating between levels. Cluster c
+    # holds the tasks order[c * size:(c + 1) * size], in member order.
+    order = np.arange(lv)
+    size = 1
     groups_per_level: list[list[list[int]]] = []
     arity_list = list(reversed(plan.arities))
     if warm_start is not None and len(warm_start.groups_per_level) != len(
@@ -409,11 +417,12 @@ def treematch_map(
         )
     for li, a in enumerate(arity_list):
         at_root = li == len(arity_list) - 1
+        n_clusters = lv // size
         if (
             at_root
             and distance_aware
             and a > 2
-            and len(clusters) == a
+            and n_clusters == a
             and len(topology.root.children) == a
         ):
             # MapGroups refinement: the member order of the final (single)
@@ -426,7 +435,7 @@ def treematch_map(
             groups = [[g[0] for g in ordered]]
         elif warm_start is not None:
             seed = _warm_level_seed(
-                warm_start.groups_per_level[li], li, a, len(clusters)
+                warm_start.groups_per_level[li], li, a, n_clusters
             )
             groups = _canonical(
                 refine_groups(m_cur, seed, stats=refine_stats)
@@ -435,29 +444,24 @@ def treematch_map(
             groups = group_processes(
                 m_cur, a, force=engine, refine=refine, stats=refine_stats
             )
-        clusters = [
-            [tid for ci in g for tid in clusters[ci]] for g in groups
-        ]
+        # Each group joins `a` clusters of `size` tasks: the new
+        # clusters are their blocks of order, concatenated group by
+        # group.
+        members = np.array(groups, dtype=np.intp).reshape(-1)
+        order = order.reshape(-1, size)[members].reshape(-1)
+        size *= a
         groups_per_level.append(groups)
         m_cur = aggregate_comm_matrix(m_cur, groups)
-    if len(clusters) != 1:
+    if size != lv:
         raise MappingError(
-            f"grouping terminated with {len(clusters)} clusters (tree arities "
+            f"grouping terminated with {lv // size} clusters (tree arities "
             f"{plan.arities})"
         )
 
-    # Line 8: MapGroups — position q in the flattened order is virtual leaf
-    # q, i.e. physical leaf q // factor (threads "go up one level" when
-    # oversubscribed).
-    flat = clusters[0]
-    thread_to_pu: dict[int, int] = {}
-    slot_pus: dict[int, int] = {}
-    for q, tid in enumerate(flat):
-        leaf = leaf_objs[q // plan.factor]
-        if tid < p:
-            thread_to_pu[tid] = leaf.os_index
-        elif tid < p_ext:
-            slot_pus[tid - p] = leaf.os_index
+    # Line 8: MapGroups — the compute threads and the control slots
+    # take the leaves of their positions in the final order.
+    thread_to_pu = _bind_positions(order, leaf_objs, plan.factor, 0, p)
+    slot_pus = _bind_positions(order, leaf_objs, plan.factor, p, p_ext)
 
     control_to_pu = _bind_control_threads(
         topology, control_plan, thread_to_pu, slot_pus, owners
@@ -729,22 +733,29 @@ def multilevel_map(
     else:
         flat = np.arange(lv)
 
-    # Position q of flat is virtual leaf q, i.e. physical leaf
-    # q // factor; the padding tasks (ids >= p) bind nothing. The
-    # placement lists threads in position order.
-    leaf_os = np.array([leaf.os_index for leaf in leaf_objs], dtype=np.intp)
-    q = np.flatnonzero(flat < p)
-    thread_to_pu = dict(zip(
-        flat[q].tolist(), leaf_os[q // plan.factor].tolist()
-    ))
+    # The padding tasks (ids >= p) bind nothing.
     return Placement(
-        thread_to_pu=thread_to_pu,
+        thread_to_pu=_bind_positions(flat, leaf_objs, plan.factor, 0, p),
         control_mode="os",
         granularity=granularity,
         oversub_factor=plan.factor,
         topology_name=topology.name,
         groups_per_level=(),
     )
+
+
+def _bind_positions(
+    flat: np.ndarray, leaf_objs: list, factor: int, lo: int, hi: int
+) -> dict[int, int]:
+    """``{task - lo: PU}`` for the tasks ``lo <= task < hi`` of *flat*,
+    in position order.
+
+    Position q of *flat* is virtual leaf q, i.e. physical leaf
+    ``q // factor`` (threads "go up one level" when oversubscribed).
+    """
+    leaf_os = np.array([leaf.os_index for leaf in leaf_objs], dtype=np.intp)
+    q = np.flatnonzero((flat >= lo) & (flat < hi))
+    return dict(zip((flat[q] - lo).tolist(), leaf_os[q // factor].tolist()))
 
 
 def _bind_control_threads(

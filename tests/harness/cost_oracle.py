@@ -10,19 +10,40 @@ before their index arrays were built vectorized:
   lookups.
 
 The weighted sum itself is the library's, so the library versions must
-return the same float, ``==``, for every placement.
+return the same float, ``==``, for every placement: half the sum over
+the dense affinity's row blocks, and on a CSR matrix the sum over its
+own stored entries ``m[i, j]``, ``i != j``, in stored order.
+
+With ``half_sum=True`` both objectives are instead the half-sum over
+the symmetrized affinity on either backend, the CSR one built by
+:func:`sym_zero_diag_coo`: the reference the stored-entry sum must
+equal whenever its partial sums are exact (integer weights), and come
+within rounding of otherwise.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse as sp
 
 from repro.topology.distance import numa_distance_matrix
 
-__all__ = ["cost", "slit_cost"]
+__all__ = ["cost", "slit_cost", "sym_zero_diag_coo"]
 
 
-def _pairwise_cost(placement, comm, pu_metric: dict, metric_matrix) -> float:
+def sym_zero_diag_coo(m):
+    """``m + m.T`` without its diagonal, through a COO round trip: the
+    CSR affinity builder as it stood before it masked the sum's stored
+    entries in place."""
+    s = (m + m.T).tocoo()
+    keep = s.row != s.col
+    return sp.csr_array(
+        (s.data[keep], (s.row[keep], s.col[keep])), shape=s.shape
+    )
+
+
+def _pairwise_cost(placement, comm, pu_metric: dict, metric_matrix, *,
+                   half_sum: bool) -> float:
     tids = np.asarray(
         sorted(t for t in placement.thread_to_pu if 0 <= t < comm.order),
         dtype=np.intp,
@@ -33,8 +54,17 @@ def _pairwise_cost(placement, comm, pu_metric: dict, metric_matrix) -> float:
         [pu_metric[placement.thread_to_pu[int(t)]] for t in tids],
         dtype=np.intp,
     )
-    if getattr(comm, "is_sparse", False):
-        coo = comm.affinity_any().tocoo()
+    if comm.is_sparse and not half_sum:
+        coo = comm.tocsr().tocoo()
+        slot_of = dict(zip(tids.tolist(), midx.tolist()))
+        sr = np.array([slot_of.get(i, -1) for i in coo.row.tolist()],
+                      dtype=np.intp)
+        sc = np.array([slot_of.get(j, -1) for j in coo.col.tolist()],
+                      dtype=np.intp)
+        ok = (sr >= 0) & (sc >= 0) & (coo.row != coo.col)
+        return float((coo.data[ok] * metric_matrix[sr[ok], sc[ok]]).sum())
+    if comm.is_sparse:
+        coo = sym_zero_diag_coo(comm.tocsr()).tocoo()
         pos = np.full(comm.order, -1, dtype=np.int64)
         pos[tids] = np.arange(tids.size)
         pr = pos[coo.row]
@@ -56,17 +86,17 @@ def _pairwise_cost(placement, comm, pu_metric: dict, metric_matrix) -> float:
     return total / 2.0
 
 
-def slit_cost(placement, topology, comm) -> float:
+def slit_cost(placement, topology, comm, *, half_sum: bool = False) -> float:
     """SLIT-weighted traffic, NUMA node looked up per bound PU."""
     dist = numa_distance_matrix(topology)
     node_of: dict[int, int] = {}
     for pu in set(placement.thread_to_pu.values()):
         numa = topology.numa_of_pu(pu)
         node_of[pu] = numa.logical_index if numa is not None else 0
-    return _pairwise_cost(placement, comm, node_of, dist)
+    return _pairwise_cost(placement, comm, node_of, dist, half_sum=half_sum)
 
 
-def cost(placement, topology, comm) -> float:
+def cost(placement, topology, comm, *, half_sum: bool = False) -> float:
     """Tree-distance-weighted traffic, one ancestor walk per PU pair."""
     max_depth = topology.tree_depth - 1
     used = sorted({
@@ -79,4 +109,4 @@ def cost(placement, topology, comm) -> float:
             d = max_depth - topology.common_ancestor_depth(used[a], used[b])
             dmat[a, b] = dmat[b, a] = d
     slot_of = {pu: i for i, pu in enumerate(used)}
-    return _pairwise_cost(placement, comm, slot_of, dmat)
+    return _pairwise_cost(placement, comm, slot_of, dmat, half_sum=half_sum)

@@ -136,6 +136,33 @@ class TestMapCommand:
         assert sorted(pl.thread_to_pu) == list(range(12))
         assert pl.groups_per_level
 
+    @pytest.mark.parametrize("threads", [64, 4096])
+    def test_map_ring_json_as_from_the_edge_dict(self, capsys, monkeypatch,
+                                                 threads):
+        """``--pattern ring`` builds its matrix with
+        ``CommunicationMatrix.ring``; its output, ``seconds`` aside, is
+        the one the ``{(i, (i + 1) % n): 100.0}`` dict it used to parse
+        gives."""
+        import json
+
+        from repro.treematch.commmatrix import CommunicationMatrix
+
+        def ring_json():
+            assert main(["map", "--threads", str(threads), "--pattern",
+                         "ring", "--json"]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            del doc["seconds"]
+            return doc
+
+        got = ring_json()
+
+        def edge_dict_ring(n):
+            edges = {(i, (i + 1) % n): 100.0 for i in range(n)}
+            return CommunicationMatrix.from_edges(n, edges)
+
+        monkeypatch.setattr(CommunicationMatrix, "ring", edge_dict_ring)
+        assert got == ring_json()
+
     def test_map_unknown_machine(self, capsys):
         assert main(["map", "--machine", "CRAY-1"]) == 2
         assert "error" in capsys.readouterr().err

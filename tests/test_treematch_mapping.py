@@ -66,6 +66,14 @@ class TestCommunicationMatrix:
             ({(0, 2**70): 1.0}, rf"edge \(0, {2**70}\) outside order 2"),
             ({(0, 1): 1.0, (1, 0): 1 + 2j},
              r"traffic \(1\+2j\) on edge \(1, 0\) is not a real number"),
+            # numpy complex scalars would lose their imaginary part to a
+            # float64 cast, whatever its value.
+            ({(0, 1): np.complex128(1 + 2j)},
+             r"traffic np.complex128\(1\+2j\) on edge \(0, 1\) is not a "
+             r"real number"),
+            ({(0, 1): 1.0, (1, 0): np.complex64(1)},
+             r"traffic np.complex64\(1\+0j\) on edge \(1, 0\) is not a "
+             r"real number"),
         ]:
             for sparse in (False, True):
                 with pytest.raises(MappingError, match=message):
@@ -103,6 +111,34 @@ class TestCommunicationMatrix:
         assert not CommunicationMatrix.stencil2d(1).raw.any()
         comm = CommunicationMatrix.stencil2d(2)
         assert comm.raw[0, 1] > 0
+
+    # Dense at order 100,000 would take 80 GB, so that order runs on
+    # the automatic (CSR) and the forced CSR backend only.
+    @pytest.mark.parametrize("n,sparse", [
+        (n, sparse) for n in (1, 2, 3, 4096, 100_000)
+        for sparse in (None, True, False) if n < 100_000 or sparse is not False
+    ])
+    def test_ring_stores_the_edge_dict_entries(self, n, sparse):
+        """``ring`` stores what the ``{(i, (i + 1) % n): 100.0}`` dict
+        ``repro-paper map --pattern ring`` used to build gave through
+        ``from_edges``: backend, entries and index dtypes."""
+        edges = {(i, (i + 1) % n): 100.0 for i in range(n)} if n > 1 else {}
+        want = CommunicationMatrix.from_edges(n, edges, sparse=sparse)
+        got = CommunicationMatrix.ring(n, sparse=sparse)
+        assert got.is_sparse == want.is_sparse
+        if want.is_sparse:
+            for a, b in zip(got.csr_rows(), want.csr_rows()):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+        else:
+            assert np.array_equal(got.raw, want.raw)
+
+    def test_ring_validates(self):
+        for n in (0, -3):
+            with pytest.raises(MappingError, match="ring order must be"):
+                CommunicationMatrix.ring(n)
+        with pytest.raises(MappingError, match="negative ring weight"):
+            CommunicationMatrix.ring(4, weight=-1.0)
+        assert CommunicationMatrix.ring(3, weight=7.0).raw[2, 0] == 7.0
 
 
 class TestOversubscription:

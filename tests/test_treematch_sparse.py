@@ -266,6 +266,77 @@ class TestTakeSubmatrix:
             take_submatrix(mat, np.array([1, 2, 1]))
 
 
+def _symmetrizer_input(n, seed, *, diagonal, empty_rows, zeros):
+    """A canonical CSR of random float traffic, with stored diagonal
+    entries, rows and columns with no entry, and stored explicit zeros
+    (some facing a stored entry, some alone) as asked."""
+    rng = np.random.default_rng(seed)
+    w = rng.random((n, n)) * (rng.random((n, n)) < 0.3)
+    if not diagonal:
+        np.fill_diagonal(w, 0.0)
+    if empty_rows:
+        dead = rng.random(n) < 0.3
+        w[dead] = 0.0
+        w[:, dead] = 0.0
+    stored = w != 0
+    if zeros:
+        stored |= rng.random((n, n)) < 0.1
+    r, c = np.nonzero(stored)
+    return sp.csr_array((w[r, c], (r, c)), shape=(n, n))
+
+
+class TestSymmetrizer:
+    """``_sym_zero_diag_csr`` masks the stored diagonal out of ``m +
+    m.T`` in place; it must build what the COO round trip it replaced
+    built, array for array.
+
+    A ``csr_matrix`` is read as the ``csr_array`` of its arrays, so the
+    reference reads that array too: summing a ``csr_matrix`` with int64
+    indices, scipy checks the contents of an ``np.empty`` index buffer
+    and returns int32 or int64 indices depending on what memory it got.
+    """
+
+    @pytest.mark.parametrize("cls", ["csr_array", "csr_matrix"])
+    @pytest.mark.parametrize("itype", [np.int32, np.int64])
+    @pytest.mark.parametrize("diagonal", [False, True])
+    @pytest.mark.parametrize("empty_rows", [False, True])
+    @pytest.mark.parametrize("zeros", [False, True])
+    def test_matches_coo_round_trip(self, cls, itype, diagonal, empty_rows,
+                                    zeros):
+        from repro.treematch.commmatrix import _sym_zero_diag_csr
+        from tests.harness.cost_oracle import sym_zero_diag_coo
+
+        for n, seed in ((1, 0), (7, 1), (60, 2)):
+            c = _symmetrizer_input(n, seed, diagonal=diagonal,
+                                   empty_rows=empty_rows, zeros=zeros)
+            m = getattr(sp, cls)(c)
+            # Set after construction: csr_matrix would narrow int64.
+            m.indices, m.indptr = c.indices.astype(itype), c.indptr.astype(itype)
+            assert m.has_canonical_format and m.indices.dtype == itype
+            got = _sym_zero_diag_csr(m)
+            want = sym_zero_diag_coo(sp.csr_array(m))
+            assert type(got) is type(want)
+            assert got.shape == want.shape and got.has_canonical_format
+            for name in ("indptr", "indices", "data"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+    def test_matches_on_the_map_inputs(self):
+        # Relabelled as the map benchmark does; scipy leaves the
+        # relabelled rows unsorted, so the input is not canonical.
+        from repro.treematch.commmatrix import _sym_zero_diag_csr
+        from tests.harness.cost_oracle import sym_zero_diag_coo
+
+        perm = np.random.default_rng(1).permutation(20_000)
+        for comm in (CommunicationMatrix.stencil2d(20_000),
+                     CommunicationMatrix.ring(20_000)):
+            m = comm.tocsr()[perm][:, perm]
+            got, want = _sym_zero_diag_csr(m), sym_zero_diag_coo(m)
+            for name in ("indptr", "indices", "data"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
 def _flat_machine(cores: int) -> Topology:
     """*cores* two-PU cores straight under the root. Mapped one thread
     per core, the root's level is the only one, so the first level
