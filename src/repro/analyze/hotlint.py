@@ -112,19 +112,12 @@ HOT_TARGETS: tuple[tuple[str, str, tuple[str, ...]], ...] = (
     ("repro/treematch/bisect.py", "_grow_side", ("alloc",)),
     ("repro/treematch/bisect.py", "_rebalance_exact", ("alloc",)),
     ("repro/treematch/grouping.py", "group_greedy", ("alloc",)),
-    # The row reads of the dense greedy's grow loop and seed refresh,
-    # one call per selection step.
+    # The row reads of the greedy grow loop and seed refresh, one call
+    # per selection step, in both backends.
     ("repro/treematch/grouping.py", "_DenseRows.copy_row", ("alloc",)),
     ("repro/treematch/grouping.py", "_DenseRows.add_row", ("alloc",)),
-    # The CSR greedy's heap grow loop and its helpers: a row add per
-    # member, a heap pop per grow step, a retire per vertex.
-    ("repro/treematch/grouping.py", "_greedy_csr", ("alloc",)),
-    ("repro/treematch/grouping.py", "_greedy_csr.add_row", ("alloc",)),
-    ("repro/treematch/grouping.py", "_greedy_csr.retire", ("alloc",)),
-    ("repro/treematch/grouping.py", "_greedy_csr.most_attracted",
-     ("alloc",)),
-    ("repro/treematch/grouping.py", "_greedy_csr.lowest_free", ("alloc",)),
-    ("repro/treematch/grouping.py", "_greedy_csr.refresh", ("alloc",)),
+    ("repro/treematch/grouping.py", "_CsrRows.copy_row", ("alloc",)),
+    ("repro/treematch/grouping.py", "_CsrRows.add_row", ("alloc",)),
     # Adaptive controller (ISSUE 10): the epoch loop runs once per
     # window — cool next to per-event code, but anything allocating in
     # it scales with run length — and the telemetry tap rides the
@@ -150,11 +143,8 @@ PER_CALL_TARGETS = frozenset({
     "BlockRng.uniform",
     "_DenseRows.copy_row",
     "_DenseRows.add_row",
-    "_greedy_csr.add_row",
-    "_greedy_csr.retire",
-    "_greedy_csr.most_attracted",
-    "_greedy_csr.lowest_free",
-    "_greedy_csr.refresh",
+    "_CsrRows.copy_row",
+    "_CsrRows.add_row",
 })
 
 #: Classes that must keep ``__slots__`` (path -> class names).

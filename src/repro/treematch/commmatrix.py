@@ -362,29 +362,21 @@ class CommunicationMatrix:
         return cls._from_entries(n, rows, cols, vals, sparse=sparse)
 
     @classmethod
-    def ring(
-        cls,
-        n: int,
-        *,
-        weight: float = 100.0,
-        sparse: bool | None = None,
-    ) -> CommunicationMatrix:
-        """Synthetic one-directional ring: thread *i* receives *weight*
-        bytes per iteration from thread ``(i + 1) % n``.
+    def ring(cls, n: int) -> CommunicationMatrix:
+        """Synthetic one-directional ring: thread *i* receives 100 bytes
+        per iteration from thread ``(i + 1) % n``.
 
-        The entries of ``from_edges(n, {(i, (i + 1) % n): weight, ...})``
+        The entries of ``from_edges(n, {(i, (i + 1) % n): 100.0, ...})``
         (none for ``n == 1``), with the same backend rule, built from
         arrays rather than an n-entry dict. This is the ``ring`` pattern
         of ``repro-paper map``.
         """
         if n <= 0:
             raise MappingError(f"ring order must be positive, got {n}")
-        if weight < 0:
-            raise MappingError(f"negative ring weight {weight}")
         rows = np.arange(n if n > 1 else 0)
         cols = (rows + 1) % n
-        vals = np.full(rows.size, float(weight))
-        return cls._from_entries(n, rows, cols, vals, sparse=sparse)
+        vals = np.full(rows.size, 100.0)
+        return cls._from_entries(n, rows, cols, vals, sparse=None)
 
     # -- views ----------------------------------------------------------------
 

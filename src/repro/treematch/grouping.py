@@ -13,17 +13,14 @@ keeps lazy row maxima instead of rescanning the matrix, and the
 refinement pass is a delta-gain local search driven by a precomputed
 element-to-group attraction matrix — all three stay usable at
 ``p ≈ 4096`` (see the ``mapping_bench`` entries of ``BENCH_sim.json``).
-The refinement engine reads a dense or a CSR affinity through one
-reader class per backend (``_DenseRows``, ``_CsrRows``); the greedy
-engine reads dense rows through ``_DenseRows`` and CSR rows in place
-(``_greedy_csr``).
+The greedy and refinement engines read a dense or a CSR affinity
+through one reader class per backend (``_DenseRows``, ``_CsrRows``).
 """
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
 from itertools import combinations
-from math import comb, inf
+from math import comb
 
 import numpy as np
 from scipy import sparse as _sp
@@ -282,39 +279,43 @@ def group_greedy(m, arity: int) -> list[list[int]]:
     then grow it with the element most attracted to the group.
 
     Seed selection keeps lazy per-row maxima (refreshed only when a row's
-    witness column is retired) instead of rescanning the p x p matrix,
-    and each grow step updates the group-attraction vector incrementally.
+    witness column is retired) instead of rescanning the p x p matrix, and
+    each grow step updates the group-attraction vector incrementally — so
+    the engine stays near-linear even at thousands of threads.
 
     *m* is any finite, non-negative square matrix; its diagonal is never
     selected. :class:`MappingError` is raised, before any work, unless
-    *arity* is positive and divides the order. Two backends make the
-    same selections, ties included (the lowest index wins):
+    *arity* is positive and divides the order. Two backends run the same
+    loop and differ in three reads: the first row maxima, a row
+    refreshed after its witness column retired, and the row a grow step
+    adds.
 
     * Dense: rows of *m* are read in place, with no p x p copy. The
       first row maxima come from row blocks whose diagonal is set to
-      -inf, a refreshed row sets its own column to -inf, and a grow step
-      is an argmax over every column with the retired ones masked to
-      -inf. Every other diagonal entry only reaches a retired column,
-      so each selection is that of grouping on a copy with a -inf
-      diagonal.
+      -inf, and a refreshed row sets its own column to -inf. Every
+      other diagonal entry only reaches a retired column, which the
+      mask sends to -inf anyway, so each selection, ties included, is
+      that of grouping on a copy with a -inf diagonal.
     * CSR: a scipy sparse matrix, or canonical ``(indptr, indices,
-      data)`` rows; see :func:`_greedy_csr`. Only stored entries are
-      read, and every entry left out is a ``+ 0.0``, so each value, and
-      each selection, is the dense one on any input, float weights
-      included.
+      data)`` rows. A first row maximum is the largest stored
+      off-diagonal entry, lowest column on ties, and 0.0 at the lowest
+      column other than the row itself when no stored entry is
+      positive. A refreshed row zero-fills its buffer and writes the
+      stored entries; a grow step adds them. Every entry left out is a
+      ``+ 0.0``, so each value, and each selection, is the dense one on
+      any input, float weights included.
     """
     csr = _csr_rows(m)
     if csr is None:
         m = np.asarray(m, dtype=np.float64)
         p = m.shape[0]
+        aff = _DenseRows(m)
     else:
         p = csr[0].size - 1
+        aff = _CsrRows(*csr)
     _check_arity(p, arity)
     if arity == 1:
         return [[i] for i in range(p)]
-    if csr is not None:
-        return _greedy_csr(*csr, arity)
-    aff = _DenseRows(m)
     # Retired vertices are masked by an additive -inf penalty vector
     # instead of per-step ``np.where`` temporaries: retiring is O(1),
     # and each grow step is two in-place vector adds plus one C-level
@@ -365,144 +366,6 @@ def group_greedy(m, arity: int) -> list[list[int]]:
             retire(best)
             group.append(best)
             aff.add_row(best, attract)
-        groups.append(group)
-    return groups
-
-
-def _csr_row_maxima(indptr, indices, data) -> tuple[np.ndarray, np.ndarray]:
-    """Each CSR row's largest off-diagonal entry and its lowest column.
-
-    A row with no positive stored entry peaks at 0.0 in its lowest
-    column other than itself, which is what a dense argmax picks among
-    equal zeros.
-    """
-    n = indptr.size - 1
-    row_max = np.zeros(n)
-    row_arg = (np.arange(n) == 0).astype(np.intp)
-    rows = _row_ids(indptr)
-    keep = (data > 0) & (indices != rows)
-    r, c, d = rows[keep], indices[keep], data[keep]
-    if r.size:
-        head = np.flatnonzero(np.r_[True, r[1:] != r[:-1]])
-        row_max[r[head]] = np.maximum.reduceat(d, head)
-        # Columns ascend within a row: the first maximum is the
-        # lowest column.
-        top = np.flatnonzero(d == row_max[r])
-        first = top[np.r_[True, r[top[1:]] != r[top[:-1]]]]
-        row_arg[r[first]] = c[first]
-    return row_max, row_arg
-
-
-def _greedy_csr(indptr, indices, data, arity: int) -> list[list[int]]:
-    """:func:`group_greedy` on canonical CSR rows, in O(nnz log nnz)
-    plus one O(p) seed search per group.
-
-    The loop is the dense one, with three reads taken from the stored
-    entries alone:
-
-    * the first row maxima (:func:`_csr_row_maxima`);
-    * a row whose witness column retired is refreshed over its stored
-      entries: the largest positive entry in a free column other than
-      the row, lowest column on ties, or else 0.0 in the lowest such
-      free column (there is one: a seed search leaves at least
-      ``2 * arity`` free vertices);
-    * a grow step reads a lazy max-heap of ``(-attraction, column)``,
-      pushed for each free column a new member's row reaches, after
-      popping the entries of retired columns. Attraction only grows
-      (the entries are non-negative), so a column's newest entry sorts
-      above its older ones, and every free column with positive
-      attraction has one: the top entry is the dense argmax, lowest
-      column on ties. When it is not positive, every free column's
-      attraction is 0.0 and the dense argmax is the lowest free column.
-
-    The seed search stays the dense ``argmax`` over the row maxima; a
-    ``treematch_map`` level 0 has one group per leaf, so it runs a few
-    hundred times at most. The CSR arrays are read through memoryviews
-    in place, with no per-row copy, and ``attraction`` is reset at the
-    touched columns only.
-    """
-    p = indptr.size - 1
-    row_max, row_arg = _csr_row_maxima(indptr, indices, data)
-    free = np.ones(p, dtype=bool)
-    attraction = np.zeros(p)
-    # Scalar reads and writes go through memoryviews: Python ints and
-    # floats straight from the compact arrays, no numpy scalars.
-    ptr, col, val = memoryview(indptr), memoryview(indices), memoryview(data)
-    is_free, att, top_of = (memoryview(free), memoryview(attraction),
-                            memoryview(row_max))
-    heap: list[tuple[float, int]] = []
-    lowest = 0  # every column below it is retired
-    second = 1  # every column strictly between the two is retired
-
-    def lowest_free(other_than: int) -> int:
-        """The lowest free column other than *other_than*."""
-        nonlocal lowest, second
-        while not is_free[lowest]:
-            lowest += 1
-        if lowest != other_than:
-            return lowest
-        second = max(second, lowest + 1)
-        while not is_free[second]:
-            second += 1
-        return second
-
-    def refresh(i: int) -> None:
-        """Row *i*'s maximum over the free columns other than *i*."""
-        top, arg = 0.0, -1
-        for k in range(ptr[i], ptr[i + 1]):
-            c = col[k]
-            if val[k] > top and c != i and is_free[c]:
-                top, arg = val[k], c
-        top_of[i] = top
-        row_arg[i] = arg if arg >= 0 else lowest_free(i)
-
-    def add_row(r: int) -> None:
-        """Add row *r* to the attraction; push its free columns."""
-        for k in range(ptr[r], ptr[r + 1]):
-            c = col[k]
-            a = att[c] + val[k]
-            att[c] = a
-            if is_free[c]:
-                heappush(heap, (-a, c))
-
-    def retire(r: int) -> None:
-        nonlocal n_free
-        is_free[r] = False
-        top_of[r] = -inf
-        n_free -= 1
-
-    def most_attracted() -> int:
-        """The free column of largest attraction, lowest on ties."""
-        while heap and not is_free[heap[0][1]]:
-            heappop(heap)
-        if heap and heap[0][0] < 0.0:
-            return heap[0][1]
-        return lowest_free(-1)
-
-    n_free = p
-    groups: list[list[int]] = []
-    while n_free:
-        if n_free == arity:
-            groups.append(np.flatnonzero(free).tolist())
-            break
-        i = int(row_max.argmax())
-        while not is_free[row_arg[i]]:
-            refresh(i)
-            i = int(row_max.argmax())
-        j = int(row_arg[i])
-        retire(i)
-        retire(j)
-        add_row(i)
-        add_row(j)
-        group = [i, j]
-        while len(group) < arity:
-            best = most_attracted()
-            retire(best)
-            group.append(best)
-            add_row(best)
-        heap.clear()
-        _, touched = _spans(indptr, np.asarray(group, dtype=np.intp))
-        attraction[indices[touched]] = 0.0
         groups.append(group)
     return groups
 
@@ -584,7 +447,7 @@ class _DenseRows:
 
 
 class _CsrRows:
-    """The refinement's reads of a canonical CSR affinity.
+    """The same reads of a canonical CSR affinity.
 
     Only stored entries are read: an absent entry would subtract or add
     ``0.0``, which leaves every other operand's bits unchanged.
@@ -596,6 +459,38 @@ class _CsrRows:
         self.ptr = indptr.tolist()
         self.pos = np.full(n, -1, dtype=np.intp)
         self.scratch = np.zeros(n)
+
+    def row_maxima(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's largest off-diagonal entry and its lowest column.
+
+        A row with no positive stored entry peaks at 0.0 in its lowest
+        column other than itself, which is what a dense argmax picks
+        among equal zeros.
+        """
+        n = self.indptr.size - 1
+        row_max = np.zeros(n)
+        row_arg = (np.arange(n) == 0).astype(np.intp)
+        rows = _row_ids(self.indptr)
+        keep = (self.data > 0) & (self.indices != rows)
+        r, c, d = rows[keep], self.indices[keep], self.data[keep]
+        if r.size:
+            head = np.flatnonzero(np.r_[True, r[1:] != r[:-1]])
+            row_max[r[head]] = np.maximum.reduceat(d, head)
+            # Columns ascend within a row: the first maximum is the
+            # lowest column.
+            top = np.flatnonzero(d == row_max[r])
+            first = top[np.r_[True, r[top[1:]] != r[top[:-1]]]]
+            row_arg[r[first]] = c[first]
+        return row_max, row_arg
+
+    def copy_row(self, i: int, out: np.ndarray) -> None:
+        lo, hi = self.ptr[i], self.ptr[i + 1]
+        out.fill(0.0)
+        out[self.indices[lo:hi]] = self.data[lo:hi]
+
+    def add_row(self, i: int, out: np.ndarray) -> None:
+        lo, hi = self.ptr[i], self.ptr[i + 1]
+        out[self.indices[lo:hi]] += self.data[lo:hi]
 
     def attraction(self, asg: np.ndarray, k: int) -> np.ndarray:
         # Each bin sums its row's entries in stored (column) order.

@@ -261,51 +261,3 @@ class TestPerCallTargets:
             assert ("repro/util/rng.py", draw, ("alloc",)) in HOT_TARGETS
             assert draw in PER_CALL_TARGETS
         assert "hotlint:" not in Path(rng.__file__).read_text()
-
-
-class TestCsrGreedyTargets:
-    """The CSR greedy's heap grow loop and its per-step helpers are hot
-    targets: clean as written, and a planted allocation is caught."""
-
-    def _source(self):
-        import inspect
-
-        from repro.treematch import grouping
-
-        return textwrap.dedent(inspect.getsource(grouping._greedy_csr))
-
-    def test_targets_configured(self):
-        from repro.analyze.hotlint import HOT_TARGETS, PER_CALL_TARGETS
-
-        path = "repro/treematch/grouping.py"
-        assert (path, "_greedy_csr", ("alloc",)) in HOT_TARGETS
-        for helper in ("add_row", "retire", "most_attracted", "lowest_free",
-                       "refresh"):
-            qualname = f"_greedy_csr.{helper}"
-            assert (path, qualname, ("alloc",)) in HOT_TARGETS
-            assert qualname in PER_CALL_TARGETS
-
-    def test_comprehension_planted_in_grow_loop_flagged(self):
-        src = self._source()
-        assert lint(src, qualname="_greedy_csr", rules=("alloc",)) == []
-        anchor = "            best = most_attracted()\n"
-        assert anchor in src
-        planted = src.replace(
-            anchor, anchor + "            live = [c for c in group]\n"
-        )
-        findings = lint(planted, qualname="_greedy_csr", rules=("alloc",))
-        assert codes(findings) == ["hot-loop-alloc"]
-        assert "list comprehension" in findings[0].message
-
-    def test_comprehension_planted_in_row_add_flagged(self):
-        src = self._source()
-        anchor = "            a = att[c] + val[k]\n"
-        assert anchor in src
-        planted = src.replace(
-            anchor, anchor + "            seen = [x for x in (c, k)]\n"
-        )
-        kwargs = {"qualname": "_greedy_csr.add_row", "rules": ("alloc",)}
-        assert lint(src, per_call=True, **kwargs) == []
-        assert codes(lint(planted, per_call=True, **kwargs)) == [
-            "hot-loop-alloc"
-        ]

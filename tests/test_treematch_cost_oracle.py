@@ -119,7 +119,7 @@ def _int_csr(n, rng, *, density=0.3, diagonal=False, zeros=False):
 def _ring(n, rng):
     """A one-directional ring with its task labels permuted."""
     perm = rng.permutation(n)
-    return CommunicationMatrix.ring(n, sparse=True).tocsr()[perm][:, perm]
+    return CommunicationMatrix.ring(n).tocsr()[perm][:, perm]
 
 
 def _int_family(topo, rng):

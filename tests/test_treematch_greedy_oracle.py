@@ -32,7 +32,6 @@ from repro.treematch.grouping import group_greedy
 from repro.treematch.mapping import _padded_affinity, treematch_map
 from repro.util.matrix import row_blocks
 from tests.harness import greedy_oracle
-from tests.harness.fresh import run_fresh
 
 
 def _sym(a: np.ndarray) -> np.ndarray:
@@ -179,11 +178,10 @@ def _csr_first_level(rng, weights):
     return _padded_affinity(comm, lv, owners.tolist()), arity
 
 
-class TestCsrHeapGreedy:
-    """The CSR backend grows each group from a heap of the free columns
-    the group has reached and refreshes stale row maxima over stored
-    entries alone; its groups and member order must be the dense
-    oracle's."""
+class TestCsrFirstLevels:
+    """The CSR backend on the first levels ``treematch_map`` builds:
+    control-slot edges, padding rows, and relabelled stencils and rings.
+    Its groups and member order must be the dense oracle's."""
 
     @pytest.mark.parametrize("weights", ["float", "ties", "sparse"])
     def test_first_levels_match_oracle(self, weights):
@@ -209,30 +207,3 @@ class TestCsrHeapGreedy:
         assert group_greedy(aff, 20) == greedy_oracle.group_greedy(
             aff.toarray(), 20
         )
-
-
-class TestBottomUpAtScale:
-    """The heap grow step makes a 10^5-task bottom-up map linear in its
-    stored entries; an argmax over every column per grow step took
-    ~15 s here."""
-
-    @pytest.mark.parametrize("pattern,cost", [
-        ("stencil2d", 11_447_800.0), ("ring", 159_400.0),
-    ])
-    def test_relabelled_1e5_maps_fast(self, pattern, cost):
-        code = (
-            "import numpy as np\n"
-            "from repro.topology import machine_by_name\n"
-            "from repro.treematch.commmatrix import CommunicationMatrix\n"
-            "from repro.treematch.mapping import treematch_map\n"
-            "n = 100_000\n"
-            f"comm = CommunicationMatrix.{pattern}(n)\n"
-            "perm = np.random.default_rng(1).permutation(n)\n"
-            "comm = CommunicationMatrix(comm.tocsr()[perm][:, perm])\n"
-            "topo = machine_by_name('SMP20E7')\n"
-            "pl = treematch_map(topo, comm, refine=False)\n"
-            "print(repr(pl.cost(topo, comm)))\n"
-        )
-        proc = run_fresh(code, timeout=8)
-        assert proc.returncode == 0, proc.stderr
-        assert float(proc.stdout) == cost
