@@ -133,11 +133,7 @@ class TestCommunicationMatrix:
             a = CommunicationMatrix(got.tocsr(), sparse=other)
             b = CommunicationMatrix.from_edges(n, edges, sparse=other)
             assert a.is_sparse == b.is_sparse == other
-            if other:
-                for x, y in zip(a.csr_rows(), b.csr_rows()):
-                    assert np.array_equal(x, y)
-            else:
-                assert np.array_equal(a.raw, b.raw)
+            assert (a.tocsr() != b.tocsr()).nnz == 0
 
     def test_ring_validates(self):
         for n in (0, -3):
