@@ -97,10 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "multilevel = coarsening + recursive bisection "
                             "for very large task counts (default: auto = "
                             "cut over by task count)")
-    p_map.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for multilevel subtree "
-                            "fan-out (default 1 = in-process; 0 = one per "
-                            "CPU)")
     p_map.add_argument("--json", action="store_true",
                        help="emit the placement and costs as JSON")
 
@@ -299,7 +295,6 @@ def _cmd_map(
     refine: bool,
     as_json: bool,
     strategy: str = "auto",
-    jobs: int = 1,
 ) -> str:
     """Run the selected mapping engine on a synthetic pattern."""
     import time
@@ -327,7 +322,7 @@ def _cmd_map(
 
     t0 = time.perf_counter()
     if resolved == "multilevel":
-        placement = multilevel_map(topo, comm, n_jobs=jobs)
+        placement = multilevel_map(topo, comm)
     else:
         placement = treematch_map(topo, comm, engine=engine, refine=refine)
     elapsed = time.perf_counter() - t0
@@ -550,7 +545,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "map":
             out = _cmd_map(args.machine, args.threads, args.pattern,
                            args.engine, not args.no_refine, args.json,
-                           args.strategy, args.jobs)
+                           args.strategy)
         elif args.command == "dfg":
             out = _cmd_dfg()
         elif args.command == "adapt":

@@ -113,33 +113,6 @@ def _counter_payload(counters) -> dict:
 # (affinity)" vs "ORWL (Affinity)") stay in the figure/table assemblers.
 
 
-@_cell("map-subtree")
-def _map_subtree_cell(
-    *, scale: Scale, seed: int, n: int, arities, indptr: str, indices: str,
-    data: str,
-) -> dict:
-    """Order one subtree block of a multilevel mapping problem.
-
-    The block's affinity submatrix travels as a base64 CSR triple (pure
-    JSON-safe strings, so the job is picklable and cacheable like any
-    other cell); the payload is the block's virtual-leaf order. *scale*
-    and *seed* are part of the cell contract but unused — the mapping is
-    deterministic in the matrix alone.
-    """
-    import base64
-
-    import numpy as np
-
-    from repro.treematch.mapping import map_order_block
-
-    del scale, seed
-    # frombuffer views are read-only; copy so scipy can canonicalize.
-    ip = np.frombuffer(base64.b64decode(indptr), dtype=np.int64).copy()
-    ix = np.frombuffer(base64.b64decode(indices), dtype=np.int64).copy()
-    dv = np.frombuffer(base64.b64decode(data), dtype=np.float64).copy()
-    return {"order": map_order_block(ip, ix, dv, n, arities)}
-
-
 @_cell("lk23")
 def _lk23_cell(*, scale: Scale, machine: str, variant: str, n_threads: int, seed: int) -> dict:
     from repro.apps.lk23 import Lk23Config, run_openmp_lk23, run_orwl_lk23

@@ -37,7 +37,6 @@ from repro.treematch.commmatrix import _canonical_csr, _row_ids, check_affinity
 __all__ = [
     "CoarseLevel",
     "csr_parts",
-    "parts_to_dense",
     "take_submatrix",
     "heavy_edge_matching",
     "coarsen_matrix",
@@ -85,15 +84,6 @@ def csr_parts(matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     indptr = np.zeros(m.shape[0] + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
     return indptr, cols.astype(np.int64), m[rows, cols], m.shape[0]
-
-
-def parts_to_dense(
-    indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, n: int
-) -> np.ndarray:
-    """Densify a CSR triple (for the small coarse levels only)."""
-    out = np.zeros((n, n))
-    out[_row_ids(indptr), indices] = data
-    return out
 
 
 def _spans(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -324,30 +324,21 @@ class CommunicationMatrix:
 
     @classmethod
     def stencil2d(
-        cls,
-        n: int,
-        *,
-        weight: float = 100.0,
-        width: int | None = None,
-        sparse: bool | None = None,
+        cls, n: int, *, sparse: bool | None = None
     ) -> CommunicationMatrix:
-        """Synthetic 2-D 5-point stencil: each thread exchanges *weight*
+        """Synthetic 2-D 5-point stencil: each thread exchanges 100
         bytes per iteration with its grid neighbours (halo exchange).
 
-        Threads are laid out row-major on a ``width``-wide grid
-        (``ceil(sqrt(n))`` by default). The matrix is built with
-        vectorized scatter; with the CSR backend (*sparse* = True, or
-        automatic for large instances) a million-task stencil costs
-        O(n) memory instead of O(n²). This is the placement-scaling
-        workload of the mapping benchmarks.
+        Threads are laid out row-major on a ``ceil(sqrt(n))``-wide
+        grid. The matrix is built with vectorized scatter; with the CSR
+        backend (*sparse* = True, or automatic for large instances) a
+        million-task stencil costs O(n) memory instead of O(n²). This
+        is the ``stencil`` pattern of ``repro-paper map`` and the
+        placement-scaling workload of the mapping benchmarks.
         """
         if n <= 0:
             raise MappingError(f"stencil order must be positive, got {n}")
-        if weight < 0:
-            raise MappingError(f"negative stencil weight {weight}")
-        w = width if width is not None else int(np.ceil(np.sqrt(n)))
-        if w <= 0:
-            raise MappingError(f"stencil width must be positive, got {w}")
+        w = int(np.ceil(np.sqrt(n)))
         idx = np.arange(n)
         x = idx % w
         right = idx + 1
@@ -358,7 +349,7 @@ class CommunicationMatrix:
         src_d, dst_d = idx[ok_d], down[ok_d]
         rows = np.concatenate([src_r, dst_r, src_d, dst_d])
         cols = np.concatenate([dst_r, src_r, dst_d, src_d])
-        vals = np.full(rows.size, float(weight))
+        vals = np.full(rows.size, 100.0)
         return cls._from_entries(n, rows, cols, vals, sparse=sparse)
 
     @classmethod
@@ -462,45 +453,6 @@ class CommunicationMatrix:
         if self.is_sparse:
             return _sym_zero_diag_csr(self._m)
         return self.affinity()
-
-    # -- persistence -------------------------------------------------------------
-
-    def to_csv(self) -> str:
-        """Render as CSV with a label header row/column (densifies)."""
-        lines = ["," + ",".join(self.labels)]
-        dense = self.raw
-        for i, label in enumerate(self.labels):
-            lines.append(
-                label + "," + ",".join(f"{v:g}" for v in dense[i])
-            )
-        return "\n".join(lines)
-
-    @classmethod
-    def from_csv(cls, text: str) -> CommunicationMatrix:
-        """Parse the :meth:`to_csv` format; a malformed row raises
-        :class:`MappingError` naming its line."""
-        lines = [(n, ln) for n, ln in enumerate(text.splitlines(), 1)
-                 if ln.strip()]
-        if not lines:
-            raise MappingError("empty communication-matrix CSV")
-        labels = lines[0][1].split(",")[1:]
-        rows = []
-        for n, ln in lines[1:]:
-            cells = ln.split(",")[1:]
-            if len(cells) != len(labels):
-                raise MappingError(
-                    f"CSV line {n}: {len(cells)} cells for "
-                    f"{len(labels)} labels"
-                )
-            try:
-                rows.append([float(v) for v in cells])
-            except ValueError as exc:
-                raise MappingError(f"CSV line {n}: {exc}") from exc
-        if len(rows) != len(labels):
-            raise MappingError(
-                f"CSV has {len(rows)} rows for {len(labels)} labels"
-            )
-        return cls(np.asarray(rows), labels)
 
     def __repr__(self) -> str:  # pragma: no cover
         kind = "sparse" if self.is_sparse else "dense"

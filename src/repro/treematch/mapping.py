@@ -8,6 +8,7 @@ a PU.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,6 +17,8 @@ from scipy import sparse as _sp
 from repro.errors import MappingError
 from repro.topology.tree import Topology
 from repro.treematch.aggregate import aggregate_comm_matrix
+from repro.treematch.bisect import split_k
+from repro.treematch.coarsen import take_submatrix
 from repro.treematch.commmatrix import CommunicationMatrix, _row_ids
 from repro.treematch.control import (
     ControlPlan,
@@ -27,7 +30,13 @@ from repro.treematch.grouping import _canonical, group_processes, refine_groups
 from repro.treematch.maporder import child_distance_matrix, order_top_groups
 from repro.treematch.oversub import manage_oversubscription
 
-__all__ = ["Placement", "treematch_map", "multilevel_map", "map_order_block"]
+__all__ = ["Placement", "treematch_map", "multilevel_map"]
+
+#: The values of :attr:`Placement.control_mode` (see
+#: :class:`~repro.treematch.control.ControlPlan`) and of
+#: :attr:`Placement.granularity`, defaults first.
+CONTROL_MODES = ("os", "ht-sibling", "spare-core")
+GRANULARITIES = ("pu", "core")
 
 
 @dataclass(frozen=True)
@@ -68,25 +77,33 @@ class Placement:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Placement":
-        """Rebuild a placement recorded by :meth:`to_dict`."""
-        try:
-            return cls(
-                thread_to_pu={int(k): int(v)
-                              for k, v in data["thread_to_pu"].items()},
-                control_to_pu={int(k): int(v)
-                               for k, v in data.get("control_to_pu", {}).items()},
-                control_mode=str(data.get("control_mode", "os")),
-                granularity=str(data.get("granularity", "pu")),
-                oversub_factor=int(data.get("oversub_factor", 1)),
-                topology_name=str(data.get("topology_name", "")),
-                groups_per_level=tuple(
-                    tuple(tuple(int(i) for i in g) for g in level)
-                    for level in data.get("groups_per_level", ())
-                ),
-            )
-        except (AttributeError, KeyError, TypeError, ValueError,
-                OverflowError) as exc:
-            raise MappingError(f"bad placement record: {exc!r}") from exc
+        """Rebuild a placement recorded by :meth:`to_dict`.
+
+        Only what :meth:`to_dict` writes is accepted, so every field of
+        an accepted record comes back unchanged: thread ids are
+        canonical decimal strings, PUs and group members are integers
+        (not bools or floats), ``oversub_factor`` is at least 1,
+        ``control_mode`` and ``granularity`` take their known values and
+        ``topology_name`` is a string. Anything else raises
+        :class:`MappingError` naming the field.
+        """
+        if not isinstance(data, dict) or "thread_to_pu" not in data:
+            raise _bad_record("not an object with a thread_to_pu field")
+        factor = _record_int(data.get("oversub_factor", 1), "oversub_factor")
+        if factor < 1:
+            raise _bad_record(f"oversub_factor = {factor} is below 1")
+        name = data.get("topology_name", "")
+        if not isinstance(name, str):
+            raise _bad_record(f"topology_name = {name!r} is not a string")
+        return cls(
+            thread_to_pu=_record_bindings(data, "thread_to_pu"),
+            control_to_pu=_record_bindings(data, "control_to_pu"),
+            control_mode=_record_choice(data, "control_mode", CONTROL_MODES),
+            granularity=_record_choice(data, "granularity", GRANULARITIES),
+            oversub_factor=factor,
+            topology_name=name,
+            groups_per_level=_record_levels(data.get("groups_per_level", [])),
+        )
 
     def violations(
         self,
@@ -319,6 +336,66 @@ class Placement:
         return self._pairwise_cost(comm, tids, slot, dmat)
 
 
+def _bad_record(what: str) -> MappingError:
+    return MappingError(f"bad placement record: {what}")
+
+
+def _record_int(value, where: str) -> int:
+    """*value*, an integer that is not a bool, as an int."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise _bad_record(f"{where} = {value!r} is not an integer")
+
+
+def _record_list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise _bad_record(f"{where} = {value!r} is not a list")
+    return value
+
+
+def _record_choice(data: dict, name: str, choices: tuple[str, ...]) -> str:
+    """Field *name* of *data*, one of *choices* (the first by default)."""
+    value = data.get(name, choices[0])
+    if not isinstance(value, str) or value not in choices:
+        raise _bad_record(f"{name} = {value!r} is not one of {choices}")
+    return value
+
+
+def _record_bindings(data: dict, name: str) -> dict[int, int]:
+    """The ``{thread: PU}`` table *name* of *data* (empty by default),
+    its keys canonical decimal strings."""
+    table = data.get(name, {})
+    if not isinstance(table, dict):
+        raise _bad_record(f"{name} = {table!r} is not an object")
+    out = {}
+    for key, pu in table.items():
+        try:
+            tid = int(key) if isinstance(key, str) else None
+        except ValueError:
+            tid = None
+        if tid is None or str(tid) != key:
+            raise _bad_record(f"{name} key {key!r} is not a decimal thread id")
+        out[tid] = _record_int(pu, f"{name}[{key!r}]")
+    return out
+
+
+def _record_levels(levels) -> tuple:
+    """``groups_per_level``: a list of levels, each a list of groups,
+    each a list of integers."""
+    out = []
+    for a, level in enumerate(_record_list(levels, "groups_per_level")):
+        at = f"groups_per_level[{a}]"
+        out.append(tuple(
+            tuple(_record_int(i, f"{at}[{b}][{c}]")
+                  for c, i in enumerate(_record_list(g, f"{at}[{b}]")))
+            for b, g in enumerate(_record_list(level, at))
+        ))
+    return tuple(out)
+
+
 def treematch_map(
     topology: Topology,
     comm: CommunicationMatrix,
@@ -339,7 +416,8 @@ def treematch_map(
     * ``n_control`` — number of ORWL control threads to account for
       (line 1 of Algorithm 1). ``control_owners[j]`` names the compute
       thread whose locations control thread *j* manages (default
-      ``j % n_compute``).
+      ``j % n_compute``); each must be an integer in ``[0, n_compute)``
+      in every control mode, or :class:`MappingError` is raised.
     * ``hyperthread_aware`` — when the machine has hyperthreads, map
       compute threads one-per-physical-core and reserve sibling PUs for
       control threads (the paper's systematically applied policy).
@@ -380,9 +458,10 @@ def treematch_map(
 
     leaf_objs, arities, granularity = _leaf_view(topology, hyperthread_aware)
 
-    owners = control_owners if control_owners is not None else [
-        j % p for j in range(n_control)
-    ]
+    if control_owners is None:
+        owners = [j % p for j in range(n_control)]
+    else:
+        owners = _check_owners(control_owners, p)
     if len(owners) != n_control:
         raise MappingError(
             f"{len(owners)} control owners for {n_control} control threads"
@@ -480,6 +559,31 @@ def treematch_map(
     )
 
 
+def _check_owners(owners, p: int) -> list[int]:
+    """*owners* as ints, each the index of one of *p* compute threads.
+
+    Every control mode checks every owner, whether or not it gets a
+    control slot; an owner that is not an integer (``operator.index``
+    refuses it, so 3.9 is not truncated) or lies outside ``[0, p)``
+    raises :class:`MappingError` naming it.
+    """
+    out = []
+    for j, owner in enumerate(owners):
+        try:
+            own = operator.index(owner)
+        except TypeError:
+            raise MappingError(
+                f"control owner {owner!r} of control thread {j} is not an "
+                "integer thread index"
+            ) from None
+        if not 0 <= own < p:
+            raise MappingError(
+                f"control owner {own} of control thread {j} outside [0, {p})"
+            )
+        out.append(own)
+    return out
+
+
 def _check_warm_start(topology: Topology, warm: Placement) -> None:
     """Structural compatibility of a warm-start seed placement."""
     if warm.topology_name and warm.topology_name != topology.name:
@@ -536,13 +640,6 @@ def _leaf_view(
     return leaf_objs, arities, granularity
 
 
-# -- the multilevel engine (ISSUE 7) -------------------------------------------
-
-#: Subtree size below which parallel fan-out costs more (pickling, b64,
-#: process dispatch) than it saves; such blocks are ordered in-process.
-PARALLEL_MIN_TASKS = 8192
-
-
 def _padded_affinity(comm: CommunicationMatrix, lv: int, owners=()):
     """*comm*'s affinity with zero-communication padding rows up to
     order *lv*, and the control edges of *owners* (pseudo-thread
@@ -570,6 +667,9 @@ def _padded_affinity(comm: CommunicationMatrix, lv: int, owners=()):
     return _sp.csr_array((csr.data, csr.indices, indptr), shape=(lv, lv))
 
 
+# -- the multilevel engine ------------------------------------------------------
+
+
 def _order_block(aff, arities: list[int]) -> list[int]:
     """Recursively order a block's tasks onto its subtree's virtual leaves.
 
@@ -577,9 +677,6 @@ def _order_block(aff, arities: list[int]) -> list[int]:
     part's submatrix; position ``q`` of the returned permutation is the
     task on virtual leaf ``q`` of this subtree.
     """
-    from repro.treematch.bisect import split_k
-    from repro.treematch.coarsen import take_submatrix
-
     n = int(aff.shape[0])
     if n == 1 or not arities:
         return list(range(n))
@@ -595,112 +692,55 @@ def _order_block(aff, arities: list[int]) -> list[int]:
         # (each part lands on one leaf / becomes singletons), so skip
         # the per-part submatrix extraction entirely.
         return np.concatenate(parts).tolist()
+    return _order_parts(aff, parts, rest).tolist()
+
+
+def _order_parts(aff, parts: list[list[int]], rest: list[int]) -> np.ndarray:
+    """The tasks of *parts*, part by part, each part ordered by
+    :func:`_order_block` on its own submatrix of *aff*."""
     out = []
     for part in parts:
         ia = np.asarray(part, dtype=np.intp)
         out.append(ia[_order_block(take_submatrix(aff, ia), rest)])
-    return np.concatenate(out).tolist()
-
-
-def map_order_block(
-    indptr, indices, data, n: int, arities
-) -> list[int]:
-    """Order a CSR-triple block — the pure core of the ``map-subtree`` job.
-
-    Rebuilds the CSR affinity and runs the same :func:`_order_block`
-    recursion the in-process path uses, so results are identical for any
-    worker count.
-    """
-    aff = _sp.csr_array((
-        np.asarray(data, dtype=np.float64),
-        np.asarray(indices, dtype=np.int64),
-        np.asarray(indptr, dtype=np.int64),
-    ), shape=(n, n))
-    return _order_block(aff, list(arities))
-
-
-def _b64(arr: np.ndarray) -> str:
-    import base64
-
-    return base64.b64encode(arr.tobytes()).decode("ascii")
-
-
-def _subtree_orders(
-    aff, parts: list[list[int]], rest: list[int], *, n_jobs, cache
-) -> list[list[int]]:
-    """Order every part's submatrix, fanning out over the executor when
-    the subtrees are big enough to amortize process dispatch."""
-    from repro.treematch.coarsen import take_submatrix
-
-    subs = [
-        take_submatrix(aff, np.asarray(part, dtype=np.intp))
-        for part in parts
-    ]
-    size = len(parts[0]) if parts else 0
-    use_jobs = (
-        n_jobs != 1
-        and len(parts) > 1
-        and size >= PARALLEL_MIN_TASKS
-        and all(_sp.issparse(s) for s in subs)
-    )
-    if not use_jobs:
-        return [_order_block(s, rest) for s in subs]
-
-    from repro.experiments.runner import TINY
-    from repro.parallel.executor import run_jobs
-    from repro.parallel.jobs import make_job
-
-    jobs = []
-    for s in subs:
-        csr = _sp.csr_array(s)
-        jobs.append(make_job(
-            "map-subtree",
-            TINY,
-            {
-                "n": int(csr.shape[0]),
-                "arities": tuple(int(a) for a in rest),
-                "indptr": _b64(np.asarray(csr.indptr, dtype=np.int64)),
-                "indices": _b64(np.asarray(csr.indices, dtype=np.int64)),
-                "data": _b64(np.asarray(csr.data, dtype=np.float64)),
-            },
-            0,
-        ))
-    payloads = run_jobs(jobs, n_jobs=n_jobs, cache=cache)
-    return [payload["order"] for payload in payloads]
+    return np.concatenate(out)
 
 
 def multilevel_map(
     topology: Topology,
     comm: CommunicationMatrix,
     *,
-    hyperthread_aware: bool = True,
-    distance_aware: bool = True,
-    n_jobs: int | None = 1,
-    cache=None,
+    n_jobs: int = 1,
 ) -> Placement:
     """Scalable TreeMatch: multilevel coarsening + recursive bisection.
 
     Equivalent in structure to :func:`treematch_map` — threads are
-    grouped along the topology arities and oversubscription goes through
-    the same virtual level — but the grouping runs top-down as recursive
-    bisection on a coarsened affinity graph, so a sparse million-task
-    matrix maps without any O(n²) work. Independent subtree problems
-    after the first split are fanned out over the ``repro.parallel``
-    executor (``n_jobs``: 1 = in-process, None = ``REPRO_JOBS``, 0 = one
-    worker per CPU; results are identical for any worker count, and
-    ``cache`` follows :func:`repro.parallel.executor.run_jobs`).
+    grouped along the topology arities (one per core on a hyperthreaded
+    machine) and oversubscription goes through the same virtual level —
+    but the grouping runs top-down as recursive bisection on a coarsened
+    affinity graph, so a sparse million-task matrix maps without any
+    O(n²) work. The top parts go to the root's children by interconnect
+    distance, as in :func:`treematch_map`, and each is then ordered in
+    this process.
+
+    ``n_jobs`` accepts only 1, its default, and any other value raises
+    :class:`MappingError`. It stays only because the benchmark's ``map``
+    workload (``bench/workloads.py``) passes ``n_jobs=1``; it goes when
+    that call drops it.
 
     Control threads are not modelled on this path (``control_mode`` is
     always ``"os"``) — at the scales where multilevel matters,
     per-thread control slots are noise; use :func:`treematch_map` below
     the cutover when control placement matters.
     """
-    if n_jobs is not None and n_jobs < 0:
-        raise MappingError(f"n_jobs must be >= 0, got {n_jobs}")
+    if type(n_jobs) is not int or n_jobs != 1:
+        raise MappingError(
+            f"multilevel_map runs in this process: n_jobs must be 1, "
+            f"got {n_jobs!r}"
+        )
     p = comm.order
     if p == 0:
         raise MappingError("empty communication matrix")
-    leaf_objs, arities, granularity = _leaf_view(topology, hyperthread_aware)
+    leaf_objs, arities, granularity = _leaf_view(topology, True)
 
     plan = manage_oversubscription(arities, p)
     lv = plan.virtual_leaves
@@ -708,28 +748,16 @@ def multilevel_map(
 
     seq = [a for a in plan.arities if a > 1]
     if seq:
-        from repro.treematch.bisect import split_k
-
         k0 = seq[0]
         parts = split_k(aff, k0)
-        if (
-            distance_aware
-            and k0 > 2
-            and len(topology.root.children) == k0
-        ):
+        if k0 > 2 and len(topology.root.children) == k0:
             # MapGroups refinement, as in treematch_map: assign the top
             # parts to the root's children by interconnect distance.
             agg = aggregate_comm_matrix(aff, parts)
             dist = child_distance_matrix(topology)
             ordered = order_top_groups([[i] for i in range(k0)], agg, dist)
             parts = [parts[g[0]] for g in ordered]
-        sub_orders = _subtree_orders(
-            aff, parts, seq[1:], n_jobs=n_jobs, cache=cache
-        )
-        flat = np.concatenate([
-            np.asarray(part, dtype=np.intp)[sub_order]
-            for part, sub_order in zip(parts, sub_orders)
-        ])
+        flat = _order_parts(aff, parts, seq[1:])
     else:
         flat = np.arange(lv)
 

@@ -27,10 +27,13 @@ __all__ = [
 ]
 
 #: ``strategy="auto"`` switches from the bottom-up greedy+refine engine
-#: to the multilevel engine above this task count — past it the
-#: O(p²) grouping sweeps dominate (BENCH_sim.json ``mapping_bench``:
-#: ~6 s at p=4096 and growing quadratically, vs seconds at 100k for
-#: multilevel).
+#: to the multilevel engine above this task count. Every grow step of
+#: the bottom-up greedy's first level is an argmax over all p columns,
+#: so that level costs O(p²): on 2 CPUs without numba, a relabelled
+#: 10⁵-task stencil or ring takes 12.6–13.2 s in
+#: ``treematch_map(refine=False)`` and 0.7–1.5 s in the multilevel
+#: engine. At 4,096 tasks the bottom-up map takes 1.1 s
+#: (BENCH_sim.json ``full_map``).
 MULTILEVEL_CUTOVER = 8192
 
 #: Affinity-aware mapping engines selectable by name.

@@ -20,6 +20,7 @@ must agree with, group for group, swap for swap and move for move.
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse as sp
 
 __all__ = ["refine_groups", "attraction_rows", "rebalance_exact",
            "split_k_densified"]
@@ -202,7 +203,7 @@ def split_k_densified(aff, k: int) -> list[list[int]]:
     ``DIRECT_LIMIT`` with parts of two or more tasks.
     """
     from repro.treematch import bisect
-    from repro.treematch.coarsen import coarsen, parts_to_dense
+    from repro.treematch.coarsen import coarsen
     from repro.treematch.grouping import refine_groups as library_refine
 
     size = aff.shape[0] // k
@@ -218,7 +219,9 @@ def split_k_densified(aff, k: int) -> list[list[int]]:
         if lvl.coarse_of is not None:
             asg = asg[lvl.coarse_of]
         if lvl.n <= bisect.REFINE_LIMIT:
-            dense = parts_to_dense(lvl.indptr, lvl.indices, lvl.data, lvl.n)
+            dense = sp.csr_array(
+                (lvl.data, lvl.indices, lvl.indptr), shape=(lvl.n, lvl.n)
+            ).toarray()
             groups = [np.flatnonzero(asg == g).tolist() for g in range(k)]
             for gi, g in enumerate(library_refine(dense, groups)):
                 asg[np.asarray(g, dtype=np.intp)] = gi

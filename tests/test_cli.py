@@ -199,9 +199,7 @@ class TestJobsOption:
     @pytest.mark.parametrize("argv", [
         ["fig", "4", "--jobs", "-1"],
         ["table", "2", "--jobs", "-1"],
-        ["map", "--threads", "128", "--strategy", "multilevel",
-         "--jobs", "-1"],
-    ], ids=["fig", "table", "map"])
+    ], ids=["fig", "table"])
     def test_negative_jobs_rejected(self, capsys, monkeypatch, argv):
         monkeypatch.setenv("REPRO_SCALE", "tiny")
         monkeypatch.setenv("REPRO_CACHE", "off")

@@ -6,6 +6,7 @@ works. So each case starts a new interpreter that imports one package
 and nothing else.
 """
 
+import ast
 from pathlib import Path
 
 import pytest
@@ -37,6 +38,34 @@ def test_simulator_sits_below_the_executor():
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.strip() == "[]"
+
+
+def _imported_modules(node: ast.AST, package: str) -> list[str]:
+    """The modules an import statement may load, resolved absolutely:
+    ``from a import b`` names both ``a`` and ``a.b``."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if not isinstance(node, ast.ImportFrom):
+        return []
+    parts = package.split(".")
+    base = parts[: len(parts) - node.level + 1] if node.level else []
+    module = ".".join(base + ([node.module] if node.module else []))
+    return [module] + [f"{module}.{alias.name}" for alias in node.names]
+
+
+def test_mapping_library_sits_below_the_executor():
+    """No ``repro.treematch`` module imports ``repro.parallel`` or
+    ``repro.experiments``, at module level or inside a function: a
+    placement is computed in the process that asks for it."""
+    found = []
+    for path in sorted((ROOT / "treematch").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            for name in _imported_modules(node, "repro.treematch"):
+                if name.split(".")[:2] in (["repro", "parallel"],
+                                           ["repro", "experiments"]):
+                    found.append(f"{path.name}:{node.lineno}: {name}")
+    assert found == []
 
 
 def test_every_subpackage_listed():

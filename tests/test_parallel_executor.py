@@ -46,7 +46,7 @@ def fig_fingerprint(fig):
 
 class TestJobs:
     def test_cells_registered(self):
-        assert set(CELLS) == {"lk23", "matmul", "video", "map-subtree"}
+        assert set(CELLS) == {"lk23", "matmul", "video"}
 
     def test_unknown_cell_rejected_early(self):
         with pytest.raises(ReproError, match="unknown cell"):

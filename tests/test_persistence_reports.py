@@ -61,31 +61,6 @@ class TestPlacementSerialization:
             Placement.from_dict({})
 
 
-class TestCommMatrixCsv:
-    def test_roundtrip(self):
-        m = np.array([[0.0, 5.5], [1.25, 0.0]])
-        comm = CommunicationMatrix(m, labels=["a", "b"])
-        clone = CommunicationMatrix.from_csv(comm.to_csv())
-        assert np.array_equal(clone.raw, comm.raw)
-        assert clone.labels == comm.labels
-
-    def test_empty_rejected(self):
-        with pytest.raises(MappingError):
-            CommunicationMatrix.from_csv("")
-
-    def test_ragged_rejected(self):
-        with pytest.raises(MappingError):
-            CommunicationMatrix.from_csv(",a,b\na,0,1")
-
-    @pytest.mark.parametrize("text", [
-        "x,a,b\na,1,x\nb,2,3",
-        "x,a,b\na,1,2,3\nb,2,3",
-    ], ids=["non-numeric-cell", "extra-cell"])
-    def test_malformed_row_names_its_line(self, text):
-        with pytest.raises(MappingError, match="CSV line 2"):
-            CommunicationMatrix.from_csv(text)
-
-
 class TestRunReport:
     def test_report_fields(self):
         rt = Runtime(smp20e7_4s(), affinity=True)

@@ -153,11 +153,30 @@ class TestSerialize:
         (_topology_record(pu={"os_index": 2**63}), TopologyError, "os_index"),
         (_topology_record(pu={"os_index": 10**30}), TopologyError, "os_index"),
         (_topology_record(pu={"os_index": 10**9}), TopologyError, "os_index"),
+        # A placement record holds only what Placement.to_dict writes.
+        ({"thread_to_pu": {"1_0": 0}}, MappingError, "thread_to_pu key"),
+        ({"thread_to_pu": {" 2": 0}}, MappingError, "thread_to_pu key"),
+        ({"thread_to_pu": {"0": 2.9}}, MappingError, "thread_to_pu['0']"),
+        ({"thread_to_pu": {"0": True}}, MappingError, "thread_to_pu['0']"),
+        ({"thread_to_pu": {}, "control_to_pu": {"01": 1}}, MappingError,
+         "control_to_pu key"),
+        ({"thread_to_pu": {}, "groups_per_level": [[[0.7]]]}, MappingError,
+         "groups_per_level[0][0][0]"),
+        ({"thread_to_pu": {}, "oversub_factor": -2}, MappingError,
+         "oversub_factor"),
+        ({"thread_to_pu": {}, "control_mode": "x"}, MappingError,
+         "control_mode"),
+        ({"thread_to_pu": {}, "granularity": "x"}, MappingError,
+         "granularity"),
     ], ids=["list-top-level", "string-root", "string-child",
             "cache-without-size", "string-os-index", "int-children",
             "list-attrs", "list-thread-to-pu", "infinite-os-index",
             "infinite-cache-size", "infinite-pu", "infinite-oversub",
-            "pu-number-2e63", "pu-number-1e30", "pu-number-1e9"])
+            "pu-number-2e63", "pu-number-1e30", "pu-number-1e9",
+            "underscore-thread-id", "spaced-thread-id", "float-pu",
+            "bool-pu", "zero-padded-control-id", "float-group-member",
+            "negative-oversub", "unknown-control-mode",
+            "unknown-granularity"])
     def test_malformed_records_raise_typed_errors(
         self, tmp_path, record, error, where
     ):

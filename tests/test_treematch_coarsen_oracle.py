@@ -23,6 +23,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy import sparse as sp
 
 from repro.treematch.bisect import _grow_side, _partition_weighted
 from repro.treematch.coarsen import (
@@ -30,7 +31,6 @@ from repro.treematch.coarsen import (
     coarsen,
     csr_parts,
     heavy_edge_matching,
-    parts_to_dense,
 )
 from repro.treematch.commmatrix import CommunicationMatrix
 from tests.harness import coarsen_oracle
@@ -106,7 +106,9 @@ def _assert_same_matching(indptr, indices, data, n):
 
 
 def _assert_same_partition(level, k, per_part):
-    dense = parts_to_dense(level.indptr, level.indices, level.data, level.n)
+    dense = sp.csr_array(
+        (level.data, level.indices, level.indptr), shape=(level.n, level.n)
+    ).toarray()
     want = coarsen_oracle.partition_weighted(dense, level.weights, k, per_part)
     got = _partition_weighted(
         level.indptr, level.indices, level.data, level.weights, k, per_part

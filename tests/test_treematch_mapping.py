@@ -84,9 +84,10 @@ class TestCommunicationMatrix:
             CommunicationMatrix(np.zeros((2, 2)), labels=["only-one"])
 
     def test_stencil2d_matches_loop_reference(self):
-        # 3x4 grid, row-major: the vectorized builder must produce exactly
-        # the 5-point halo-exchange edges a nested loop would.
-        n, width, weight = 12, 4, 7.0
+        # 3x4 grid (ceil(sqrt(12)) = 4 wide), row-major: the vectorized
+        # builder must produce exactly the 5-point halo-exchange edges a
+        # nested loop would.
+        n, width, weight = 12, 4, 100.0
         ref = np.zeros((n, n))
         for t in range(n):
             r, c = divmod(t, width)
@@ -94,7 +95,7 @@ class TestCommunicationMatrix:
                 u = nr * width + nc
                 if nc < width and u < n:
                     ref[t, u] = ref[u, t] = weight
-        comm = CommunicationMatrix.stencil2d(n, weight=weight, width=width)
+        comm = CommunicationMatrix.stencil2d(n)
         np.testing.assert_allclose(comm.raw, ref)
 
     def test_stencil2d_default_width_and_ragged_last_row(self):
@@ -214,6 +215,22 @@ class TestControlExtension:
             control_edges(4, [0, owner], 1.0)
 
 
+#: ``id: (machine, tasks, control mode, owners, the bad owner as the
+#: error names it)``, one control thread per owner. Each mode checks
+#: every owner, the ones past the spare-core slots included, and an
+#: owner that is not an integer is refused, not truncated.
+BAD_OWNERS = {
+    "ht-sibling-high": (smp12e5, 16, "ht-sibling", [0, 99], "99"),
+    "ht-sibling-negative": (smp12e5, 16, "ht-sibling", [0, -1], "-1"),
+    "ht-sibling-float": (smp12e5, 16, "ht-sibling", [3.9], r"3\.9"),
+    "spare-core-past-slots": (smp20e7, 158, "spare-core", [0, 1, 2, 999],
+                              "999"),
+    "spare-core-float": (smp20e7, 16, "spare-core", [3.9], r"3\.9"),
+    "os-high": (smp20e7, 160, "os", [0, 999], "999"),
+    "os-string": (smp20e7, 160, "os", ["a", 1], "'a'"),
+}
+
+
 class TestTreematchMap:
     def test_threads_get_distinct_pus(self):
         pl = treematch_map(fig2_machine(), ring_matrix(8))
@@ -285,6 +302,18 @@ class TestTreematchMap:
             treematch_map(
                 fig2_machine(), ring_matrix(4), n_control=3, control_owners=[0]
             )
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+    @pytest.mark.parametrize("case", sorted(BAD_OWNERS))
+    def test_every_control_owner_checked(self, case, sparse):
+        machine, n, mode, owners, bad = BAD_OWNERS[case]
+        topo = machine()
+        comm = CommunicationMatrix.stencil2d(n, sparse=sparse)
+        valid = treematch_map(topo, comm, n_control=len(owners))
+        assert valid.control_mode == mode
+        with pytest.raises(MappingError, match=rf"control owner {bad} "):
+            treematch_map(topo, comm, n_control=len(owners),
+                          control_owners=owners)
 
     def test_deterministic(self):
         topo = smp20e7()

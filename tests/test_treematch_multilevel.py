@@ -5,7 +5,7 @@ Three layers of coverage for ISSUE 7:
 * structural invariants of the coarsening hierarchy and ``split_k``
   (cover, balance, determinism, dense/CSR backend agreement);
 * ``multilevel_map`` end-to-end: valid placements, oversubscription,
-  worker-count invariance of the parallel subtree fan-out;
+  backend agreement, in-process only;
 * a curated 21-instance quality gallery asserting the multilevel
   placement lands within 5% of the dense greedy+refine engine.
 
@@ -30,7 +30,7 @@ from repro.treematch import (
     treematch_map,
 )
 from repro.treematch.bisect import REFINE_LIMIT
-from repro.treematch.coarsen import heavy_edge_matching, parts_to_dense
+from repro.treematch.coarsen import heavy_edge_matching
 
 
 def clustered(n, seed, k=None):
@@ -86,7 +86,9 @@ class TestCoarsen:
             level_total = lv.data.sum()
             assert level_total <= total + 1e-9
             total = level_total
-            dense = parts_to_dense(lv.indptr, lv.indices, lv.data, lv.n)
+            dense = sp.csr_array(
+                (lv.data, lv.indices, lv.indptr), shape=(lv.n, lv.n)
+            ).toarray()
             # Structurally symmetric; values agree up to summation order
             # of the contracted duplicates.
             assert np.array_equal(dense != 0, dense.T != 0)
@@ -291,21 +293,32 @@ class TestBisectionMemory:
 
 
     def test_split_k_never_densifies_a_level(self, monkeypatch):
+        # A multilevel split refines each level on its CSR rows: it
+        # reaches neither the dense engines nor a dense level matrix.
         import importlib
 
         bisect = importlib.import_module("repro.treematch.bisect")
-        coarsen_mod = importlib.import_module("repro.treematch.coarsen")
+        library_refine = bisect.refine_groups
+        refined = []
 
-        def refuse(*args):
+        def refuse(*args, **kwargs):
             raise AssertionError("split_k densified a level")
 
-        monkeypatch.setattr(coarsen_mod, "parts_to_dense", refuse)
-        monkeypatch.setattr(bisect, "parts_to_dense", refuse, raising=False)
+        def refine_rows(a, groups, **kwargs):
+            if isinstance(a, np.ndarray):
+                raise AssertionError("split_k refined a dense level")
+            refined.append(len(groups))
+            return library_refine(a, groups, **kwargs)
+
+        monkeypatch.setattr(bisect, "_densify", refuse)
+        monkeypatch.setattr(bisect, "group_processes", refuse)
+        monkeypatch.setattr(bisect, "refine_groups", refine_rows)
         aff = CommunicationMatrix.stencil2d(1280, sparse=False).affinity()
         levels = coarsen(aff, target=320)
         assert levels[0].n > 512 and min(lv.n for lv in levels) <= REFINE_LIMIT
         parts = split_k(aff, 20)
         assert sorted(i for p in parts for i in p) == list(range(1280))
+        assert refined and set(refined) == {20}
 
 
 class TestMultilevelMap:
@@ -370,35 +383,17 @@ class TestMultilevelMap:
         pl_sparse = multilevel_map(topo, CommunicationMatrix(raw, sparse=True))
         assert pl_dense.thread_to_pu == pl_sparse.thread_to_pu
 
-    def test_parallel_fanout_matches_serial(self, monkeypatch):
-        # Shrink the fan-out threshold so a small instance exercises the
-        # map-subtree job path with a real worker pool.
-        import repro.treematch.mapping as mapping_mod
-
-        monkeypatch.setattr(mapping_mod, "PARALLEL_MIN_TASKS", 1)
+    def test_runs_in_process_only(self):
+        # n_jobs stays for bench/workloads.py's n_jobs=1 call; no other
+        # value is accepted.
         topo = machine_by_name("SMP20E7")
-        comm = CommunicationMatrix.stencil2d(640, sparse=True)
-        serial = multilevel_map(topo, comm, n_jobs=1)
-        fanned = multilevel_map(topo, comm, n_jobs=2, cache=False)
-        assert serial.thread_to_pu == fanned.thread_to_pu
-
-    def test_map_subtree_cell_roundtrip(self):
-        from repro.experiments.runner import TINY
-        from repro.parallel.executor import run_jobs
-        from repro.parallel.jobs import make_job
-        from repro.treematch.mapping import _b64, _order_block
-
-        aff = sp.csr_array(CommunicationMatrix.stencil2d(256).affinity())
-        arities = (4, 4, 4, 4)
-        job = make_job("map-subtree", TINY, {
-            "n": 256,
-            "arities": arities,
-            "indptr": _b64(np.asarray(aff.indptr, dtype=np.int64)),
-            "indices": _b64(np.asarray(aff.indices, dtype=np.int64)),
-            "data": _b64(np.asarray(aff.data, dtype=np.float64)),
-        }, 0)
-        (payload,) = run_jobs([job], n_jobs=1, cache=False)
-        assert payload["order"] == _order_block(aff, list(arities))
+        comm = CommunicationMatrix.stencil2d(640)
+        for n_jobs in (0, 2, -1, None, True, 1.0):
+            with pytest.raises(MappingError, match="n_jobs must be 1"):
+                multilevel_map(topo, comm, n_jobs=n_jobs)
+        assert multilevel_map(topo, comm, n_jobs=1) == multilevel_map(
+            topo, comm
+        )
 
 
 class TestStrategySelection:

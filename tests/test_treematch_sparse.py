@@ -167,12 +167,6 @@ class TestBitForBitEquivalence:
 
 
 class TestSparseRoundtrips:
-    def test_csv_roundtrip_from_sparse(self):
-        comm = CommunicationMatrix.stencil2d(32, sparse=True)
-        back = CommunicationMatrix.from_csv(comm.to_csv())
-        assert not back.is_sparse
-        assert np.array_equal(back.raw, comm.raw)
-
     def test_tocsr_of_dense(self):
         m = int_matrix(10, 5)
         dense = CommunicationMatrix(m, sparse=False)
