@@ -21,6 +21,7 @@ import numpy as np
 from repro.errors import MappingError
 
 __all__ = [
+    "CONTROL_MODES",
     "ControlPlan",
     "plan_control_threads",
     "add_control_edges",
@@ -32,6 +33,10 @@ __all__ = [
 #: perturb the grouping of compute threads, large enough to pull a control
 #: pseudo-thread towards its owner when slots allow.
 CONTROL_EPSILON = 1e-6
+
+
+#: The modes of a :class:`ControlPlan`, ``"os"`` (no binding) first.
+CONTROL_MODES = ("os", "ht-sibling", "spare-core")
 
 
 @dataclass(frozen=True)

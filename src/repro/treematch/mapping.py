@@ -21,6 +21,7 @@ from repro.treematch.bisect import split_k
 from repro.treematch.coarsen import take_submatrix
 from repro.treematch.commmatrix import CommunicationMatrix, _row_ids
 from repro.treematch.control import (
+    CONTROL_MODES,
     ControlPlan,
     add_control_edges,
     control_edges,
@@ -32,10 +33,7 @@ from repro.treematch.oversub import manage_oversubscription
 
 __all__ = ["Placement", "treematch_map", "multilevel_map"]
 
-#: The values of :attr:`Placement.control_mode` (see
-#: :class:`~repro.treematch.control.ControlPlan`) and of
-#: :attr:`Placement.granularity`, defaults first.
-CONTROL_MODES = ("os", "ht-sibling", "spare-core")
+#: The values of :attr:`Placement.granularity`, the default first.
 GRANULARITIES = ("pu", "core")
 
 
