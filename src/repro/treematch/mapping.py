@@ -92,7 +92,7 @@ class Placement:
             raise _bad_record(f"oversub_factor = {factor} is below 1")
         name = data.get("topology_name", "")
         if not isinstance(name, str):
-            raise _bad_record(f"topology_name = {name!r} is not a string")
+            raise _bad_record(f"topology_name = {name!r:.40} is not a string")
         return cls(
             thread_to_pu=_record_bindings(data, "thread_to_pu"),
             control_to_pu=_record_bindings(data, "control_to_pu"),
@@ -345,12 +345,12 @@ def _record_int(value, where: str) -> int:
             return operator.index(value)
         except TypeError:
             pass
-    raise _bad_record(f"{where} = {value!r} is not an integer")
+    raise _bad_record(f"{where} = {value!r:.40} is not an integer")
 
 
 def _record_list(value, where: str) -> list:
     if not isinstance(value, list):
-        raise _bad_record(f"{where} = {value!r} is not a list")
+        raise _bad_record(f"{where} is a {type(value).__name__}, not a list")
     return value
 
 
@@ -358,7 +358,7 @@ def _record_choice(data: dict, name: str, choices: tuple[str, ...]) -> str:
     """Field *name* of *data*, one of *choices* (the first by default)."""
     value = data.get(name, choices[0])
     if not isinstance(value, str) or value not in choices:
-        raise _bad_record(f"{name} = {value!r} is not one of {choices}")
+        raise _bad_record(f"{name} = {value!r:.40} is not one of {choices}")
     return value
 
 
@@ -367,7 +367,7 @@ def _record_bindings(data: dict, name: str) -> dict[int, int]:
     its keys canonical decimal strings."""
     table = data.get(name, {})
     if not isinstance(table, dict):
-        raise _bad_record(f"{name} = {table!r} is not an object")
+        raise _bad_record(f"{name} is a {type(table).__name__}, not an object")
     out = {}
     for key, pu in table.items():
         try:
@@ -375,7 +375,7 @@ def _record_bindings(data: dict, name: str) -> dict[int, int]:
         except ValueError:
             tid = None
         if tid is None or str(tid) != key:
-            raise _bad_record(f"{name} key {key!r} is not a decimal thread id")
+            raise _bad_record(f"{name} key {key!r:.40} is not a decimal thread id")
         out[tid] = _record_int(pu, f"{name}[{key!r}]")
     return out
 
