@@ -35,7 +35,7 @@ Rules (finding codes):
 
 ``hot-missing-slots``
     A per-event-instantiated (or per-event-accessed) class lost its
-    ``__slots__`` declaration.
+    ``__slots__`` declaration (or its ``@dataclass(slots=True)``).
 
 Intentional, amortized violations are suppressed in place with a
 trailing ``# hotlint: ok`` (any rule) or ``# hotlint: ok(alloc)``
@@ -128,6 +128,15 @@ HOT_TARGETS: tuple[tuple[str, str, tuple[str, ...]], ...] = (
     # OS placement runs on every dispatch attempt; its per-node free
     # masks exist so that no candidate list is built per call.
     ("repro/sim/scheduler.py", "OSScheduler.place", ("alloc",)),
+    # The ORWL hand-off: every iteration of every iterative handle runs
+    # release, acquire and one control-thread round (FIFO release and
+    # advance). The grant event and the control thread's ops are made
+    # once, so none of these allocates beyond the next Request.
+    ("repro/orwl/handle.py", "Handle.release", ("alloc",)),
+    ("repro/orwl/handle.py", "Handle.acquire", ("alloc",)),
+    ("repro/orwl/location.py", "LocationFIFO.advance", ("alloc",)),
+    ("repro/orwl/location.py", "LocationFIFO.release", ("alloc",)),
+    ("repro/orwl/runtime.py", "Runtime._control_body", ("alloc",)),
 )
 
 #: Hot targets called once per event instead of draining a loop of their
@@ -145,11 +154,19 @@ PER_CALL_TARGETS = frozenset({
     "_DenseRows.add_row",
     "_CsrRows.copy_row",
     "_CsrRows.add_row",
+    "Handle.release",
+    "Handle.acquire",
+    "LocationFIFO.advance",
+    "LocationFIFO.release",
+    "Runtime._control_body",
 })
 
-#: Classes that must keep ``__slots__`` (path -> class names).
+#: Classes that must keep ``__slots__`` (path -> class names); a
+#: ``@dataclass(slots=True)`` counts.
 SLOTS_REQUIRED: dict[str, tuple[str, ...]] = {
     "repro/sim/engine.py": ("Engine",),
+    "repro/sim/process.py": ("SimEvent", "SimThread", "Compute", "Touch", "Wait"),
+    "repro/orwl/location.py": ("Request",),
     "repro/sim/cache.py": ("L3State", "CacheSystem"),
     "repro/sim/observe.py": ("Counter", "Gauge", "Histogram", "RingTrace"),
     "repro/affinity/telemetry.py": ("WindowTelemetry",),
@@ -341,6 +358,21 @@ def _resolve_qualname(tree: ast.Module, qualname: str) -> ast.AST | None:
     return node
 
 
+def _is_slotted_dataclass(decorator: ast.expr) -> bool:
+    """``@dataclass(..., slots=True)`` (or ``dataclasses.dataclass``)."""
+    if not isinstance(decorator, ast.Call):
+        return False
+    func = decorator.func
+    name = func.id if isinstance(func, ast.Name) else (
+        func.attr if isinstance(func, ast.Attribute) else None
+    )
+    return name == "dataclass" and any(
+        kw.arg == "slots" and isinstance(kw.value, ast.Constant)
+        and kw.value.value is True
+        for kw in decorator.keywords
+    )
+
+
 def _check_slots(tree: ast.Module, path: str, class_names: tuple[str, ...],
                  suppressed: dict, findings: list[Finding]) -> None:
     by_name = {
@@ -362,7 +394,7 @@ def _check_slots(tree: ast.Module, path: str, class_names: tuple[str, ...],
                 for t in stmt.targets
             )
             for stmt in cls.body
-        )
+        ) or any(_is_slotted_dataclass(dec) for dec in cls.decorator_list)
         if not has_slots:
             scanner = _HotScanner(path, ("slots",), suppressed, findings)
             scanner._flag(

@@ -52,17 +52,20 @@ class Handle:
         #: precedes the first write (they must see the initial state).
         self.init_rank: int | None = None
         self.held = False
-        self.iteration = 0
         self.current_request: Request | None = None
+        #: The grant event, made once and reused by every iteration's
+        #: request. Grants and acquires strictly alternate — release k is
+        #: the only place request k+1 is inserted, and k+1 cannot
+        #: activate before k is released — so its count never exceeds 1.
+        self.event = op.task.runtime.machine.event(
+            f"{location.name}:{op.name}:{mode}"
+        )
+        self._wait = Wait(self.event)
 
     # -- wiring (runtime calls these) ---------------------------------------
 
     def _new_request(self) -> Request:
-        runtime = self.op.task.runtime
-        event = runtime.machine.event(
-            f"{self.location.name}:{self.op.name}:{self.mode}{self.iteration}"
-        )
-        req = Request(self, self.mode, event)
+        req = Request(self, self.mode, self.event)
         self.current_request = req
         return req
 
@@ -70,15 +73,14 @@ class Handle:
 
     def acquire(self):
         """Generator: block until this handle's request becomes active."""
-        req = self.current_request
-        if req is None:
+        if self.current_request is None:
             raise HandleStateError(
                 f"{self}: no pending request — was the runtime scheduled, "
                 "and is the handle iterative if re-acquired?"
             )
         if self.held:
             raise HandleStateError(f"{self}: acquire while already held")
-        yield Wait(req.event)
+        yield self._wait
         self.held = True
 
     def release(self) -> None:
@@ -87,13 +89,12 @@ class Handle:
         For iterative handles the next-iteration request is inserted
         *before* the release is made visible — the ORWL_SECTION2 rule.
         The actual FIFO advance is performed by the location's control
-        thread (woken via the runtime).
+        thread, woken through the location's ``work`` event.
         """
         if not self.held:
             raise HandleStateError(f"{self}: release without acquire")
         req = self.current_request
         assert req is not None
-        self.iteration += 1
         if self.iterative:
             nxt = self._new_request()
             self.location.fifo.insert(nxt)
@@ -101,7 +102,7 @@ class Handle:
             self.current_request = None
         self.location.fifo.release(req)
         self.held = False
-        self.op.task.runtime._notify_location(self.location)
+        self.location.work.signal()
 
     # -- data access -----------------------------------------------------------
 

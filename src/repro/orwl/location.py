@@ -25,9 +25,9 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["Request", "LocationFIFO", "Location"]
 
 
-@dataclass(eq=False)
+@dataclass(slots=True, eq=False)
 class Request:
-    """One pending access to a location."""
+    """One pending access to a location (one per hand-off)."""
 
     handle: "Handle"
     mode: str  # "r" | "w"
@@ -112,6 +112,9 @@ class Location:
     buffer: "Buffer | None" = None
     data: Any = None
     meta: dict = field(default_factory=dict)
+    #: Wakes the location's control thread: ``Handle.release`` signals
+    #: it, the control thread waits on it. The runtime sets it.
+    work: "SimEvent | None" = None
 
     def __post_init__(self) -> None:
         self.fifo.name = self.name

@@ -159,10 +159,12 @@ class Runtime:
 
     def _new_location(self, owner: Operation, name: str, size: int) -> Location:
         self._check_not_scheduled("create a location")
-        loc = Location(len(self.locations), name, owner, 0)
+        loc = Location(
+            len(self.locations), name, owner, 0,
+            work=self.machine.event(f"work:{name}"),
+        )
         if size:
             loc.scale(size)
-        loc.meta["work"] = self.machine.event(f"work:{name}")
         self.locations.append(loc)
         owner.locations.append(loc)
         return loc
@@ -210,19 +212,17 @@ class Runtime:
 
     # -- control threads ---------------------------------------------------------------
 
-    def _notify_location(self, loc: Location) -> None:
-        """Called by Handle.release: wake the location's control thread."""
-        loc.meta["work"].signal()
-
     def _control_body(self, loc: Location):
-        work = loc.meta["work"]
-        control_cycles = self.machine.model.control_cycles
+        # Both ops are made once: the machine only reads them.
+        wait = Wait(loc.work)
+        control = Compute(self.machine.model.control_cycles)
+        fifo = loc.fifo
         while True:
-            yield Wait(work)
+            yield wait
             if self._shutdown:
                 return
-            yield Compute(control_cycles)
-            loc.fifo.advance()
+            yield control
+            fifo.advance()
 
     def _op_body(self, op: Operation):
         gen = op.body(op)
@@ -232,7 +232,7 @@ class Runtime:
         if self._ops_remaining == 0:
             self._shutdown = True
             for loc in self.locations:
-                loc.meta["work"].signal()
+                loc.work.signal()
 
     # -- the affinity add-on API (paper Sec. IV-B) ------------------------------------------
 

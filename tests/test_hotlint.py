@@ -261,3 +261,97 @@ class TestPerCallTargets:
             assert ("repro/util/rng.py", draw, ("alloc",)) in HOT_TARGETS
             assert draw in PER_CALL_TARGETS
         assert "hotlint:" not in Path(rng.__file__).read_text()
+
+
+class TestOrwlHandOff:
+    #: Handle._new_request as it was when every iteration made its own
+    #: grant event, named per iteration.
+    PER_ITERATION_REQUEST = """
+        class Handle:
+            def _new_request(self):
+                runtime = self.op.task.runtime
+                event = runtime.machine.event(
+                    f"{self.location.name}:{self.op.name}:{self.mode}{self.iteration}"
+                )
+                req = Request(self, self.mode, event)
+                self.current_request = req
+                return req
+    """
+
+    HAND_OFF = (
+        ("repro/orwl/handle.py", "Handle.release"),
+        ("repro/orwl/handle.py", "Handle.acquire"),
+        ("repro/orwl/location.py", "LocationFIFO.advance"),
+        ("repro/orwl/location.py", "LocationFIFO.release"),
+        ("repro/orwl/runtime.py", "Runtime._control_body"),
+    )
+
+    def test_per_iteration_event_flagged(self):
+        findings = lint(self.PER_ITERATION_REQUEST,
+                        qualname="Handle._new_request", rules=("alloc",),
+                        per_call=True)
+        assert codes(findings) == ["hot-loop-alloc"]
+        assert "f-string" in findings[0].message
+
+    def test_live_new_request_clean(self):
+        import inspect
+
+        from repro.orwl.handle import Handle
+
+        src = "class Handle:\n" + inspect.getsource(Handle._new_request)
+        assert lint(src, qualname="Handle._new_request", rules=("alloc",),
+                    per_call=True) == []
+
+    def test_request_without_slots_caught(self):
+        findings = lint("""
+            from dataclasses import dataclass
+
+            @dataclass(eq=False)
+            class Request:
+                mode: str
+        """, rules=(), slots_classes=("Request",))
+        assert codes(findings) == ["hot-missing-slots"]
+
+    def test_slots_false_caught(self):
+        findings = lint("""
+            import dataclasses
+
+            @dataclasses.dataclass(slots=False)
+            class Request:
+                mode: str
+        """, rules=(), slots_classes=("Request",))
+        assert codes(findings) == ["hot-missing-slots"]
+
+    def test_slotted_dataclass_accepted(self):
+        for decorator in ("dataclass(slots=True, eq=False)",
+                          "dataclasses.dataclass(slots=True)"):
+            findings = lint(f"""
+                import dataclasses
+                from dataclasses import dataclass
+
+                @{decorator}
+                class Request:
+                    mode: str
+            """, rules=(), slots_classes=("Request",))
+            assert findings == [], decorator
+
+    def test_hand_off_pinned_without_suppressions(self):
+        from pathlib import Path
+
+        import repro
+        from repro.analyze.hotlint import (
+            HOT_TARGETS,
+            PER_CALL_TARGETS,
+            SLOTS_REQUIRED,
+        )
+
+        root = Path(repro.__file__).resolve().parent
+        for rel_path, qualname in self.HAND_OFF:
+            assert (rel_path, qualname, ("alloc",)) in HOT_TARGETS
+            assert qualname in PER_CALL_TARGETS
+        for name in ("handle.py", "location.py", "runtime.py"):
+            assert "hotlint:" not in (root / "orwl" / name).read_text()
+        assert SLOTS_REQUIRED["repro/orwl/location.py"] == ("Request",)
+        assert set(SLOTS_REQUIRED["repro/sim/process.py"]) == {
+            "SimEvent", "SimThread", "Compute", "Touch", "Wait",
+        }

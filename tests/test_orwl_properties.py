@@ -2,17 +2,23 @@
 
 Random DAG-structured programs must always complete (deadlock-freeness
 for per-iteration-acyclic graphs), with every operation performing all of
-its iterations, regardless of placement, machine or seed.
+its iterations, regardless of placement, machine or seed. Every handle
+reuses one grant event, which is sound only while its grants and
+acquires strictly alternate; the apps and the differential program
+family are run under a checking FIFO to show that they do.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analyze.probe import _handle_waiting_on
 from repro.errors import DeadlockError
 from repro.orwl import Runtime
-from repro.sim.process import Compute
+from repro.orwl.location import LocationFIFO
+from repro.sim.process import Compute, Wait
 from repro.topology import TopologySpec, build_topology, fig2_machine, smp12e5_4s
+from tests.harness.difftest import ProgramSpec, Taps, build_runtime, generate_programs
 
 
 def dag_program(rt, n_tasks, edges, iters, completions):
@@ -186,3 +192,134 @@ class TestFailureInjection:
         rb.init_rank = 2
         with pytest.raises(DeadlockError):
             rt.run()
+
+
+# -- the alternation the shared grant event rests on ------------------------
+
+CORES = ("object", "batched")
+
+#: The three paper applications at small sizes (difftest's config keys).
+SMALL_APPS = (
+    ("lk23", (("iterations", 3), ("n", 16), ("n_threads", 8))),
+    ("matmul", (("n", 24), ("n_tasks", 6))),
+    ("video", (("ccl_split", 2), ("frames", 2), ("gmm_split", 2),
+               ("n_dilate", 2), ("resolution", "HD"))),
+)
+
+#: The ORWL specs of the differential family (the chain shapes run on a
+#: bare SimMachine and hold no handles).
+FAMILY = [s for s in generate_programs(16) if s.app != "chain"]
+
+
+def run_checking_alternation(monkeypatch, spec: ProgramSpec, core: str) -> int:
+    """Run *spec* with every FIFO grant checked; returns the grant count.
+
+    A grant signals the request's event, which is its handle's one
+    event. It must find the count at 0 (the previous grant was consumed
+    by an acquire) and leave it at 1: wakeups are deferred to the
+    engine, so nothing can consume it inside ``advance``.
+    """
+    grants = 0
+    advance = LocationFIFO.advance
+
+    def checked_advance(fifo):
+        nonlocal grants
+        before = [req.event.count for req in fifo.queue]
+        activated = advance(fifo)
+        # advance() pops the activated group off the queue's head.
+        for req, count in zip(activated, before):
+            assert req.event is req.handle.event
+            assert count == 0, f"{req.event.name!r} granted at count {count}"
+            assert req.event.count == 1, req.event.name
+        grants += len(activated)
+        return activated
+
+    monkeypatch.setattr(LocationFIFO, "advance", checked_advance)
+    rt = build_runtime(spec, core, Taps())
+    rt.run()
+    for op in rt.operations:
+        for h in op.all_handles:
+            assert h.event.count in (0, 1), h.event.name
+            assert h.event.waiters == [], h.event.name
+    return grants
+
+
+class TestGrantAlternation:
+    @pytest.mark.parametrize("core", CORES)
+    @pytest.mark.parametrize("affinity", [False, True])
+    @pytest.mark.parametrize("app,config", SMALL_APPS,
+                             ids=[app for app, _ in SMALL_APPS])
+    def test_paper_apps(self, monkeypatch, app, config, affinity, core):
+        spec = ProgramSpec(index=0, app=app, config=config,
+                           topology="smp12e5_4s", affinity=affinity, seed=3,
+                           tap_mode="off")
+        assert run_checking_alternation(monkeypatch, spec, core) > 0
+
+    @pytest.mark.parametrize("core", CORES)
+    @pytest.mark.parametrize("spec", FAMILY, ids=lambda s: f"{s.index}-{s.app}")
+    def test_difftest_family(self, monkeypatch, spec, core):
+        assert run_checking_alternation(monkeypatch, spec, core) > 0
+
+    def test_family_covers_every_app(self):
+        assert {s.app for s in FAMILY} == {"lk23", "matmul", "video"}
+
+
+# -- diagnostics that name the grant event ------------------------------------
+
+
+class TestHandOffDiagnostics:
+    @pytest.mark.parametrize("core", CORES)
+    def test_deadlock_names_the_handle_without_iteration(self, core):
+        """A writer that skips its third release leaves the reader blocked
+        in its third iteration; the error names the reader's handle."""
+        rt = Runtime(fig2_machine(), affinity=False, core=core)
+        a, b = rt.task("a"), rt.task("b")
+        loc = a.location("out", 64)
+        hw = a.write_handle(loc, iterative=True)
+        hr = b.read_handle(loc, iterative=True)
+
+        def writer(op):
+            for k in range(3):
+                yield from hw.acquire()
+                yield Compute(1e3)
+                if k < 2:
+                    hw.release()
+
+        reads = []
+
+        def reader(op):
+            for k in range(3):
+                yield from hr.acquire()
+                reads.append(k)
+                hr.release()
+
+        a.set_body(writer)
+        b.set_body(reader)
+        with pytest.raises(DeadlockError) as info:
+            rt.run()
+        assert reads == [0, 1]
+        assert "b/op0(blocked on 'out:b/op0:r')" in str(info.value)
+
+    def test_probe_maps_a_blocked_op_to_its_handle(self):
+        rt = Runtime(fig2_machine(), affinity=False)
+        a, b = rt.task("a"), rt.task("b")
+        la, lb = a.location("la", 64), b.location("lb", 64)
+        hw = a.write_handle(la, iterative=True)
+        hr = a.read_handle(lb, iterative=True)
+        b.write_handle(lb, iterative=True)
+        for t in (a, b):
+            t.set_body(lambda op: None)
+        rt.schedule()
+        op = a.main_op
+
+        gen = hw.acquire()
+        wait = next(gen)
+        assert isinstance(wait, Wait) and wait.event is hw.event
+        assert _handle_waiting_on(op, wait.event) is hw
+        assert _handle_waiting_on(op, hr.event) is hr
+        assert _handle_waiting_on(op, rt.locations[0].work) is None
+        # The next iteration's request waits on the same event.
+        next(gen, None)
+        hw.release()
+        assert next(hw.acquire()) is wait
+        assert _handle_waiting_on(op, wait.event) is hw
