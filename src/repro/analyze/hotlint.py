@@ -129,9 +129,12 @@ HOT_TARGETS: tuple[tuple[str, str, tuple[str, ...]], ...] = (
     # masks exist so that no candidate list is built per call.
     ("repro/sim/scheduler.py", "OSScheduler.place", ("alloc",)),
     # The ORWL hand-off: every iteration of every iterative handle runs
-    # release, acquire and one control-thread round (FIFO release and
-    # advance). The grant event and the control thread's ops are made
-    # once, so none of these allocates beyond the next Request.
+    # release (which makes the next Request), acquire and one control-
+    # thread round (FIFO release and advance). The rule sees builtins,
+    # displays, f-strings and closures, not class constructions; that
+    # the grant event and the control thread's ops are made once is
+    # pinned by tests/test_orwl_properties.py::TestHandOffAllocation.
+    ("repro/orwl/handle.py", "Handle._new_request", ("alloc",)),
     ("repro/orwl/handle.py", "Handle.release", ("alloc",)),
     ("repro/orwl/handle.py", "Handle.acquire", ("alloc",)),
     ("repro/orwl/location.py", "LocationFIFO.advance", ("alloc",)),
@@ -154,6 +157,7 @@ PER_CALL_TARGETS = frozenset({
     "_DenseRows.add_row",
     "_CsrRows.copy_row",
     "_CsrRows.add_row",
+    "Handle._new_request",
     "Handle.release",
     "Handle.acquire",
     "LocationFIFO.advance",

@@ -86,8 +86,7 @@ def _held_handles(op: "Operation") -> list:
 
 def _handle_waiting_on(op: "Operation", event) -> "Handle | None":
     for h in op.all_handles:
-        req = h.current_request
-        if req is not None and req.event is event:
+        if h.current_request is not None and h.event is event:
             return h
     return None
 

@@ -65,7 +65,7 @@ class Handle:
     # -- wiring (runtime calls these) ---------------------------------------
 
     def _new_request(self) -> Request:
-        req = Request(self, self.mode, self.event)
+        req = Request(self, self.mode)
         self.current_request = req
         return req
 

@@ -29,9 +29,8 @@ __all__ = ["Request", "LocationFIFO", "Location"]
 class Request:
     """One pending access to a location (one per hand-off)."""
 
-    handle: "Handle"
+    handle: "Handle"  # granted through ``handle.event``
     mode: str  # "r" | "w"
-    event: "SimEvent"
     active: bool = False
     released: bool = False
 
@@ -81,7 +80,7 @@ class LocationFIFO:
                 activated.append(nxt)
         self.active.extend(activated)
         for req in activated:
-            req.event.signal()
+            req.handle.event.signal()
         return activated
 
     @property

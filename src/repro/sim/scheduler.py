@@ -143,15 +143,9 @@ class OSScheduler:
                 return last
         node_free = self._node_free
         if cpuset is not None:
-            bits = cpuset.bits
-            if bits & (bits - 1):
-                # Bound threads keep cpuset order (deterministic, no policy).
-                free = bits & reduce(or_, node_free)
-                return (free & -free).bit_length() - 1 if free else None
-            # Bound to one PU (every ORWL-affinity thread): one busy-map
-            # lookup. The machine validates cpusets as non-empty.
-            pu = bits.bit_length() - 1
-            return pu if self._busy[pu] is None else None
+            # Bound threads keep cpuset order (deterministic, no policy).
+            free = cpuset.bits & reduce(or_, node_free)
+            return (free & -free).bit_length() - 1 if free else None
         if not any(node_free):
             return None
         if last is None and self.policy == "consolidate":

@@ -279,6 +279,7 @@ class TestOrwlHandOff:
     """
 
     HAND_OFF = (
+        ("repro/orwl/handle.py", "Handle._new_request"),
         ("repro/orwl/handle.py", "Handle.release"),
         ("repro/orwl/handle.py", "Handle.acquire"),
         ("repro/orwl/location.py", "LocationFIFO.advance"),
@@ -292,15 +293,6 @@ class TestOrwlHandOff:
                         per_call=True)
         assert codes(findings) == ["hot-loop-alloc"]
         assert "f-string" in findings[0].message
-
-    def test_live_new_request_clean(self):
-        import inspect
-
-        from repro.orwl.handle import Handle
-
-        src = "class Handle:\n" + inspect.getsource(Handle._new_request)
-        assert lint(src, qualname="Handle._new_request", rules=("alloc",),
-                    per_call=True) == []
 
     def test_request_without_slots_caught(self):
         findings = lint("""

@@ -14,10 +14,11 @@ class _FakeHandle:
 
     def __init__(self, name="h"):
         self.op = type("Op", (), {"name": name})()
+        self.event = SimEvent(name)
 
 
 def make_request(mode, name="h"):
-    return Request(_FakeHandle(name), mode, SimEvent(name))
+    return Request(_FakeHandle(name), mode)
 
 
 class TestLocationFIFO:
@@ -29,7 +30,7 @@ class TestLocationFIFO:
         activated = fifo.advance()
         assert activated == [w1]
         assert w1.active and not w2.active
-        assert w1.event.count == 1
+        assert w1.handle.event.count == 1
 
     def test_adjacent_readers_coalesce(self):
         fifo = LocationFIFO("l")

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 from repro.analyze.probe import _handle_waiting_on
 from repro.errors import DeadlockError
 from repro.orwl import Runtime
-from repro.orwl.location import LocationFIFO
-from repro.sim.process import Compute, Wait
+from repro.orwl.location import LocationFIFO, Request
+from repro.sim.process import Compute, SimEvent, Wait
 from repro.topology import TopologySpec, build_topology, fig2_machine, smp12e5_4s
 from tests.harness.difftest import ProgramSpec, Taps, build_runtime, generate_programs
 
@@ -214,23 +214,23 @@ FAMILY = [s for s in generate_programs(16) if s.app != "chain"]
 def run_checking_alternation(monkeypatch, spec: ProgramSpec, core: str) -> int:
     """Run *spec* with every FIFO grant checked; returns the grant count.
 
-    A grant signals the request's event, which is its handle's one
-    event. It must find the count at 0 (the previous grant was consumed
-    by an acquire) and leave it at 1: wakeups are deferred to the
-    engine, so nothing can consume it inside ``advance``.
+    A grant signals the request's handle's one event. It must find the
+    count at 0 (the previous grant was consumed by an acquire) and leave
+    it at 1: wakeups are deferred to the engine, so nothing can consume
+    it inside ``advance``.
     """
     grants = 0
     advance = LocationFIFO.advance
 
     def checked_advance(fifo):
         nonlocal grants
-        before = [req.event.count for req in fifo.queue]
+        before = [req.handle.event.count for req in fifo.queue]
         activated = advance(fifo)
         # advance() pops the activated group off the queue's head.
         for req, count in zip(activated, before):
-            assert req.event is req.handle.event
-            assert count == 0, f"{req.event.name!r} granted at count {count}"
-            assert req.event.count == 1, req.event.name
+            event = req.handle.event
+            assert count == 0, f"{event.name!r} granted at count {count}"
+            assert event.count == 1, event.name
         grants += len(activated)
         return activated
 
@@ -262,6 +262,64 @@ class TestGrantAlternation:
 
     def test_family_covers_every_app(self):
         assert {s.app for s in FAMILY} == {"lk23", "matmul", "video"}
+
+
+# -- what a hand-off constructs --------------------------------------------------
+
+
+class TestHandOffAllocation:
+    """An iteration constructs one Request per iterative handle and no
+    event or op: the grant events, the acquire waits and the control
+    threads' ops are made once, however long the program runs."""
+
+    COUNTED = (SimEvent, Wait, Compute, Request)
+
+    @classmethod
+    def constructions(cls, monkeypatch, core: str, iterations: int) -> dict:
+        counts = dict.fromkeys((c.__name__ for c in cls.COUNTED), 0)
+        with monkeypatch.context() as patch:
+            for klass in cls.COUNTED:
+                def counted(self, *args, _init=klass.__init__,
+                            _name=klass.__name__, **kwargs):
+                    counts[_name] += 1
+                    _init(self, *args, **kwargs)
+
+                patch.setattr(klass, "__init__", counted)
+            cls.run_ring(core, iterations)
+        return counts
+
+    @staticmethod
+    def run_ring(core: str, iterations: int) -> None:
+        """Two tasks, each writing its own location and reading the other's."""
+        rt = Runtime(fig2_machine(), affinity=True, core=core)
+        a, b = rt.task("a"), rt.task("b")
+        la, lb = a.location("la", 4096), b.location("lb", 4096)
+        pairs = ((a.write_handle(la, iterative=True),
+                  b.read_handle(la, iterative=True)),
+                 (b.write_handle(lb, iterative=True),
+                  a.read_handle(lb, iterative=True)))
+        work = Compute(1e4)  # the body's own op, made once like the runtime's
+
+        def body(op, hw, hr):
+            for _ in range(iterations):
+                yield from hw.acquire()
+                yield work
+                hw.release()
+                yield from hr.acquire()
+                hr.release()
+
+        a.set_body(lambda op: body(op, *pairs[0]))
+        b.set_body(lambda op: body(op, *pairs[1]))
+        rt.run()
+
+    @pytest.mark.parametrize("core", CORES)
+    def test_counts_do_not_grow_with_iterations(self, monkeypatch, core):
+        short = self.constructions(monkeypatch, core, 2)
+        long = self.constructions(monkeypatch, core, 20)
+        requests = long.pop("Request") - short.pop("Request")
+        assert long == short
+        # One Request per hand-off: 18 more iterations of 4 handles.
+        assert requests == 18 * 4
 
 
 # -- diagnostics that name the grant event ------------------------------------
