@@ -16,11 +16,13 @@ Rules (finding codes):
     function — or anywhere in a per-call target (``PER_CALL_TARGETS``),
     whose whole body runs once per event: dict/set displays,
     comprehensions and generator expressions, lambdas and nested
-    ``def``, f-strings, and calls to allocating builtins (``list``,
-    ``dict``, ``set``, ``sorted``, ``enumerate``, ...). Plain list/tuple
-    displays are allowed — the calendar queue's ``[seq, kind, payload]``
-    triples *are* the data format. Anything under a ``raise`` is exempt:
-    error paths are cold by definition.
+    ``def``, f-strings, calls to allocating builtins (``list``,
+    ``dict``, ``set``, ``sorted``, ``enumerate``, ...) and constructions
+    of the per-event classes (``Touch``, ``Compute``, ``Wait``,
+    ``Spawn``, ``SimEvent``, ``Request``), by bare or dotted name. Plain
+    list/tuple displays are allowed — the calendar queue's ``[seq, kind,
+    payload]`` triples *are* the data format. Anything under a ``raise``
+    is exempt: error paths are cold by definition.
 
 ``hot-self-attr``
     A ``self.<attr>`` access inside the drain loop of a function that
@@ -70,6 +72,13 @@ __all__ = [
 _ALLOC_BUILTINS = frozenset({
     "list", "dict", "set", "frozenset", "tuple", "sorted", "str",
     "bytes", "bytearray", "map", "filter", "zip", "enumerate", "reversed",
+})
+
+#: Classes built per simulated operation or hand-off. Ops are immutable
+#: and may be yielded again, so a hot path builds each one once; the
+#: rule cannot see constructions behind a factory (``machine.event()``).
+_ALLOC_CLASSES = frozenset({
+    "Touch", "Compute", "Wait", "Spawn", "SimEvent", "Request",
 })
 
 #: Local/attribute names that are observability taps in the hot loops.
@@ -125,18 +134,18 @@ HOT_TARGETS: tuple[tuple[str, str, tuple[str, ...]], ...] = (
     ("repro/affinity/controller.py", "AdaptiveController.run", ("alloc",)),
     ("repro/affinity/telemetry.py", "WindowTelemetry", ("alloc", "tap")),
     ("repro/affinity/telemetry.py", "WindowTelemetry.on_touch", ("alloc",)),
-    # OS placement runs on every dispatch attempt; its per-node free
-    # masks exist so that no candidate list is built per call.
+    # OS placement runs on every dispatch attempt; its free mask exists
+    # so that no candidate list is built per call.
     ("repro/sim/scheduler.py", "OSScheduler.place", ("alloc",)),
     # The ORWL hand-off: every iteration of every iterative handle runs
-    # release (which makes the next Request), acquire and one control-
-    # thread round (FIFO release and advance). The rule sees builtins,
-    # displays, f-strings and closures, not class constructions; that
-    # the grant event and the control thread's ops are made once is
-    # pinned by tests/test_orwl_properties.py::TestHandOffAllocation.
+    # release (which makes the next Request), acquire, its touches and
+    # one control-thread round (FIFO release and advance). Constructions
+    # behind a factory (the grant event) are out of the rule's sight;
+    # tests/test_orwl_properties.py::TestHandOffAllocation pins those.
     ("repro/orwl/handle.py", "Handle._new_request", ("alloc",)),
     ("repro/orwl/handle.py", "Handle.release", ("alloc",)),
     ("repro/orwl/handle.py", "Handle.acquire", ("alloc",)),
+    ("repro/orwl/handle.py", "Handle.touch", ("alloc",)),
     ("repro/orwl/location.py", "LocationFIFO.advance", ("alloc",)),
     ("repro/orwl/location.py", "LocationFIFO.release", ("alloc",)),
     ("repro/orwl/runtime.py", "Runtime._control_body", ("alloc",)),
@@ -160,6 +169,7 @@ PER_CALL_TARGETS = frozenset({
     "Handle._new_request",
     "Handle.release",
     "Handle.acquire",
+    "Handle.touch",
     "LocationFIFO.advance",
     "LocationFIFO.release",
     "Runtime._control_body",
@@ -317,6 +327,15 @@ class _HotScanner:
                     fix_hint="hoist it, or suppress with a justification "
                              "if the cost is amortized",
                 )
+            if name in _ALLOC_CLASSES:
+                self._flag(
+                    node, "alloc",
+                    f"{name}(...) constructed inside a hot while loop "
+                    "allocates per iteration",
+                    fix_hint="build it once outside the hot path and reuse "
+                             "it (ops are immutable), or suppress with the "
+                             "reason it must be new",
+                )
             if name in _TAP_NAMES and not guarded:
                 self._flag(
                     node, "tap",
@@ -341,8 +360,11 @@ class _HotScanner:
         if isinstance(node.func, ast.Name):
             return node.func.id
         if isinstance(node.func, ast.Attribute):
-            # Taps bound as attributes (obs.ring_add) still count.
-            return node.func.attr if node.func.attr in _TAP_NAMES else None
+            # Taps bound as attributes (obs.ring_add) and dotted class
+            # names (process.Touch) still count.
+            attr = node.func.attr
+            if attr in _TAP_NAMES or attr in _ALLOC_CLASSES:
+                return attr
         return None
 
 

@@ -15,8 +15,8 @@ live, via the native observe taps (both cores, bucket granularity):
   * ``clock-monotonic`` — ``engine.now`` is nondecreasing across every
     touch/block/finish/place callback;
   * ``occupancy`` — at every ``on_place(pu, thread)`` the scheduler's
-    busy map says *thread* occupies *pu* and *pu*'s bit is clear in its
-    NUMA node's free mask;
+    busy map says *thread* occupies *pu* and *pu*'s bit is clear in the
+    free mask;
   * ``touch-bytes`` — observed touch sizes are nonnegative.
 
 post-run, in ``verify()`` (clean completions only):
@@ -24,8 +24,8 @@ post-run, in ``verify()`` (clean completions only):
   * ``counters`` — per-thread counters nonnegative, remote traffic
     bounded by total traffic, and compute+control kind-splits conserve
     against the machine totals;
-  * ``scheduler-idle`` — the busy map drained to empty and every
-    per-NUMA free mask back to the node's full PU set;
+  * ``scheduler-idle`` — the busy map drained to empty and the free
+    mask agrees with it: every PU's bit set, and no other bit;
   * ``observer-conservation`` — folded per-PU busy cycles equal the
     per-thread busy cycles, and registry totals match engine/ring
     ground truth;
@@ -123,11 +123,11 @@ class SimSanitizer:
                 f"busy map holds "
                 f"{occupant.name if occupant is not None else None!r}",
             )
-        if sched._node_free[self.machine.memory.pu_numa_map[pu]] >> pu & 1:
+        if sched._free >> pu & 1:
             self._fail(
                 "occupancy",
                 f"on_place({pu}, {thread.name!r}) but PU {pu} is still "
-                "set in its NUMA node's free mask",
+                "set in the free mask",
             )
 
     def attach(self) -> None:
@@ -198,14 +198,14 @@ class SimSanitizer:
                     f"PU {pu} still occupied by {occupant.name!r} after "
                     "the run drained",
                 )
-        for node, free in enumerate(sched._node_free):
-            self.checks += 1
-            if free != sched._node_pus[node]:
-                self._fail(
-                    "scheduler-idle",
-                    f"NUMA node {node} free mask ended at {free:#x}, not "
-                    f"its full PU set {sched._node_pus[node]:#x}",
-                )
+        self.checks += 1
+        idle = sum(1 << pu for pu in sched._busy)
+        if sched._free != idle:
+            self._fail(
+                "scheduler-idle",
+                f"free mask ended at {sched._free:#x}, but the busy map "
+                f"has every PU free ({idle:#x})",
+            )
 
     def _verify_observer(self, machine) -> None:
         obs = machine.observer

@@ -412,6 +412,11 @@ def build_orwl_lk23(
                     blk.west_cells, blk.west_count(), blk.edge_col_bytes
                 )
 
+            # The sweep's ops are the same every iteration: made once.
+            cells_touch = Touch(
+                entry["interior"].buffer, n_cells * 8 * 2, write=True
+            )
+            sweep = Compute(FLOPS_PER_CELL * n_cells)
             for _ in range(cfg.iterations):
                 yield from interior.acquire()
                 # Own old-value exports: writing waits until the N/W
@@ -422,8 +427,8 @@ def build_orwl_lk23(
                     yield from hin.acquire()
                     yield hin.touch(io_bytes if hin.traffic is None else hin.traffic)
                 if n_cells:
-                    yield Touch(entry["interior"].buffer, n_cells * 8 * 2, write=True)
-                    yield Compute(FLOPS_PER_CELL * n_cells)
+                    yield cells_touch
+                    yield sweep
                     if cfg.execute_data:
                         _sweep_cells(arrays, cells_fn())
                 for hin in reversed(inputs):
@@ -459,6 +464,13 @@ def build_orwl_lk23(
                 (h["old_e"], blk.edge_col_bytes) if "old_e" in h else None,
             ]
             olds = [x for x in olds if x]
+            # Stream the za block plus the five coefficient blocks, then
+            # sweep: the same ops every iteration, made once.
+            za_touch = Touch(
+                entry["interior"].buffer, blk.interior_bytes, write=True
+            )
+            coeffs_touch = Touch(entry["coeffs"], 5 * blk.interior_bytes)
+            sweep = Compute(FLOPS_PER_CELL * n_cells)
             for _ in range(cfg.iterations):
                 yield from interior.acquire()
                 for hout, _ in outs:
@@ -468,10 +480,9 @@ def build_orwl_lk23(
                 for hold, nbytes in olds:
                     yield from hold.acquire()
                     yield hold.touch(nbytes)
-                # Stream za block plus the five coefficient blocks.
-                yield Touch(entry["interior"].buffer, blk.interior_bytes, write=True)
-                yield Touch(entry["coeffs"], 5 * blk.interior_bytes)
-                yield Compute(FLOPS_PER_CELL * n_cells)
+                yield za_touch
+                yield coeffs_touch
+                yield sweep
                 if cfg.execute_data:
                     _sweep_cells(arrays, cells_fn())
                 for hold, _ in reversed(olds):
@@ -547,17 +558,28 @@ def run_openmp_lk23(
 
         n_chunks = cfg.n_threads
         rows_per_chunk = (n - 2) / n_chunks
-
-        def chunk(idx):
+        # A chunk sweeps the same rows every iteration: its ops are made
+        # once, before the first region.
+        chunks = []
+        for idx in range(n_chunks):
             lo = 1 + int(idx * rows_per_chunk)
             hi = 1 + int((idx + 1) * rows_per_chunk)
             rows = max(0, hi - lo)
+            cbytes = rows * n * 8
+            chunks.append((
+                lo, hi, rows,
+                Touch(za, cbytes, write=True),
+                Touch(coeffs, 5 * cbytes),
+                Compute(FLOPS_PER_CELL * rows * (n - 2)),
+            ))
+
+        def chunk(idx):
+            lo, hi, rows, za_touch, coeffs_touch, sweep = chunks[idx]
             if rows == 0:
                 return
-            cbytes = rows * n * 8
-            yield Touch(za, cbytes, write=True)
-            yield Touch(coeffs, 5 * cbytes)
-            yield Compute(FLOPS_PER_CELL * rows * (n - 2))
+            yield za_touch
+            yield coeffs_touch
+            yield sweep
             if cfg.execute_data:
                 _sweep_cells(
                     arrays,

@@ -100,7 +100,16 @@ def build_orwl_matmul(
         def body(op, *, i=i, own=own, prev=prev):
             r_lo, r_hi = bounds[i]
             nb_i = r_hi - r_lo
-            a_bytes = nb_i * cfg.n * 8
+            a_touch = Touch(a_bufs[i], nb_i * cfg.n * 8)
+            # Near-equal blocks have at most two widths: one DGEMM and one
+            # C-block touch per width, made before the phases that use them.
+            by_width = {
+                w: (
+                    Compute(2.0 * nb_i * cfg.n * w, efficiency=DGEMM_EFFICIENCY),
+                    Touch(c_bufs[i], nb_i * w * 8, write=True),
+                )
+                for w in set(widths)
+            }
             carried: dict | None = None
             for k in range(p):
                 j = (i - k) % p  # column block currently in the slot
@@ -116,11 +125,10 @@ def build_orwl_matmul(
                         slot.update(carried)
                     assert slot["j"] == j, "ring rotation out of sync"
                 yield own.touch(cfg.n * w_j * 8)
-                yield Touch(a_bufs[i], a_bytes)
-                yield Compute(
-                    2.0 * nb_i * cfg.n * w_j, efficiency=DGEMM_EFFICIENCY
-                )
-                yield Touch(c_bufs[i], nb_i * w_j * 8, write=True)
+                yield a_touch
+                dgemm, c_touch = by_width[w_j]
+                yield dgemm
+                yield c_touch
                 if cfg.execute_data:
                     data["C"][r_lo:r_hi, c_lo:c_hi] = (
                         data["A"][r_lo:r_hi, :] @ own.map()["block"]

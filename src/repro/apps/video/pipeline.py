@@ -197,10 +197,13 @@ def build_orwl_video(runtime: Runtime, cfg: VideoConfig) -> dict:
     h_cons_in = t_consumer.read_handle(loc_tracks, iterative=True)
 
     # ---- bodies --------------------------------------------------------------------
+    # Every frame costs the same, so each body builds its ops once, before
+    # its frame loop (ops are immutable and may be yielded again).
     def producer_body(op):
+        produce = Compute(PRODUCER_FLOPS_PER_PIXEL * px)
         for _ in range(cfg.frames):
             yield from h_prod_frame.acquire()
-            yield Compute(PRODUCER_FLOPS_PER_PIXEL * px)
+            yield produce
             yield h_prod_frame.touch(frame_bytes)
             if cfg.execute_data:
                 h_prod_frame.store(src.next_frame())
@@ -210,6 +213,7 @@ def build_orwl_video(runtime: Runtime, cfg: VideoConfig) -> dict:
         # orwl_split is zero-copy: the work location publishes a view of
         # the producer's frame (a descriptor, not a 25 MB copy); the split
         # workers pull their strips from the frame buffer in parallel.
+        assemble = Compute(ASSEMBLY_FLOPS_PER_PIXEL * px)
         for _ in range(cfg.frames):
             yield from h_gmm_frame.acquire()
             yield from h_gmm_work.acquire()
@@ -228,7 +232,7 @@ def build_orwl_video(runtime: Runtime, cfg: VideoConfig) -> dict:
                 if cfg.execute_data:
                     pieces.append(h.map())
                 h.release()
-            yield Compute(ASSEMBLY_FLOPS_PER_PIXEL * px)
+            yield assemble
             yield h_gmm_fg.touch(mask_bytes)
             if cfg.execute_data:
                 h_gmm_fg.store(np.vstack(pieces))
@@ -247,15 +251,17 @@ def build_orwl_video(runtime: Runtime, cfg: VideoConfig) -> dict:
         piece_h = h_split_piece[idx]
 
         def gen(op):
+            # Zero-copy split: read the strip straight from the
+            # producer's frame buffer.
+            strip = Touch(loc_frame.buffer, strip_px * FRAME_BYTES_PER_PIXEL)
+            update = Touch(state, write=True)
+            gmm = Compute(GMM_FLOPS_PER_PIXEL * strip_px)
             for _ in range(cfg.frames):
                 yield from work_h.acquire()
                 yield from piece_h.acquire()
-                # Zero-copy split: read the strip straight from the
-                # producer's frame buffer.
-                yield Touch(loc_frame.buffer,
-                            strip_px * FRAME_BYTES_PER_PIXEL)
-                yield Touch(state, write=True)
-                yield Compute(GMM_FLOPS_PER_PIXEL * strip_px)
+                yield strip
+                yield update
+                yield gmm
                 yield piece_h.touch()
                 if cfg.execute_data:
                     piece_h.store(model.apply(work_h.map()[lo:hi]))
@@ -265,11 +271,12 @@ def build_orwl_video(runtime: Runtime, cfg: VideoConfig) -> dict:
         return gen(op)
 
     def filter_body(op, h_in, h_out, fn):
+        morph = Compute(MORPH_FLOPS_PER_PIXEL * px)
         for _ in range(cfg.frames):
             yield from h_in.acquire()
             yield from h_out.acquire()
             yield h_in.touch()
-            yield Compute(MORPH_FLOPS_PER_PIXEL * px)
+            yield morph
             yield h_out.touch()
             if cfg.execute_data:
                 h_out.store(fn(h_in.map()))
@@ -277,6 +284,7 @@ def build_orwl_video(runtime: Runtime, cfg: VideoConfig) -> dict:
             h_out.release()
 
     def ccl_body(op):
+        assemble = Compute(ASSEMBLY_FLOPS_PER_PIXEL * px)
         for _ in range(cfg.frames):
             yield from h_ccl_in.acquire()
             yield from h_ccl_work.acquire()
@@ -294,7 +302,7 @@ def build_orwl_video(runtime: Runtime, cfg: VideoConfig) -> dict:
                 if cfg.execute_data:
                     strips.append(h.map())
                 h.release()
-            yield Compute(ASSEMBLY_FLOPS_PER_PIXEL * px)
+            yield assemble
             yield h_ccl_labels.touch()
             if cfg.execute_data:
                 _, comps = merge_strip_labels(
@@ -310,12 +318,14 @@ def build_orwl_video(runtime: Runtime, cfg: VideoConfig) -> dict:
         piece_h = h_cclsplit_piece[idx]
 
         def gen(op):
+            # Zero-copy split of the final dilated mask.
+            strip = Touch(loc_dilated[-1].buffer, strip_px)
+            ccl = Compute(CCL_FLOPS_PER_PIXEL * strip_px)
             for _ in range(cfg.frames):
                 yield from work_h.acquire()
                 yield from piece_h.acquire()
-                # Zero-copy split of the final dilated mask.
-                yield Touch(loc_dilated[-1].buffer, strip_px)
-                yield Compute(CCL_FLOPS_PER_PIXEL * strip_px)
+                yield strip
+                yield ccl
                 yield piece_h.touch()
                 if cfg.execute_data:
                     piece_h.store(label(work_h.map()[lo:hi])[0])
@@ -326,11 +336,12 @@ def build_orwl_video(runtime: Runtime, cfg: VideoConfig) -> dict:
 
     def track_body(op):
         tracker = CentroidTracker() if cfg.execute_data else None
+        track = Compute(TRACK_FLOPS_PER_COMPONENT * 10)
         for _ in range(cfg.frames):
             yield from h_track_in.acquire()
             yield from h_track_out.acquire()
             yield h_track_in.touch()
-            yield Compute(TRACK_FLOPS_PER_COMPONENT * 10)
+            yield track
             yield h_track_out.touch()
             if cfg.execute_data:
                 tracker.update(h_track_in.map())
@@ -339,10 +350,11 @@ def build_orwl_video(runtime: Runtime, cfg: VideoConfig) -> dict:
             h_track_out.release()
 
     def consumer_body(op):
+        consume = Compute(CONSUMER_FLOPS_PER_PIXEL * px)
         for _ in range(cfg.frames):
             yield from h_cons_in.acquire()
             yield h_cons_in.touch()
-            yield Compute(CONSUMER_FLOPS_PER_PIXEL * px)
+            yield consume
             if cfg.execute_data:
                 out["tracks"].append(list(h_cons_in.map()))
             h_cons_in.release()
@@ -448,37 +460,50 @@ def run_openmp_video(
         yield Touch(state, write=True)
 
         n_strips = n_threads
+        # Every strip of every frame costs the same: the ops are made
+        # once and yielded by every chunk (ops are immutable).
+        strip = px / n_strips
+        gmm_ops = (
+            Touch(frame, strip),
+            Touch(state, strip * GMM_STATE_BYTES_PER_PIXEL, write=True),
+            Compute(GMM_FLOPS_PER_PIXEL * strip),
+            Touch(mask, strip, write=True),
+        )
+        morph_ops = (
+            Touch(mask, strip),
+            Compute(MORPH_FLOPS_PER_PIXEL * strip),
+            Touch(mask, strip, write=True),
+        )
+        ccl_ops = (
+            Touch(mask, strip),
+            Compute(CCL_FLOPS_PER_PIXEL * strip),
+            Touch(labels, 4 * strip, write=True),
+        )
 
         def gmm_chunk(i):
-            strip = px / n_strips
-            yield Touch(frame, strip)
-            yield Touch(state, strip * GMM_STATE_BYTES_PER_PIXEL, write=True)
-            yield Compute(GMM_FLOPS_PER_PIXEL * strip)
-            yield Touch(mask, strip, write=True)
+            yield from gmm_ops
 
         def morph_chunk(i):
-            strip = px / n_strips
-            yield Touch(mask, strip)
-            yield Compute(MORPH_FLOPS_PER_PIXEL * strip)
-            yield Touch(mask, strip, write=True)
+            yield from morph_ops
 
         def ccl_chunk(i):
-            strip = px / n_strips
-            yield Touch(mask, strip)
-            yield Compute(CCL_FLOPS_PER_PIXEL * strip)
-            yield Touch(labels, 4 * strip, write=True)
+            yield from ccl_ops
 
+        produce = Compute(PRODUCER_FLOPS_PER_PIXEL * px)
+        write_frame = Touch(frame, write=True)
+        track = Compute(TRACK_FLOPS_PER_COMPONENT * 10)
+        consume = Compute(CONSUMER_FLOPS_PER_PIXEL * px)
         for _ in range(cfg.frames):
             # Producer (serial on the master).
-            yield Compute(PRODUCER_FLOPS_PER_PIXEL * px)
-            yield Touch(frame, write=True)
+            yield produce
+            yield write_frame
             yield from rt.parallel_for(n_strips, gmm_chunk)
             for _ in range(1 + cfg.n_dilate):  # erode + dilates
                 yield from rt.parallel_for(n_strips, morph_chunk)
             yield from rt.parallel_for(n_strips, ccl_chunk)
             # Tracking + consumer (serial).
-            yield Compute(TRACK_FLOPS_PER_COMPONENT * 10)
-            yield Compute(CONSUMER_FLOPS_PER_PIXEL * px)
+            yield track
+            yield consume
 
     if attach is not None:
         attach(omp)

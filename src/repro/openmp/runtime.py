@@ -99,6 +99,9 @@ class OpenMPRuntime:
             self.placement = None
         self._go = [self.machine.event(f"omp:go{i}") for i in range(n_threads)]
         self._done = self.machine.event("omp:done")
+        # The waits on those events, made once: every region reuses them.
+        self._go_waits = [Wait(go) for go in self._go]
+        self._done_wait = Wait(self._done)
         self._work: list[tuple[ChunkBody, range] | None] = [None] * n_threads
         self._shutdown = False
         self._ran = False
@@ -141,8 +144,9 @@ class OpenMPRuntime:
         for item in shares[0]:
             yield from body(item)
         # Implicit barrier: one done per worker.
+        done = self._done_wait
         for _ in range(1, self.n_threads):
-            yield Wait(self._done)
+            yield done
         for cb in self.on_region:
             cb("join", region, n_items)
 
@@ -197,8 +201,9 @@ class OpenMPRuntime:
         return self._build_result(seconds)
 
     def _worker(self, wid: int):
+        go = self._go_waits[wid]
         while True:
-            yield Wait(self._go[wid])
+            yield go
             if self._shutdown:
                 return
             work = self._work[wid]

@@ -24,6 +24,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["Handle"]
 
+#: Byte counts whose Touch op a handle keeps (see :meth:`Handle.touch`).
+_TOUCH_SIZES_KEPT = 8
+
 
 class Handle:
     """Connects one operation to one location, read or write."""
@@ -61,11 +64,14 @@ class Handle:
             f"{location.name}:{op.name}:{mode}"
         )
         self._wait = Wait(self.event)
+        #: This handle's Touch ops by byte count, made on first use.
+        self._touches: dict[float | None, Touch] = {}
 
     # -- wiring (runtime calls these) ---------------------------------------
 
     def _new_request(self) -> Request:
-        req = Request(self, self.mode)
+        # One per hand-off: the FIFO holds and activates each request.
+        req = Request(self, self.mode)  # hotlint: ok(alloc) — the FIFO entry
         self.current_request = req
         return req
 
@@ -107,11 +113,28 @@ class Handle:
     # -- data access -----------------------------------------------------------
 
     def touch(self, nbytes: float | None = None) -> Touch:
-        """A Touch op for the location's buffer (yield it while held)."""
+        """A Touch op for the location's buffer (yield it while held).
+
+        The op is shared: every call with an equal byte count of the same
+        type returns the one op made for it, which is safe because ops
+        are immutable. The first ``_TOUCH_SIZES_KEPT`` counts are kept;
+        a handle that touches more sizes gets a new op for the others.
+        """
         if not self.held:
             raise HandleStateError(f"{self}: touch while not held")
+        touches = self._touches
+        op = touches.get(nbytes)
+        # 4096 and 4096.0 are one dict key, but touch monitors see the
+        # op's own nbytes: an op is reused only for the caller's type.
+        if op is not None and op.nbytes.__class__ is nbytes.__class__:
+            return op
         assert self.location.buffer is not None
-        return Touch(self.location.buffer, nbytes, write=(self.mode == "w"))
+        op = Touch(  # hotlint: ok(alloc) — first use of this byte count
+            self.location.buffer, nbytes, write=(self.mode == "w")
+        )
+        if len(touches) < _TOUCH_SIZES_KEPT:
+            touches[nbytes] = op
+        return op
 
     def map(self) -> Any:
         """The location's real data (data-execution mode), guarded."""

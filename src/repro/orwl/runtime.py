@@ -214,8 +214,10 @@ class Runtime:
 
     def _control_body(self, loc: Location):
         # Both ops are made once: the machine only reads them.
-        wait = Wait(loc.work)
-        control = Compute(self.machine.model.control_cycles)
+        wait = Wait(loc.work)  # hotlint: ok(alloc) — once, before the loop
+        control = Compute(  # hotlint: ok(alloc) — once, before the loop
+            self.machine.model.control_cycles
+        )
         fifo = loc.fifo
         while True:
             yield wait

@@ -499,7 +499,6 @@ class SimMachine:
         node_free_at = self.memory.node_free_at
         sched = self.scheduler
         busy_map = sched._busy
-        node_free = sched._node_free
         place = sched.place
         rng = self._rng
         ready = self._ready
@@ -604,7 +603,7 @@ class SimMachine:
             if busy_map[pu] is None:
                 raise SimulationError(f"PU {pu} is not busy")
             busy_map[pu] = None
-            node_free[pu_numa[pu]] ^= 1 << pu
+            sched._free ^= 1 << pu
             thread.pu = None
             if thread.kind == "compute":
                 for sib in sibling_pus[pu]:
@@ -623,7 +622,7 @@ class SimMachine:
             if busy_map[pu] is not None:
                 raise SimulationError(f"PU {pu} already busy")
             busy_map[pu] = thread
-            node_free[pu_numa[pu]] ^= 1 << pu
+            sched._free ^= 1 << pu
             if on_place is not None:
                 # Mirrors OSScheduler.occupy: hooks fire with the busy map
                 # already updated, before the run transition is recorded.
@@ -650,20 +649,21 @@ class SimMachine:
                 b.append(thread)
 
         def dispatch():
+            # One pass, as in _dispatch: failed threads rotate to the
+            # back; once no PU is free the untried tail goes behind them.
             d = len(ready)
             obs_depths[d if d < depth_last else depth_last] += 1
-            progressed = True
-            while progressed and ready:
-                progressed = False
-                for _ in range(len(ready)):
-                    thread = ready.popleft()
-                    pu = place(thread, rebalance=thread.needs_rebalance)
-                    if pu is None:
-                        ready.append(thread)
-                        continue
-                    thread.needs_rebalance = False
-                    start_on(thread, pu)
-                    progressed = True
+            for left in range(d, 0, -1):
+                if not sched._free:
+                    ready.rotate(-left)
+                    return
+                thread = ready.popleft()
+                pu = place(thread, rebalance=thread.needs_rebalance)
+                if pu is None:
+                    ready.append(thread)
+                    continue
+                thread.needs_rebalance = False
+                start_on(thread, pu)
 
         def finish(thread, crashed=False):
             thread.state = "done"
@@ -1276,17 +1276,20 @@ class SimMachine:
             d = len(self._ready)
             last = len(depths) - 1
             depths[d if d < last else last] += 1
-        progressed = True
-        while progressed and self._ready:
-            progressed = False
-            for thread in list(self._ready):
-                pu = self.scheduler.place(thread, rebalance=thread.needs_rebalance)
-                if pu is None:
-                    continue
-                self._ready.remove(thread)
-                thread.needs_rebalance = False
-                self._start_on(thread, pu)
-                progressed = True
+        # One pass over the ready queue is exact: PUs only get busier
+        # inside a dispatch, so a thread that finds no allowed PU free now
+        # finds none later in the pass either, and a place() that returns
+        # None draws no random number. The pass stops once no PU is free.
+        sched = self.scheduler
+        for thread in list(self._ready):
+            if not sched._free:
+                break
+            pu = sched.place(thread, rebalance=thread.needs_rebalance)
+            if pu is None:
+                continue
+            self._ready.remove(thread)
+            thread.needs_rebalance = False
+            self._start_on(thread, pu)
 
     def _start_on(self, thread: SimThread, pu: int) -> None:
         overhead = 0.0

@@ -21,9 +21,6 @@ follow them) in the native, non-affinity runs.
 
 from __future__ import annotations
 
-from functools import reduce
-from operator import or_
-
 from repro.errors import SimulationError
 from repro.sim.memory import MemorySystem
 from repro.sim.process import SimThread
@@ -33,7 +30,7 @@ __all__ = ["OSScheduler"]
 
 
 class OSScheduler:
-    """Chooses a PU for each ready thread; tracks free PUs per node."""
+    """Chooses a PU for each ready thread; tracks the free PUs in one mask."""
 
     POLICIES = ("consolidate", "spread")
 
@@ -67,13 +64,16 @@ class OSScheduler:
         #: the same point (busy map updated, transition not yet traced).
         self.on_place: list = []
         self._busy: dict[int, SimThread | None] = {p: None for p in self._all_pus}
-        #: Int bitmasks per NUMA node (bit p = PU p): ``_node_pus`` all its
-        #: PUs, ``_node_free`` the free ones — the batched core flips those
-        #: bits in place. A node's load is the popcount of the difference.
-        self._node_pus = [0] * len(topology.numa_nodes)
+        #: Int bitmasks (bit p = PU p). ``_free`` holds the free PUs of the
+        #: whole machine: occupying or releasing a PU flips its one bit
+        #: (the batched core does so in place). ``_nodes[n]`` is NUMA node
+        #: n's (mask of all its PUs, PU count); its free PUs are
+        #: ``_free & mask``.
+        node_pus = [0] * len(topology.numa_nodes)
         for pu, node in memory.pu_numa_map.items():
-            self._node_pus[node] |= 1 << pu
-        self._node_free = list(self._node_pus)
+            node_pus[node] |= 1 << pu
+        self._nodes = [(pus, pus.bit_count()) for pus in node_pus]
+        self._free = sum(node_pus)
 
     # -- occupancy bookkeeping (machine calls these) -----------------------------
 
@@ -81,7 +81,7 @@ class OSScheduler:
         if self._busy[pu] is not None:
             raise SimulationError(f"PU {pu} already busy")
         self._busy[pu] = thread
-        self._node_free[self.memory.pu_numa_map[pu]] ^= 1 << pu
+        self._free ^= 1 << pu
         # Guarded: occupy sits on the hot wakeup path, and the on_place
         # tap exists only for repro.analyze.dynamic runs.
         if self.on_place:
@@ -92,7 +92,7 @@ class OSScheduler:
         if self._busy[pu] is None:
             raise SimulationError(f"PU {pu} is not busy")
         self._busy[pu] = None
-        self._node_free[self.memory.pu_numa_map[pu]] ^= 1 << pu
+        self._free ^= 1 << pu
 
     def thread_on(self, pu: int) -> SimThread | None:
         return self._busy.get(pu)
@@ -127,11 +127,15 @@ class OSScheduler:
 
         Sticky by default (reuse ``last_pu`` when free); a *rebalance* call
         ignores stickiness and re-applies the policy, which may migrate the
-        thread. Answered from the busy map and the per-node free masks.
+        thread. The sticky test reads the busy map; the bound, nothing-free
+        and consolidate answers are one AND on the free mask; the spread
+        policy and the consolidate fork visit each NUMA node once, and
+        churn steps over k free PUs. A None answer draws no random number.
         """
         last = thread.last_pu
         cpuset = thread.cpuset
         rng = self._rng
+        free = self._free
         if not rebalance and last is not None and self._busy[last] is None:
             if cpuset is not None:
                 if last in cpuset:
@@ -141,12 +145,11 @@ class OSScheduler:
             elif rng is None or self.wakeup_migrate_prob <= 0.0 or \
                     rng.random() >= self.wakeup_migrate_prob:
                 return last
-        node_free = self._node_free
         if cpuset is not None:
             # Bound threads keep cpuset order (deterministic, no policy).
-            free = cpuset.bits & reduce(or_, node_free)
+            free &= cpuset.bits
             return (free & -free).bit_length() - 1 if free else None
-        if not any(node_free):
+        if not free:
             return None
         if last is None and self.policy == "consolidate":
             # Fork placement under the consolidating kernel (Linux 3.10):
@@ -154,11 +157,11 @@ class OSScheduler:
             # node 0) and is only balanced away later — which is why
             # native runs first-touch their data on the low nodes. The
             # old spreading kernel (2.6.32) distributes at fork already.
-            for m in node_free:
+            for pus, _ in self._nodes:
+                m = free & pus
                 if m:
                     return (m & -m).bit_length() - 1
         if rebalance and rng is not None and self.migrate_prob > 0.0:
-            free = reduce(or_, node_free)
             if free & (free - 1) and rng.random() < self.migrate_prob:
                 # Model CFS load-balancing churn: a move to a random other
                 # free PU (k-th in PU order), not the policy's first choice.
@@ -168,18 +171,18 @@ class OSScheduler:
                     free &= free - 1
                 return (free & -free).bit_length() - 1
         if self.policy == "consolidate":
-            free = reduce(or_, node_free)
             return (free & -free).bit_length() - 1
-        # spread: least-loaded NUMA node (fewest busy PUs), lowest free PU
-        # in it; a node's lowest free bit orders like that PU's number.
-        load_min = low_min = 0
-        node_pus = self._node_pus
-        for node in range(len(node_free)):
-            free = node_free[node]
-            if free:
-                load = (node_pus[node] ^ free).bit_count()
-                if not low_min or load < load_min or (
-                    load == load_min and free & -free < low_min
-                ):
-                    load_min, low_min = load, free & -free
-        return low_min.bit_length() - 1
+        # spread: the least-loaded NUMA node (fewest busy PUs), lowest free
+        # PU in it. Among tied nodes that is the lowest bit of the union
+        # of their free PUs, so ties only OR their masks together.
+        load_min = 0
+        best = 0
+        for pus, size in self._nodes:
+            m = free & pus
+            if m:
+                load = size - m.bit_count()
+                if not best or load < load_min:
+                    load_min, best = load, m
+                elif load == load_min:
+                    best |= m
+        return (best & -best).bit_length() - 1

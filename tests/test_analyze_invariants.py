@@ -155,9 +155,9 @@ class TestViolationDetection:
             machine.sanitizer.verify(machine)
 
     @staticmethod
-    def _flip_mid_run(core: str, pu: int) -> SimMachine:
+    def _flip_mid_run(core: str, pu: int, when: float = 5e5) -> SimMachine:
         """Run bound yielding threads on PUs 0/2/4/6 and flip *pu*'s bit in
-        its node's free mask from an engine event mid-run."""
+        the scheduler's free mask from an engine event at *when* cycles."""
         from repro.sim import YieldCPU
 
         machine = SimMachine(smp12e5(), core=core)
@@ -172,12 +172,11 @@ class TestViolationDetection:
         for i in range(4):
             machine.add_thread(f"t{i}", body(), cpuset=Bitmap.single(2 * i))
         sched = machine.scheduler
-        node = machine.memory.pu_numa_map[pu]
 
         def flip():
-            sched._node_free[node] ^= 1 << pu
+            sched._free ^= 1 << pu
 
-        machine.engine.schedule(5e5, flip)
+        machine.engine.schedule(when, flip)
         machine.run()
         return machine
 
@@ -195,6 +194,18 @@ class TestViolationDetection:
         monkeypatch.setenv("REPRO_SANITIZE", "1")
         with pytest.raises(InvariantViolation, match="scheduler-idle"):
             self._flip_mid_run(core, 100)
+
+    @pytest.mark.parametrize("core", ["object", "batched"])
+    @pytest.mark.parametrize("pu", [0, 1 << 12], ids=["used-pu", "no-such-pu"])
+    def test_mask_and_busy_map_disagree_at_run_end(self, core, pu,
+                                                   monkeypatch):
+        # The flip lands after every thread finished, so no placement sees
+        # it: PU 0's bit is cleared though the busy map has it free, or a
+        # bit appears for a PU the machine does not have.
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        with pytest.raises(InvariantViolation,
+                           match="scheduler-idle.*free mask.*busy map"):
+            self._flip_mid_run(core, pu, when=1e12)
 
     def test_violation_is_simulation_error(self):
         from repro.errors import SimulationError

@@ -13,10 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analyze.probe import _handle_waiting_on
+from repro.apps.lk23 import Lk23Config, run_openmp_lk23, run_orwl_lk23
+from repro.apps.video.pipeline import VideoConfig, run_openmp_video, run_orwl_video
 from repro.errors import DeadlockError
 from repro.orwl import Runtime
 from repro.orwl.location import LocationFIFO, Request
-from repro.sim.process import Compute, SimEvent, Wait
+from repro.sim.process import Compute, SimEvent, Touch, Wait
 from repro.topology import TopologySpec, build_topology, fig2_machine, smp12e5_4s
 from tests.harness.difftest import ProgramSpec, Taps, build_runtime, generate_programs
 
@@ -269,13 +271,15 @@ class TestGrantAlternation:
 
 class TestHandOffAllocation:
     """An iteration constructs one Request per iterative handle and no
-    event or op: the grant events, the acquire waits and the control
-    threads' ops are made once, however long the program runs."""
+    event or op: the grant events, the acquire waits, the handles'
+    touches, the control threads' ops and the apps' loop-invariant ops
+    are made once, however long the program runs."""
 
-    COUNTED = (SimEvent, Wait, Compute, Request)
+    COUNTED = (SimEvent, Wait, Compute, Touch, Request)
 
     @classmethod
-    def constructions(cls, monkeypatch, core: str, iterations: int) -> dict:
+    def constructions(cls, monkeypatch, program, core: str,
+                      iterations: int) -> dict:
         counts = dict.fromkeys((c.__name__ for c in cls.COUNTED), 0)
         with monkeypatch.context() as patch:
             for klass in cls.COUNTED:
@@ -285,7 +289,7 @@ class TestHandOffAllocation:
                     _init(self, *args, **kwargs)
 
                 patch.setattr(klass, "__init__", counted)
-            cls.run_ring(core, iterations)
+            program(core, iterations)
         return counts
 
     @staticmethod
@@ -301,25 +305,72 @@ class TestHandOffAllocation:
         work = Compute(1e4)  # the body's own op, made once like the runtime's
 
         def body(op, hw, hr):
-            for _ in range(iterations):
+            for k in range(iterations):
                 yield from hw.acquire()
                 yield work
+                # Two sizes in turn: each handle keeps one op per size.
+                yield hw.touch(1024 if k % 2 else 4096)
                 hw.release()
                 yield from hr.acquire()
+                yield hr.touch()
                 hr.release()
 
         a.set_body(lambda op: body(op, *pairs[0]))
         b.set_body(lambda op: body(op, *pairs[1]))
         rt.run()
 
+    @staticmethod
+    def run_lk23(core: str, iterations: int) -> None:
+        """The ORWL LK23 wavefront: 4 blocks of 4 operations each."""
+        run_orwl_lk23(fig2_machine(), Lk23Config(
+            n=64, iterations=iterations, n_threads=16,
+        ), affinity=True, core=core)
+
+    @staticmethod
+    def run_openmp_lk23(core: str, iterations: int) -> None:
+        """The OpenMP LK23: one parallel_for region per iteration."""
+        run_openmp_lk23(fig2_machine(), Lk23Config(
+            n=64, iterations=iterations, n_threads=4,
+        ), binding="close", core=core)
+
+    #: A small pipeline: 4 + 2 split strips and 2 dilations (12 tasks).
+    VIDEO = dict(resolution="HD", gmm_split=4, ccl_split=2, n_dilate=2)
+
+    @classmethod
+    def run_video(cls, core: str, iterations: int) -> None:
+        """The ORWL video pipeline, one frame per iteration."""
+        run_orwl_video(fig2_machine(), VideoConfig(
+            frames=iterations, **cls.VIDEO,
+        ), affinity=True, core=core)
+
+    @classmethod
+    def run_openmp_video(cls, core: str, iterations: int) -> None:
+        """The OpenMP video pipeline: five parallel_for regions a frame."""
+        run_openmp_video(fig2_machine(), VideoConfig(
+            frames=iterations, **cls.VIDEO,
+        ), 4, binding="close", core=core)
+
     @pytest.mark.parametrize("core", CORES)
     def test_counts_do_not_grow_with_iterations(self, monkeypatch, core):
-        short = self.constructions(monkeypatch, core, 2)
-        long = self.constructions(monkeypatch, core, 20)
+        short = self.constructions(monkeypatch, self.run_ring, core, 2)
+        long = self.constructions(monkeypatch, self.run_ring, core, 20)
         requests = long.pop("Request") - short.pop("Request")
         assert long == short
         # One Request per hand-off: 18 more iterations of 4 handles.
         assert requests == 18 * 4
+
+    @pytest.mark.parametrize("core", CORES)
+    @pytest.mark.parametrize("program", [
+        "run_lk23", "run_openmp_lk23", "run_video", "run_openmp_video",
+    ])
+    def test_app_ops_do_not_grow_with_iterations(self, monkeypatch, core,
+                                                 program):
+        run = getattr(self, program)
+        short = self.constructions(monkeypatch, run, core, 2)
+        long = self.constructions(monkeypatch, run, core, 12)
+        for name in ("Touch", "Compute", "Wait", "SimEvent"):
+            assert long[name] == short[name], name
+        assert short["Touch"] and short["Compute"] and short["Wait"]
 
 
 # -- diagnostics that name the grant event ------------------------------------

@@ -3,11 +3,18 @@
 import pytest
 
 from repro.errors import SimulationError
+from repro.sim import SimMachine, SimObserver, YieldCPU
 from repro.sim.memory import MemorySystem
 from repro.sim.params import CostModel
-from repro.sim.process import SimThread
+from repro.sim.process import Compute, SimThread, Touch
 from repro.sim.scheduler import OSScheduler
-from repro.topology import fig2_machine, smp12e5, smp20e7
+from repro.topology import (
+    TopologySpec,
+    build_topology,
+    fig2_machine,
+    smp12e5,
+    smp20e7,
+)
 from repro.util.bitmap import Bitmap
 from repro.util.rng import make_rng
 from tests.harness.sched_oracle import drive, skewed_machine
@@ -139,3 +146,72 @@ class TestAgainstListScan:
         assert stats.moved > 0
         assert 0 < stats.rebalanced < stats.decisions
         assert set(stats.by_cpuset) == {"unbound", "single", "multi"}
+
+
+class TestOnePassDispatch:
+    """A dispatch tries each ready thread at most once and stops once no PU
+    is free, leaving the queue as a full retry would: PUs only get busier
+    inside a dispatch, and a place() that finds none draws no random
+    number, so a retry could never place anyone."""
+
+    #: Ready order at run start: (name, bound PU or None). On 4 PUs, t0
+    #: takes PU 0, t1 and t3 find it busy, t2 and t4 take two more PUs
+    #: and t5 the last one, in the middle of the queue; t6-t9 are never
+    #: tried.
+    THREADS = (("t0", 0), ("t1", 0), ("t2", None), ("t3", 0), ("t4", None),
+               ("t5", None), ("t6", 1), ("t7", None), ("t8", 3), ("t9", None))
+
+    @staticmethod
+    def run(core: str, policy: str):
+        topo = build_topology(TopologySpec(
+            name="dispatch4", numa_per_group=2, cores_per_socket=2,
+        ))
+        obs = SimObserver()
+        machine = SimMachine(topo, core=core, os_policy=policy, seed=3,
+                             observer=obs)
+        buf = machine.allocate(1 << 16, "b")
+
+        def body(k):
+            for i in range(4):
+                yield Compute(3e7 + 1e6 * k)  # past one quantum: preempts
+                yield Touch(buf, 4096, write=bool(i % 2))
+                yield YieldCPU()
+
+        for k, (name, pu) in enumerate(TestOnePassDispatch.THREADS):
+            machine.add_thread(name, body(k), cpuset=(
+                None if pu is None else Bitmap.single(pu)
+            ))
+        sched = machine.scheduler
+        real_place = sched.place
+        calls = []  # (dispatch index, thread, free PUs at the call)
+
+        def place(thread, *, rebalance=False):
+            # Each dispatch adds one queue-depth sample before placing.
+            calls.append((sum(obs.queue_depths), thread, len(sched.free_pus)))
+            return real_place(thread, rebalance=rebalance)
+
+        sched.place = place
+        queues = []
+        machine.engine.schedule(0.0, lambda: queues.append(
+            [t.name for t in machine._ready]
+        ))
+        machine.run()
+        return machine, calls, queues[0]
+
+    @pytest.mark.parametrize("policy", OSScheduler.POLICIES)
+    @pytest.mark.parametrize("core", ["object", "batched"])
+    def test_one_pass_and_full_retry_order(self, core, policy):
+        machine, calls, first_queue = self.run(core, policy)
+        assert all(t.state == "done" for t in machine.threads)
+        assert len(calls) > 3 * len(self.THREADS)
+        # Never asked while no PU is free.
+        assert all(free for _, _, free in calls)
+        # Each ready thread tried at most once per dispatch.
+        tries = [(d, t.tid) for d, t, _ in calls]
+        assert len(tries) == len(set(tries))
+        # The first dispatch tried t0-t5 only; its failures (t1, t3) lead
+        # the queue and the untried tail follows in order — the order a
+        # full retry, which would fail every one of them again, leaves.
+        first = [t.name for d, t, _ in calls if d == calls[0][0]]
+        assert first == ["t0", "t1", "t2", "t3", "t4", "t5"]
+        assert first_queue == ["t1", "t3", "t6", "t7", "t8", "t9"]
