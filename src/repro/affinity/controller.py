@@ -278,7 +278,7 @@ class AdaptiveController:
 
     def _all_done(self) -> bool:
         for t in self.machine.threads:
-            if t.state not in ("done", "unstarted"):
+            if t.state != "done":
                 return False
         return True
 

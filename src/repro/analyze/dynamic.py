@@ -7,8 +7,8 @@ to two taps the simulator serves on *both* run-loop cores:
 * ``SimMachine.monitors`` — every ``Touch`` is observed together with
   the operation's *runtime* lockset (the handles actually held at that
   virtual instant), every block and finish is counted;
-* ``OSScheduler.on_place`` — every PU occupation, from which observed
-  placements and migrations are derived independently of the counters.
+* ``OSScheduler.on_place`` — every PU occupation, recorded as each
+  thread's placement history independently of the counters.
 
 Event/time progress for the run summary is read off the engine after
 the run; :attr:`DynamicResult.core` records which core executed —
@@ -129,10 +129,6 @@ class DynamicMonitor:
                         (self.buffer_label[bid], op_a.name, op_b.name, kind)
                     )
         return out
-
-    def observed_migrations(self) -> int:
-        """Placement changes beyond each thread's first occupation."""
-        return sum(max(0, len(h) - 1) for h in self.placements.values())
 
 
 @dataclass

@@ -89,10 +89,6 @@ def _join(into: _Clock, other: _Clock) -> None:
             into[k] = v
 
 
-def _covers(clock: _Clock, other: _Clock) -> bool:
-    return all(clock.get(k, 0) >= v for k, v in other.items())
-
-
 class _Slot:
     """One request in an abstract location FIFO (handle × round)."""
 

@@ -19,10 +19,10 @@ Rules (finding codes):
     ``def``, f-strings, calls to allocating builtins (``list``,
     ``dict``, ``set``, ``sorted``, ``enumerate``, ...) and constructions
     of the per-event classes (``Touch``, ``Compute``, ``Wait``,
-    ``Spawn``, ``SimEvent``, ``Request``), by bare or dotted name. Plain
-    list/tuple displays are allowed — the calendar queue's ``[seq, kind,
-    payload]`` triples *are* the data format. Anything under a ``raise``
-    is exempt: error paths are cold by definition.
+    ``SimEvent``, ``Request``), by bare or dotted name. Plain list/tuple
+    displays are allowed — the calendar queue's ``[kind, payload]``
+    pairs *are* the data format. Anything under a ``raise`` is exempt:
+    error paths are cold by definition.
 
 ``hot-self-attr``
     A ``self.<attr>`` access inside the drain loop of a function that
@@ -78,7 +78,7 @@ _ALLOC_BUILTINS = frozenset({
 #: and may be yielded again, so a hot path builds each one once; the
 #: rule cannot see constructions behind a factory (``machine.event()``).
 _ALLOC_CLASSES = frozenset({
-    "Touch", "Compute", "Wait", "Spawn", "SimEvent", "Request",
+    "Touch", "Compute", "Wait", "SimEvent", "Request",
 })
 
 #: Local/attribute names that are observability taps in the hot loops.

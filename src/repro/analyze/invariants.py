@@ -20,7 +20,7 @@ live, via the native observe taps (both cores, bucket granularity):
   * ``touch-bytes`` — observed touch sizes are nonnegative.
 
 post-run, in ``verify()`` (clean completions only):
-  * ``thread-states`` — every thread ended ``done``/``unstarted``;
+  * ``thread-states`` — every thread ended ``done``;
   * ``counters`` — per-thread counters nonnegative, remote traffic
     bounded by total traffic, and compute+control kind-splits conserve
     against the machine totals;
@@ -147,7 +147,7 @@ class SimSanitizer:
     def _verify_threads(self, machine) -> None:
         for t in machine.threads:
             self.checks += 1
-            if t.state not in ("done", "unstarted"):
+            if t.state != "done":
                 self._fail(
                     "thread-states",
                     f"thread {t.name!r} ended in state {t.state!r}",

@@ -15,7 +15,7 @@ probe drives each body in isolation after ``schedule()``:
   reverse acquisition order, the nested-unlock convention);
 * ``Touch`` yields are recorded together with the handles held at that
   moment (the race analyzer's locksets);
-* ``Compute``/``Spawn``/``YieldCPU`` and foreign waits are skipped.
+* ``Compute``/``YieldCPU`` and foreign waits are skipped.
 
 Probing stops at the first *repeat* acquire (the steady-state iteration
 boundary), at body completion, or at a step budget. Probing mutates
@@ -172,7 +172,7 @@ def probe_operation(
                     held=tuple(_held_handles(op)),
                 )
             )
-        # Compute / Spawn / YieldCPU: timing-only, skip.
+        # Compute / YieldCPU: timing-only, skip.
     pattern.truncated = True
     return pattern
 

@@ -138,9 +138,6 @@ class Report:
     def sorted(self) -> list[Finding]:
         return sort_findings(self.findings)
 
-    def by_code(self, code: str) -> list[Finding]:
-        return [f for f in self.findings if f.code == code]
-
     @property
     def codes(self) -> list[str]:
         """Sorted unique finding codes (handy in tests)."""
@@ -148,14 +145,6 @@ class Report:
 
     def count(self, severity: str) -> int:
         return sum(1 for f in self.findings if f.severity == severity)
-
-    @property
-    def max_severity(self) -> str | None:
-        """The most severe level present, or None for a clean report."""
-        present = sorted(
-            {f.severity for f in self.findings}, key=severity_rank
-        )
-        return present[0] if present else None
 
     @property
     def has_errors(self) -> bool:
@@ -199,9 +188,6 @@ class Report:
             },
             "findings": [f.to_dict() for f in self.sorted()],
         }
-
-    def to_json(self) -> str:
-        return json_text(self.to_dict())
 
     def to_sarif(self) -> dict:
         """Standard SARIF 2.1.0 log for this report (one run)."""

@@ -249,7 +249,7 @@ def run_windowed(declared: str, setup: AdaptSetup | None = None,
     horizon = machine.engine.now + window_cycles
     windows = 0
     max_windows = ControllerConfig().max_windows
-    while not all(t.state in ("done", "unstarted") for t in threads):
+    while not all(t.state == "done" for t in threads):
         if windows >= max_windows:
             raise AffinityError(
                 f"uncontrolled windowed run exceeded {max_windows} windows"

@@ -155,7 +155,7 @@ class OpenMPRuntime:
     def prepare_run(
         self, master_body: Callable[["OpenMPRuntime"], Iterator]
     ) -> list:
-        """Spawn and bind the team without starting the simulator.
+        """Add and bind the team's threads without starting the simulator.
 
         The head half of :meth:`run`, split out so windowed drivers (the
         adaptive controller of :mod:`repro.affinity`) can own the run
@@ -195,7 +195,7 @@ class OpenMPRuntime:
         )
 
     def run(self, master_body: Callable[["OpenMPRuntime"], Iterator]) -> OMPResult:
-        """Spawn the team, run *master_body(self)* to completion."""
+        """Start the team, run *master_body(self)* to completion."""
         self.prepare_run(master_body)
         seconds = self.machine.run()
         return self._build_result(seconds)

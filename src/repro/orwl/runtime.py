@@ -291,19 +291,7 @@ class Runtime:
         )
         return self._result
 
-    def run(
-        self,
-        *,
-        max_cycles: float | None = None,
-        max_events: int | None = None,
-    ) -> RunResult:
+    def run(self, *, max_events: int | None = None) -> RunResult:
         """Execute the program; returns a :class:`RunResult`."""
         self.prepare_run()
-
-        run_kwargs = {}
-        if max_cycles is not None:
-            run_kwargs["max_cycles"] = max_cycles
-        if max_events is not None:
-            run_kwargs["max_events"] = max_events
-        seconds = self.machine.run(**run_kwargs)
-        return self._build_result(seconds)
+        return self._build_result(self.machine.run(max_events=max_events))

@@ -26,7 +26,6 @@ from repro.sim.params import CostModel
 from repro.sim.process import (
     Compute,
     SimEvent,
-    Spawn,
     Touch,
     Wait,
     YieldCPU,
@@ -40,7 +39,6 @@ __all__ = [
     "Compute",
     "Touch",
     "Wait",
-    "Spawn",
     "YieldCPU",
     "SimEvent",
     "MetricsRegistry",

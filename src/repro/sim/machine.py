@@ -24,9 +24,10 @@ re-evaluated at quantum boundaries. Blocking ops free the PU.
 Two run-loop implementations share these semantics:
 
 * the **batched core** (:meth:`_run_batched`, the default) — one flat
-  interpreter over a calendar of scalar kind-coded events, with the
-  Touch/Compute pricing inlined against the precomputed ``(accessor,
-  home)`` cost table.
+  interpreter over its own calendar of ``[kind, payload]`` events, with
+  the Touch/Compute pricing inlined against the precomputed
+  ``(accessor, home)`` cost table. It drains nothing else: a callback
+  left on :attr:`engine` makes it raise.
 * the **object path** (``core="object"``) — the small methods below
   (`_step`, `_busy_done`, `_dispatch`, …) driven by closure events on
   :class:`Engine`. It is the readable reference oracle the equivalence
@@ -44,11 +45,12 @@ mirror the other — the equivalence tests will catch any drift.
 :meth:`run_window` drains events only up to a virtual-time horizon and
 may be called repeatedly — the epoch primitive of the adaptive
 controller (:mod:`repro.affinity`), which folds telemetry and may
-rebind threads between windows; callbacks an outside driver puts on the
-engine with ``engine.schedule_at`` between windows run in the window
-that covers their timestamp. Events in flight at a horizon stay where
-each core keeps them (the engine heap, the batched core's calendar)
-until the next call; :attr:`SimMachine.pending` counts them.
+rebind threads or signal events between windows; a signal wakes its
+waiters at the horizon, first thing in the next window. Events in
+flight at a horizon stay where each core keeps them (the engine heap,
+the batched core's calendar) until the next call;
+:attr:`SimMachine.pending` counts them. Threads are added before the
+first call only.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ from collections import deque
 from repro.errors import DeadlockError, SimulationError
 from repro.sim.cache import CacheSystem
 from repro.sim.counters import Counters
-from repro.sim.engine import EV_BUSY, EV_CALL, EV_DRAIN, EV_STEP, Engine
+from repro.sim.engine import EV_BUSY, EV_DRAIN, EV_STEP, Engine
 from repro.sim.memory import Buffer, MemorySystem
 from repro.sim.observe import (
     KIND_BY_NAME,
@@ -80,7 +82,6 @@ from repro.sim.process import (
     Compute,
     SimEvent,
     SimThread,
-    Spawn,
     ThreadGen,
     Touch,
     Wait,
@@ -111,18 +112,6 @@ def _sibling_tables(topology: Topology) -> dict[int, list[int]]:
         _SIBLING_TABLES[topology] = tables
         return tables
 
-
-#: Op class -> dispatch code for the batched core. Subclasses of the op
-#: types are resolved through isinstance once and then cached here, so
-#: the hot dispatch is a single dict lookup.
-_OP_CODE: dict[type, int] = {
-    Touch: 0,
-    Compute: 1,
-    Wait: 2,
-    Spawn: 3,
-    YieldCPU: 4,
-}
-_OP_BASES = (Touch, Compute, Wait, Spawn, YieldCPU)
 
 _INF = float("inf")
 
@@ -192,14 +181,11 @@ class SimMachine:
         self._pu_last_tid: dict[int, int] = {}
         self._sibling_pus = _sibling_tables(topology)
         #: The batched core's calendar, kept between run_window calls:
-        #: _buckets[when] is one flat [seq, kind, payload, ...] list in
-        #: seq order (stride 3), and _when_heap a min-heap of its keys.
+        #: _buckets[when] is one flat [kind, payload, ...] list (stride
+        #: 2), and _when_heap a min-heap of its keys. Append order within
+        #: a bucket is the object path's (when, seq) order.
         self._buckets: dict[float, list] = {}
         self._when_heap: list[float] = []
-        #: Set by _run_batched for the duration of the fast drain loop;
-        #: _on_signal routes wakeups through it so signals raised from
-        #: generator code land in the batched queue, not the object heap.
-        self._fast_signal = None
         #: Virtual time (cycles) at which the event queue last made
         #: progress. run_window() quantizes ``engine.now`` up to the
         #: epoch horizon even when the queue drained early, so windowed
@@ -233,13 +219,17 @@ class SimMachine:
         *,
         kind: str = "compute",
         cpuset: Bitmap | None = None,
-        start: bool = True,
     ) -> SimThread:
-        """Register a simulated thread; started at :meth:`run` by default.
+        """Register a simulated thread, started by the first run.
 
         ``cpuset=None`` leaves the thread to the OS scheduler policy;
         a cpuset restricts (binds) it, like ``hwloc_set_cpubind``.
+        Raises once :meth:`run` or :meth:`run_window` has started.
         """
+        if self._ran:
+            raise SimulationError(
+                f"cannot add thread {name!r} after the run has started"
+            )
         if kind not in ("compute", "control"):
             raise SimulationError(f"unknown thread kind {kind!r}")
         if cpuset is not None:
@@ -247,7 +237,6 @@ class SimMachine:
         thread = SimThread(
             tid=len(self.threads), name=name, gen=gen, kind=kind, cpuset=cpuset
         )
-        thread.state = "new" if start else "unstarted"
         self.threads.append(thread)
         return thread
 
@@ -289,60 +278,34 @@ class SimMachine:
 
     # -- run loop -------------------------------------------------------------
 
-    def run(
-        self,
-        *,
-        max_cycles: float | None = None,
-        max_events: int | None = None,
-        allow_incomplete: bool = False,
-    ) -> float:
+    def run(self, *, max_events: int | None = None) -> float:
         """Execute until every thread finishes; returns elapsed seconds.
 
-        *max_events* defaults to ``self.limits.max_events``; a
-        *max_cycles* horizon stops the run early without a deadlock
-        check. Both cores are bit-identical on fixed seeds;
-        :attr:`core_used` records which one executed.
+        *max_events* defaults to ``self.limits.max_events``. Both cores
+        are bit-identical on fixed seeds; :attr:`core_used` records
+        which one executed. :meth:`run_window` is the horizon stop.
 
         Raises :class:`DeadlockError` if threads remain blocked with an
-        empty event queue (unless *allow_incomplete*).
+        empty event queue.
         """
         if self._ran:
             raise SimulationError("SimMachine.run may only be called once")
-        # `not >=` so a NaN horizon fails too.
-        if max_cycles is not None and not max_cycles >= self.engine.now:
-            raise SimulationError(
-                f"max_cycles {max_cycles} is before now={self.engine.now}"
-            )
-        self._ran = True
         if self.sanitize:
             # Checked mode: the sanitizer rides the native monitor and
             # on_place taps (both cores), then verifies end-state
             # invariants below.
             self.attach_sanitizer()
-        if max_events is None:
-            max_events = self.limits.max_events
-        use = self.core_used = self.core
-        observer = self.observer
-        if observer is not None:
-            observer.begin(self)
         try:
-            if use == "batched":
-                self._run_batched(max_cycles=max_cycles, max_events=max_events)
-            else:
-                for thread in self.threads:
-                    if thread.state == "new":
-                        self._make_ready(thread)
-                self._dispatch()
-                self.engine.run(max_cycles=max_cycles, max_events=max_events)
+            self._advance(_INF, max_events)
         finally:
             # Fold on every exit so deadlocked/budget-stopped runs are
             # still observable (the registry reports partial progress).
-            if observer is not None:
-                observer.fold(self)
+            if self.observer is not None:
+                self.observer.fold(self)
         leftover = self._unfinished()
-        if leftover and not allow_incomplete and max_cycles is None:
+        if leftover:
             raise self._deadlock_error(leftover)
-        if self.sanitizer is not None and not leftover:
+        if self.sanitizer is not None:
             self.sanitizer.verify(self)
         self.window_drained_at = self.engine.now
         return self.elapsed_seconds
@@ -355,13 +318,13 @@ class SimMachine:
         The epoch primitive of the adaptive controller
         (:mod:`repro.affinity`): it alternates ``run_window(T_k)`` with
         folding the window's telemetry and, when the drift score asks,
-        rebinding threads. An outside driver may equally schedule
-        callbacks between windows with ``engine.schedule_at``; they run
-        in the window that covers their timestamp. Between windows the
-        machine is quiescent at a well-defined virtual time: in-flight
-        busy chunks and wakeups stay where the core keeps them (the
-        object path's engine heap, the batched core's calendar), and
-        :attr:`pending` counts them.
+        rebinding threads. Between windows the machine is quiescent at
+        a well-defined virtual time: in-flight busy chunks and wakeups
+        stay where the core keeps them (the object path's engine heap,
+        the batched core's calendar), and :attr:`pending` counts them.
+        A driver may rebind threads or signal events there; the next
+        window starts with a dispatch and then the wakeups, at its
+        start time.
 
         Differences from :meth:`run`: no deadlock check (threads are
         expected to be mid-flight between windows), no sanitizer attach,
@@ -376,46 +339,53 @@ class SimMachine:
                 f"window horizon {until} is non-finite or before "
                 f"now={self.engine.now}"
             )
-        if max_events is None:
-            max_events = self.limits.max_events
-        use = self.core
-        first = not self._ran
-        self._ran = True
-        if first:
-            self.core_used = use
-            observer = self.observer
-            if observer is not None:
-                observer.begin(self)
         ev0 = self.engine.events_processed
-        if use == "batched":
-            self._run_batched(max_cycles=until, max_events=max_events)
-        else:
-            if first:
-                for thread in self.threads:
-                    if thread.state == "new":
-                        self._make_ready(thread)
-                self._dispatch()
-            self.engine.run(max_cycles=until, max_events=max_events)
+        self._advance(until, max_events)
         # Record the honest drain point before the horizon clamp below —
         # only when this window actually processed events, so idle
         # windows don't push the mark out to their horizon.
         if self.engine.events_processed > ev0:
             self.window_drained_at = self.engine.now
         # The clock of a windowed run advances to the horizon even when
-        # the queue drains early: machine time is the epoch boundary, so
-        # engine.schedule_at takes an outside callback stamped at or
-        # after T_k and rejects one inside a window that already ran.
+        # the queue drains early: machine time is the epoch boundary,
+        # where a signal raised between windows wakes its waiters.
         if self.engine.now < until:
             self.engine.now = until
         return self.elapsed_seconds
 
+    def _advance(self, until: float, max_events: int | None) -> None:
+        """Drain events up to *until* on the machine's core: the one
+        path from :meth:`run` and :meth:`run_window` into either core.
+
+        The first call starts the observer. Each call readies the
+        threads not yet started (every thread on the first call, since
+        :meth:`add_thread` refuses later ones), dispatches the ready
+        queue, so a binding changed since the last window reaches the
+        next placement, and drains.
+        """
+        if not self._ran:
+            self._ran = True
+            self.core_used = self.core
+            if self.observer is not None:
+                self.observer.begin(self)
+        if max_events is None:
+            max_events = self.limits.max_events
+        if self.core == "batched":
+            self._run_batched(until, max_events)
+        else:
+            for thread in self.threads:
+                if thread.state == "new":
+                    self._make_ready(thread)
+            self._dispatch()
+            self.engine.run(max_cycles=until, max_events=max_events)
+
     @property
     def pending(self) -> int:
-        """Events in flight between runs: outside callbacks on the engine
-        heap plus the batched core's calendar."""
+        """Events in flight between runs: the object path's engine heap
+        plus the batched core's calendar."""
         return self.engine.pending + sum(
             len(b) for b in self._buckets.values()
-        ) // 3
+        ) // 2
 
     def raise_if_deadlocked(self) -> None:
         """Raise :meth:`run`'s :class:`DeadlockError` when every
@@ -425,9 +395,8 @@ class SimMachine:
         between windows (the adaptive controller and its uncontrolled
         baseline): after such a window nothing can wake the blocked
         threads again. :meth:`run_window` does not check this itself — a
-        driver that schedules ``engine.schedule_at`` callbacks between
-        windows may legitimately leave every thread blocked until its
-        next callback wakes one.
+        driver that signals events between windows may legitimately
+        leave every thread blocked until its next signal wakes one.
         """
         if self.pending:
             return
@@ -436,7 +405,7 @@ class SimMachine:
             raise self._deadlock_error(leftover)
 
     def _unfinished(self) -> list[SimThread]:
-        return [t for t in self.threads if t.state not in ("done", "unstarted")]
+        return [t for t in self.threads if t.state != "done"]
 
     @staticmethod
     def _deadlock_error(leftover: list[SimThread]) -> DeadlockError:
@@ -450,20 +419,23 @@ class SimMachine:
             f"{len(leftover)} thread(s) never finished: {blocked}"
         )
 
-    def _run_batched(
-        self, *, max_cycles: float | None, max_events: int | None
-    ) -> None:
+    def _run_batched(self, until: float, max_events: int) -> None:
         """The batched core: one flat drain loop over kind-coded events.
 
         A straight transcription of the object path (`_step`, `_busy_done`,
         `_dispatch`, …) with everything inlined: no closure per event, op
-        dispatch through `_OP_CODE` and Touch pricing directly against
+        dispatch on the exact op class and Touch pricing directly against
         the precomputed miss-cost rows. Must stay *bit-identical* to the
-        object path — same float expressions, same
-        (when, seq) event order, same rng call order. When changing either
-        path, mirror the other; ``tests/test_sim_batched_equivalence.py``
-        is the referee.
+        object path — same float expressions, same event order (a
+        bucket's append order is the object path's (when, seq) order),
+        same rng call order. When changing either path, mirror the
+        other; ``tests/test_sim_batched_equivalence.py`` is the referee.
+
+        It drains only its own calendar and never calls an object-path
+        method: a callback on :attr:`engine` at the start or the end of
+        a window raises.
         """
+        self._refuse_engine_callbacks()
         eng = self.engine
         model = self.model
         max_ops = self.limits.max_ops_per_step
@@ -479,9 +451,6 @@ class SimMachine:
         mig_cycles = model.migration_cycles
         cache_line = model.cache_line
         node_bw = model.node_bandwidth_cyc_per_byte
-        # One plain-float horizon (+inf when unbounded) keeps the
-        # per-bucket stop check to a single comparison.
-        horizon = _INF if max_cycles is None else max_cycles
         caches = self.caches
         line = caches._line
         l3_hit_cy = caches._l3_hit_cycles
@@ -504,11 +473,9 @@ class SimMachine:
         ready = self._ready
         sibling_pus = self._sibling_pus
         pu_last_tid = self._pu_last_tid
-        op_code = _OP_CODE
         cls_touch = Touch
         cls_compute = Compute
         cls_wait = Wait
-        cls_spawn = Spawn
         cls_yield = YieldCPU
 
         # -- observability taps, bound to locals ----------------------------
@@ -549,7 +516,7 @@ class SimMachine:
                 max(p.os_index for p in self.topology.pus) + 1
             )
         if obs_kinds is None:
-            obs_kinds = [0] * 4
+            obs_kinds = [0] * 3
         if obs_depths is None:
             obs_depths = [0] * QUEUE_DEPTH_BUCKETS
         if obs_preempts is None:
@@ -563,7 +530,6 @@ class SimMachine:
         when_heap = self._when_heap
         push = heapq.heappush
         pop = heapq.heappop
-        eheap = eng._heap
         # The pump below indexes these through plain locals (closures
         # capture `buckets`/`when_heap` as cells; a second name keeps the
         # per-op accesses on LOAD_FAST).
@@ -578,13 +544,10 @@ class SimMachine:
 
         now = eng.now
         processed = eng._events_processed
-        # run() always normalizes max_events (None -> limits.max_events).
+        # _advance always normalizes max_events (None -> limits.max_events).
         budget = processed + max_events
 
         # -- the object path's helper methods, as flat closures -------------
-        # eng._seq stays the one authoritative sequence counter so events
-        # scheduled externally (engine.schedule from app code) interleave
-        # in exactly the order the object path would give them.
 
         def make_ready(thread):
             if thread.state == "done":
@@ -637,14 +600,12 @@ class SimMachine:
             if thread.kind == "compute":
                 for sib in sibling_pus[pu]:
                     sib_compute[sib] += 1
-            eng._seq = s = eng._seq + 1
             w = now + overhead
             b = buckets.get(w)
             if b is None:
-                buckets[w] = [s, EV_STEP, thread]
+                buckets[w] = [EV_STEP, thread]
                 push(when_heap, w)
             else:
-                b.append(s)
                 b.append(EV_STEP)
                 b.append(thread)
 
@@ -688,17 +649,6 @@ class SimMachine:
             if woke:
                 dispatch()
 
-        def fast_signal(event):
-            eng._seq = s = eng._seq + 1
-            b = buckets.get(now)
-            if b is None:
-                buckets[now] = [s, EV_DRAIN, event]
-                push(when_heap, now)
-            else:
-                b.append(s)
-                b.append(EV_DRAIN)
-                b.append(event)
-
         def busy_boundary(thread):
             # Quantum expired: account a slice, decide preemption/migration.
             # Returns True when the thread keeps its PU; the caller then
@@ -727,23 +677,6 @@ class SimMachine:
                 return False
             return True
 
-        def merge_external():
-            # Outside engine.schedule traffic into the calendar, as CALL
-            # events. Delays are >= 0 and seqs are fresh, so entries land
-            # at the live bucket's tail or behind every calendar entry of
-            # their timestamp — global (when, seq) order is preserved
-            # because eng._seq is shared.
-            while eheap:
-                w, s, fn = pop(eheap)
-                b = buckets.get(w)
-                if b is None:
-                    buckets[w] = [s, EV_CALL, fn]
-                    push(when_heap, w)
-                else:
-                    b.append(s)
-                    b.append(EV_CALL)
-                    b.append(fn)
-
         def invalidate_others(present, l3_idx, buf_id):
             # A write to a buffer another L3 holds drops the other copies.
             # sorted() because the presence sets are a handful of L3
@@ -754,12 +687,12 @@ class SimMachine:
                     l3s[idx].invalidate(buf_id)
 
         # -- run ------------------------------------------------------------
-        self._fast_signal = fast_signal
-        # Live-bucket cursor: the flat [seq, kind, payload, ...] list of
-        # the calendar bucket currently draining, an index into it
-        # (stride 3, pointing at the next seq slot), and its timestamp
-        # (`blive` marks it still registered in `buckets` so pushes at
-        # `now` keep landing in its tail).
+        # Live-bucket cursor: the flat [kind, payload, ...] list of the
+        # calendar bucket currently draining, an index into it (stride 2,
+        # pointing at the next kind slot), and its timestamp (`blive`
+        # marks it still registered in `buckets` so pushes at `now` —
+        # signals from generator code among them, see _on_signal — keep
+        # landing in its tail).
         bb: list = []
         bi = 0
         bwhen = 0.0
@@ -771,37 +704,29 @@ class SimMachine:
             dispatch()
             while True:
                 if bi < len(bb):
-                    # Drain one event of the live bucket: append order is
-                    # seq order (eng._seq is monotonic) and every entry
+                    # Drain one event of the live bucket: every entry
                     # shares `now`, so there is no heap sift and no clock
                     # store per event. Anything processing schedules at
                     # `now` appends behind `bi` and is drained in turn.
-                    if eheap:
-                        merge_external()
                     if processed >= budget:
                         eng._events_processed = processed
                         raise SimulationError(
                             f"event budget {max_events} exhausted at "
                             f"t={now:.3g} — runaway simulation?"
                         )
-                    ev_kind = bb[bi + 1]
-                    payload = bb[bi + 2]
-                    bi += 3
+                    ev_kind = bb[bi]
+                    payload = bb[bi + 1]
+                    bi += 2
                     processed += 1
                     obs_kinds[ev_kind] += 1
                 else:
-                    if eheap:
-                        merge_external()
-                        if bi < len(bb):
-                            # Zero-delay traffic landed in the live bucket.
-                            continue
                     if blive:
                         del buckets_l[bwhen]
                         blive = False
                     if not wheap_l:
                         break
                     w0 = wheap_l[0]
-                    if w0 > horizon:
+                    if w0 > until:  # +inf for run()
                         break
                     if processed >= budget:
                         eng._events_processed = processed
@@ -842,12 +767,8 @@ class SimMachine:
                         continue
                 elif ev_kind == EV_STEP:
                     thread = payload
-                elif ev_kind == EV_DRAIN:
+                else:  # EV_DRAIN
                     drain(payload)
-                    continue
-                else:  # EV_CALL
-                    eng._events_processed = processed
-                    payload()
                     continue
 
                 # ---- busy-chunk block: a thread on its PU with busy work
@@ -860,14 +781,12 @@ class SimMachine:
                     thread.counters.busy_cycles += chunk
                     obs_pu_busy[thread.pu] += chunk
                     thread.cur_chunk = chunk
-                    eng._seq = s2 = eng._seq + 1
                     w2 = now + chunk
                     b2 = buckets_l.get(w2)
                     if b2 is None:
-                        buckets_l[w2] = [s2, EV_BUSY, thread]
+                        buckets_l[w2] = [EV_BUSY, thread]
                         push(wheap_l, w2)
                     else:
-                        b2.append(s2)
                         b2.append(EV_BUSY)
                         b2.append(thread)
                     continue
@@ -883,45 +802,16 @@ class SimMachine:
                 resets = 0
                 while True:
                     try:
-                        sv = thread.send_value
-                        if sv is None:
-                            op = next(gen)
-                        else:
-                            thread.send_value = None
-                            op = gen.send(sv)
+                        op = next(gen)
                     except StopIteration:
                         finish(thread)
                         break
                     except Exception:
                         finish(thread, True)
                         raise
-                    # Exact-class identity chain first (no ops are subclassed
-                    # anywhere in the tree); the dict only catches user
-                    # subclasses, cached after one isinstance resolution.
+                    # One chain on the exact op class, as in _step.
                     cls = op.__class__
                     if cls is cls_touch:
-                        code = 0
-                    elif cls is cls_compute:
-                        code = 1
-                    elif cls is cls_wait:
-                        code = 2
-                    elif cls is cls_spawn:
-                        code = 3
-                    elif cls is cls_yield:
-                        code = 4
-                    else:
-                        code = op_code.get(cls)
-                        if code is None:
-                            for base in _OP_BASES:
-                                if isinstance(op, base):
-                                    code = op_code[base]
-                                    op_code[cls] = code
-                                    break
-                            else:
-                                raise SimulationError(
-                                    f"{thread.name} yielded unknown op {op!r}"
-                                )
-                    if code == 0:  # Touch
                         buf = op.buffer
                         nbytes = op.nbytes
                         if nbytes is None:
@@ -1074,7 +964,7 @@ class SimMachine:
                                             queued * stall_f
                                         )
                                         counters.memory_cycles += queued
-                    elif code == 1:  # Compute
+                    elif cls is cls_compute:
                         flops = op.flops
                         eff = op.efficiency
                         busy = flops * cpf if eff == 1.0 else flops * cpf / eff
@@ -1084,7 +974,7 @@ class SimMachine:
                             busy *= 1.0 + rng.uniform(-os_jitter, os_jitter)
                         counters.flops += flops
                         counters.compute_cycles += busy
-                    elif code == 2:  # Wait
+                    elif cls is cls_wait:
                         event = op.event
                         if event.count > 0:
                             event.count -= 1
@@ -1105,18 +995,7 @@ class SimMachine:
                         release_pu(thread)
                         dispatch()
                         break
-                    elif code == 3:  # Spawn
-                        target = op.thread
-                        if target.state in ("new", "unstarted"):
-                            make_ready(target)
-                        ops += 1
-                        if ops >= max_ops:
-                            raise SimulationError(
-                                f"{thread.name} issued {max_ops} "
-                                "untimed ops — livelock?"
-                            )
-                        continue
-                    else:  # YieldCPU
+                    elif cls is cls_yield:
                         # The object path routes this through _requeue, so
                         # it counts and traces as a preemption there too.
                         obs_preempts[0] += 1
@@ -1126,6 +1005,10 @@ class SimMachine:
                         make_ready(thread)
                         dispatch()
                         break
+                    else:
+                        raise SimulationError(
+                            f"{thread.name} yielded unknown op {op!r}"
+                        )
                     # Touch and Compute priced `busy`: run its first chunk
                     # (the busy-chunk block again, then leave the pump), or
                     # reset the op budget after a zero-cost op, like the
@@ -1137,14 +1020,12 @@ class SimMachine:
                         counters.busy_cycles += chunk
                         obs_pu_busy[thread.pu] += chunk
                         thread.cur_chunk = chunk
-                        eng._seq = s2 = eng._seq + 1
                         w2 = now + chunk
                         b2 = buckets_l.get(w2)
                         if b2 is None:
-                            buckets_l[w2] = [s2, EV_BUSY, thread]
+                            buckets_l[w2] = [EV_BUSY, thread]
                             push(wheap_l, w2)
                         else:
-                            b2.append(s2)
                             b2.append(EV_BUSY)
                             b2.append(thread)
                         break
@@ -1157,7 +1038,6 @@ class SimMachine:
                             "ops — livelock?"
                         )
         finally:
-            self._fast_signal = None
             eng.now = now
             eng._events_processed = processed
             if blive:
@@ -1169,6 +1049,17 @@ class SimMachine:
                     push(when_heap, bwhen)
                 else:
                     del buckets[bwhen]
+        self._refuse_engine_callbacks()
+
+    def _refuse_engine_callbacks(self) -> None:
+        """The batched core's guard, at the start and end of a window: it
+        drains only its own calendar, so a callback on :attr:`engine`
+        would never run."""
+        if self.engine.pending:
+            raise SimulationError(
+                f"{self.engine.pending} callback(s) on machine.engine: the "
+                "batched core drains only its own calendar"
+            )
 
     @property
     def elapsed_cycles(self) -> float:
@@ -1242,12 +1133,20 @@ class SimMachine:
         return fan_out
 
     def _on_signal(self, event: SimEvent) -> None:
-        # Called synchronously from app code; defer wakeups to the engine
-        # so generator execution is never reentrant. While the batched
-        # core is draining, route into its queue instead.
-        fast = self._fast_signal
-        if fast is not None:
-            fast(event)
+        # Called synchronously from app code, while a core drains or
+        # between windows; the wakeup is deferred to an event at the
+        # current time so generator execution is never reentrant. The
+        # batched core's clock is engine.now while it drains too, and
+        # its live bucket stays registered, so one append serves both.
+        if self.core == "batched":
+            now = self.engine.now
+            bucket = self._buckets.get(now)
+            if bucket is None:
+                self._buckets[now] = [EV_DRAIN, event]
+                heapq.heappush(self._when_heap, now)
+            else:
+                bucket.append(EV_DRAIN)
+                bucket.append(event)
         else:
             self.engine.schedule(0.0, lambda: self._drain_event(event))
 
@@ -1323,12 +1222,9 @@ class SimMachine:
         max_ops = self.limits.max_ops_per_step
         for _ in range(max_ops):
             try:
-                if thread.send_value is None:
-                    # Plain iterators of ops are accepted alongside
-                    # generators; next() covers both.
-                    op = next(thread.gen)
-                else:
-                    op = thread.gen.send(thread.send_value)
+                # Plain iterators of ops are accepted alongside
+                # generators; next() covers both.
+                op = next(thread.gen)
             except StopIteration:
                 self._finish(thread)
                 return
@@ -1336,14 +1232,15 @@ class SimMachine:
                 # Surface app bugs with the thread identity attached.
                 self._finish(thread, crashed=True)
                 raise
-            thread.send_value = None
-            if isinstance(op, Compute):
+            # One chain on the exact op class: a subclass is unknown too.
+            cls = type(op)
+            if cls is Compute:
                 cycles = self._price_compute(thread, op)
                 thread.counters.flops += op.flops
                 thread.counters.compute_cycles += cycles
                 self._run_busy(thread, cycles)
                 return
-            if isinstance(op, Touch):
+            if cls is Touch:
                 nbytes = op.nbytes if op.nbytes is not None else op.buffer.size
                 if self.monitors:
                     self._notify_monitors(
@@ -1384,7 +1281,7 @@ class SimMachine:
                         thread.counters.memory_cycles += queued
                 self._run_busy(thread, busy)
                 return
-            if isinstance(op, Wait):
+            if cls is Wait:
                 event = op.event
                 if event.try_consume():
                     continue
@@ -1397,12 +1294,7 @@ class SimMachine:
                 self._release_pu(thread)
                 self._dispatch()
                 return
-            if isinstance(op, Spawn):
-                target = op.thread
-                if target.state in ("new", "unstarted"):
-                    self._make_ready(target)
-                continue
-            if isinstance(op, YieldCPU):
+            if cls is YieldCPU:
                 self._requeue(thread)
                 return
             raise SimulationError(f"{thread.name} yielded unknown op {op!r}")

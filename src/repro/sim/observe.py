@@ -514,7 +514,7 @@ class SimObserver:
             n_pus = max(p.os_index for p in machine.topology.pus) + 1
             self.pu_busy = [0.0] * n_pus
             self.queue_depths = [0] * QUEUE_DEPTH_BUCKETS
-            self.kind_counts = [0] * 4  # EV_CALL/STEP/BUSY/DRAIN
+            self.kind_counts = [0] * 3  # EV_STEP/BUSY/DRAIN
             self.preempts = [0]
 
     def fold(self, machine) -> None:
@@ -575,7 +575,7 @@ class SimObserver:
         if self.kind_counts is not None and machine.core_used == "batched":
             # Per-kind event split exists only where events are kind-coded
             # — the object path drains opaque closures.
-            for kind, name in enumerate(("call", "step", "busy", "drain")):
+            for kind, name in enumerate(("step", "busy", "drain")):
                 reg.counter("sim_events_by_kind_total", kind=name).inc(
                     self.kind_counts[kind]
                 )

@@ -1,19 +1,22 @@
 """Simulated-thread protocol: the ops a thread generator may yield.
 
-A simulated thread is a Python generator. Each ``yield`` hands the machine
-an *operation*; the machine prices it against the cost model, advances
-virtual time, and resumes the generator (with a value for ops that return
-one). This cooperative protocol is how application code "runs" on the
-simulated machine without real OS threads — the GIL substitution described
-in DESIGN.md.
+A simulated thread is a Python generator (or any iterator of ops). Each
+``yield`` hands the machine an *operation*; the machine prices it against
+the cost model, advances virtual time, and resumes the generator with
+``next()``: no op returns a value. This cooperative protocol is how
+application code "runs" on the simulated machine without real OS threads
+— the GIL substitution described in DESIGN.md.
 
 Ops
 ---
 ``Compute(flops)``           burn CPU.
 ``Touch(buffer, nbytes, write=)``  access memory through the cache model.
 ``Wait(event)``              block until the event is signalled.
-``Spawn(thread)``            start another simulated thread.
 ``YieldCPU()``               give the PU up voluntarily (re-queue).
+
+The machine dispatches on the exact op class: an instance of any other
+class, a subclass of an op included, fails the run with an ``unknown op``
+:class:`~repro.errors.SimulationError`.
 
 Synchronisation uses :class:`SimEvent` — a counting event: ``signal()``
 increments, a waiting thread consumes one count per wait.
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 from collections.abc import Generator
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from repro.errors import SimulationError
 from repro.sim.counters import Counters
@@ -36,14 +39,13 @@ __all__ = [
     "Compute",
     "Touch",
     "Wait",
-    "Spawn",
     "YieldCPU",
     "SimEvent",
     "SimThread",
     "ThreadGen",
 ]
 
-ThreadGen = Generator["Op", Any, None]
+ThreadGen = Generator["Op", None, None]
 
 _INF = float("inf")
 
@@ -118,18 +120,6 @@ class Wait:
         return f"Wait(event={self.event!r})"
 
 
-class Spawn:
-    """Start another (already-registered) simulated thread."""
-
-    __slots__ = ("thread",)
-
-    def __init__(self, thread: "SimThread") -> None:
-        self.thread = thread
-
-    def __repr__(self) -> str:
-        return f"Spawn(thread={self.thread!r})"
-
-
 class YieldCPU:
     """Voluntarily release the PU (cooperative yield)."""
 
@@ -139,15 +129,16 @@ class YieldCPU:
         return "YieldCPU()"
 
 
-Op = Compute | Touch | Wait | Spawn | YieldCPU
+Op = Compute | Touch | Wait | YieldCPU
 
 
 class SimEvent:
     """A counting event: each :meth:`signal` releases one waiter.
 
     Events created through :meth:`repro.sim.machine.SimMachine.event`
-    carry a notify hook so that a ``signal()`` issued from inside a
-    running thread wakes waiters via the engine (never reentrantly).
+    carry a notify hook: a ``signal()`` with waiters, from inside a
+    running thread or between windows, wakes them through an event at
+    the current time on the machine's core (never reentrantly).
     """
 
     __slots__ = ("name", "count", "waiters", "_notify")
@@ -190,7 +181,6 @@ class SimThread:
     pu: int | None = None  # PU currently (or last) hosting the thread
     last_pu: int | None = None
     counters: Counters = field(default_factory=Counters)
-    send_value: Any = None
     slices_run: int = 0
     slice_used: float = 0.0
     pending_busy: float = 0.0

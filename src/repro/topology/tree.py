@@ -123,9 +123,6 @@ class Topology:
             self._by_type[obj_type] = cached
         return list(cached)
 
-    def nbobjs_by_type(self, obj_type: ObjType) -> int:
-        return len(self.objects_by_type(obj_type))
-
     # -- PU / core shortcuts -------------------------------------------------
 
     @property

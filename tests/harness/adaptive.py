@@ -67,7 +67,7 @@ def run_uncontrolled(setup: AdaptSetup, *, declared: str = "stencil",
     horizon = machine.engine.now + config.window_cycles
     for _ in range(config.max_windows):
         machine.run_window(horizon)
-        if all(t.state in ("done", "unstarted") for t in threads):
+        if all(t.state == "done" for t in threads):
             break
         horizon += config.window_cycles
     if machine.observer is not None:

@@ -31,7 +31,8 @@ def tiny_run(core: str = "batched", **kwargs) -> SimMachine:
 
 
 class TestCheckedMode:
-    def test_off_by_default_no_sanitizer(self):
+    def test_off_by_default_no_sanitizer(self, monkeypatch):
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
         machine = tiny_run()
         assert machine.sanitize is False
         assert machine.sanitizer is None
@@ -157,7 +158,9 @@ class TestViolationDetection:
     @staticmethod
     def _flip_mid_run(core: str, pu: int, when: float = 5e5) -> SimMachine:
         """Run bound yielding threads on PUs 0/2/4/6 and flip *pu*'s bit in
-        the scheduler's free mask from an engine event at *when* cycles."""
+        the scheduler's free mask from a monitor hook: at the first touch
+        at or after *when* cycles or, when no touch comes that late, as
+        the last thread finishes."""
         from repro.sim import YieldCPU
 
         machine = SimMachine(smp12e5(), core=core)
@@ -173,10 +176,23 @@ class TestViolationDetection:
             machine.add_thread(f"t{i}", body(), cpuset=Bitmap.single(2 * i))
         sched = machine.scheduler
 
-        def flip():
-            sched._free ^= 1 << pu
+        class Flipper:
+            flipped = False
 
-        machine.engine.schedule(when, flip)
+            def flip(self):
+                if not self.flipped:
+                    self.flipped = True
+                    sched._free ^= 1 << pu
+
+            def on_touch(self, thread, buffer, nbytes, write):
+                if machine.engine.now >= when:
+                    self.flip()
+
+            def on_finish(self, thread):
+                if all(t.state == "done" for t in machine.threads):
+                    self.flip()
+
+        machine.monitors.append(Flipper())
         machine.run()
         return machine
 

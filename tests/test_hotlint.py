@@ -110,7 +110,7 @@ class TestConstructionRule:
     sees displays: in hot while loops and anywhere in a per-call target."""
 
     @pytest.mark.parametrize(
-        "cls", ["Touch", "Compute", "Wait", "Spawn", "SimEvent", "Request"]
+        "cls", ["Touch", "Compute", "Wait", "SimEvent", "Request"]
     )
     def test_construction_in_while_flagged(self, cls):
         findings = lint(f"""

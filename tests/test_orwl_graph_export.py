@@ -6,7 +6,7 @@ from repro.apps.video import VideoConfig
 from repro.apps.video.pipeline import build_orwl_video
 from repro.orwl import Runtime
 from repro.orwl.graph import edge_list, to_dot
-from repro.sim import Compute, SimMachine, Spawn
+from repro.sim import Compute, SimMachine
 from repro.topology import fig2_machine, smp20e7_4s
 from repro.util.bitmap import Bitmap
 
@@ -63,37 +63,10 @@ class TestDot:
 
 
 class TestMachineRemainingOps:
-    def test_spawn_op_starts_unstarted_thread(self):
-        m = SimMachine(fig2_machine())
-        log = []
-
-        def child():
-            log.append("child")
-            yield Compute(1.0)
-
-        child_thread = m.add_thread("child", child(), start=False)
-
-        def parent():
-            yield Compute(1.0)
-            yield Spawn(child_thread)
-            yield Compute(1.0)
-
-        m.add_thread("parent", parent(), cpuset=Bitmap.single(0))
-        m.run()
-        assert log == ["child"]
-        assert child_thread.state == "done"
-
-    def test_unstarted_thread_never_runs_alone(self):
-        m = SimMachine(fig2_machine())
-        m.add_thread("never", iter([Compute(1.0)]), start=False)
-        m.add_thread("main", iter([Compute(1.0)]), cpuset=Bitmap.single(0))
-        m.run()  # must not deadlock on the unstarted thread
-        assert m.threads[0].state == "unstarted"
-
     def test_max_cycles_partial_run(self):
         m = SimMachine(fig2_machine())
         m.add_thread("t", iter([Compute(1e12)]), cpuset=Bitmap.single(0))
-        m.run(max_cycles=1e6)
+        m.run_window(1e6)
         assert m.threads[0].state != "done"
 
     def test_busy_cycles_accumulate(self):

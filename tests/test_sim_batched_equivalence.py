@@ -267,7 +267,7 @@ class TestMachineGoldenTraces:
         results = []
         for core in ("object", "batched"):
             m = ring_machine(core, bound=True)
-            m.run(max_cycles=2e5, allow_incomplete=True)
+            m.run_window(2e5)
             results.append(
                 (m.engine.events_processed, m.elapsed_cycles,
                  m.total_counters().snapshot())

@@ -31,29 +31,6 @@ class TestEngine:
         with pytest.raises(SimulationError):
             eng.schedule(-1, lambda: None)
 
-    def test_schedule_at(self):
-        eng = Engine()
-        seen = []
-        eng.schedule_at(4.5, lambda: seen.append(eng.now))
-        eng.run()
-        assert seen == [4.5]
-
-    def test_schedule_at_in_the_past_rejected(self):
-        eng = Engine()
-        eng.schedule_at(5, lambda: None)
-        eng.run()
-        assert eng.now == 5
-        with pytest.raises(SimulationError) as exc:
-            eng.schedule_at(4, lambda: None)
-        assert "cannot schedule in the past (when=4, now=5)" in str(exc.value)
-
-    def test_schedule_at_now_is_fine(self):
-        eng = Engine()
-        seen = []
-        eng.schedule_at(3, lambda: eng.schedule_at(3.0, lambda: seen.append(eng.now)))
-        eng.run()
-        assert seen == [3.0]
-
     def test_nested_scheduling(self):
         eng = Engine()
         seen = []
@@ -84,9 +61,6 @@ class TestEngine:
         eng.schedule(1, forever)
         with pytest.raises(SimulationError):
             eng.run(max_events=100)
-
-    def test_step_returns_false_when_empty(self):
-        assert Engine().step() is False
 
 
 class TestSimEvent:

@@ -171,7 +171,13 @@ class TestOnePassDispatch:
                              observer=obs)
         buf = machine.allocate(1 << 16, "b")
 
+        queues = []
+
         def body(k):
+            if not queues:
+                # The first thread to run sees the queue the first
+                # dispatch left.
+                queues.append([t.name for t in machine._ready])
             for i in range(4):
                 yield Compute(3e7 + 1e6 * k)  # past one quantum: preempts
                 yield Touch(buf, 4096, write=bool(i % 2))
@@ -191,10 +197,6 @@ class TestOnePassDispatch:
             return real_place(thread, rebalance=rebalance)
 
         sched.place = place
-        queues = []
-        machine.engine.schedule(0.0, lambda: queues.append(
-            [t.name for t in machine._ready]
-        ))
         machine.run()
         return machine, calls, queues[0]
 

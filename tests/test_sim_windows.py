@@ -1,14 +1,14 @@
-"""Flat-core specifics: selection, live thread state, windowed runs.
+"""Batched-core specifics: selection, live thread state, windowed runs.
 
 The cross-core bit-identity contract itself is pinned by
 ``test_sim_batched_equivalence.py`` and ``test_sim_difftest.py``; this
-module covers core selection defaults, per-thread state the batched
-core reads live rather than from columns sized at run entry (threads
-registered and bindings changed while it drains), and
+module covers the default core, per-thread state the batched core reads
+live rather than from columns sized at run entry (bindings changed while
+it drains), the batched core's refusal of engine callbacks, and
 :meth:`SimMachine.run_window` (the adaptive controller's epoch
 primitive) agreeing with a one-shot run on both cores, including
-bindings changed between windows, outside ``engine.schedule_at``
-callbacks and a mid-bucket budget stop.
+bindings changed and events signalled between windows and a mid-bucket
+budget stop.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import pytest
 pytestmark = pytest.mark.simcore
 
 from repro.errors import SimulationError
-from repro.sim import Compute, SimMachine, Spawn, Touch, Wait, YieldCPU
+from repro.sim import Compute, SimMachine, Touch, Wait, YieldCPU
 from repro.topology import smp12e5
 from repro.util.bitmap import Bitmap
 
@@ -61,10 +61,7 @@ def fingerprint(m: SimMachine) -> tuple:
 
 
 class TestCoreSelection:
-    def test_auto_resolves_to_soa(self):
-        # The default core. The name predates the removal of the
-        # struct-of-arrays core and of the ``auto`` value; the default
-        # is now the batched core.
+    def test_default_core_is_batched(self):
         assert SimMachine.CORES == ("batched", "object")
         m = mixed_machine()
         assert m.core_used is None  # nothing ran yet
@@ -80,23 +77,8 @@ class TestCoreSelection:
 
 class TestPreallocatedColumns:
     """The batched core sizes no per-thread columns at run entry: a
-    thread registered from generator code joins the run, and a binding
-    changed from generator code reaches the next placement decision."""
-
-    def test_batched_core_allows_mid_run_registration(self):
-        m = SimMachine(smp12e5(), core="batched")
-
-        def parent():
-            yield Compute(1e4)
-            late = m.add_thread("late", child(), start=False)
-            yield Spawn(late)
-
-        def child():
-            yield Compute(1e4)
-
-        m.add_thread("parent", parent(), cpuset=Bitmap.single(0))
-        m.run()
-        assert [t.state for t in m.threads] == ["done", "done"]
+    binding changed from generator code reaches the next placement
+    decision."""
 
     @staticmethod
     def _rebind_mid_run(core: str) -> tuple:
@@ -173,13 +155,18 @@ class TestRunWindow:
 
     def test_window_advances_clock_to_horizon(self):
         # Even a drained machine reports the horizon: machine time is
-        # the epoch boundary, so an outside callback stamped inside the
-        # window that already ran is rejected, not run out of order.
+        # the epoch boundary.
         m = mixed_machine("batched")
         m.run_window(1e13)  # everything completes well before this
         assert m.engine.now == 1e13
-        with pytest.raises(SimulationError, match="in the past"):
-            m.engine.schedule_at(1e12, lambda: None)
+
+    @pytest.mark.parametrize("core", SimMachine.CORES)
+    def test_add_thread_after_first_window_raises(self, core):
+        m = mixed_machine(core)
+        m.run_window(1e6)
+        with pytest.raises(SimulationError, match="after the run has started"):
+            m.add_thread("late", iter([Compute(1e4)]))
+        assert len(m.threads) == 16
 
     def test_window_respects_event_budget(self):
         m = mixed_machine("batched")
@@ -217,45 +204,43 @@ class TestRunWindow:
             strip_windowing(obs_one.snapshot())
 
     @staticmethod
-    def _outside_traffic(core: str, step: float) -> tuple:
-        # Before each window, outside callbacks go on the engine at the
-        # window's horizon and in its middle; one of them unbinds a
-        # bound thread. Each callback logs what it sees of the run.
-        m = mixed_machine(core)
-        log = []
+    def _signal_between_windows(core: str) -> tuple:
+        # Waiters on PUs 0 and 2, compute spinners on their hyperthread
+        # siblings 1 and 3. The first window ends with both waiters
+        # blocked; the event is signalled between the windows, so both
+        # wake at the horizon and contend with the spinners from there.
+        m = SimMachine(smp12e5(), seed=3, core=core)
+        go = m.event("go")
 
-        def probe(tag):
-            eng = m.engine
-            log.append((tag, eng.now, eng.events_processed,
-                        [t.state for t in m.threads]))
+        def waiter():
+            yield Wait(go)
+            for _ in range(4):
+                yield Compute(3e7)
 
-        def unbind():
-            m.bind_thread(m.threads[4], None)
-            probe("unbind")
+        def spinner():
+            for _ in range(6):
+                yield Compute(3e7)
 
-        pending = []
-        horizon = 0.0
-        for k in range(40):
-            m.engine.schedule_at(horizon + step / 2,
-                                 unbind if k == 10 else lambda: probe("mid"))
-            horizon += step
-            m.engine.schedule_at(horizon, lambda: probe("edge"))
-            m.run_window(horizon)
-            pending.append(m.pending)
+        for pu in range(4):
+            body = spinner() if pu % 2 else waiter()
+            m.add_thread(f"t{pu}", body, cpuset=Bitmap.single(pu))
+        m.run_window(1e6)
+        assert [t.state for t in m.threads] == ["blocked", "running"] * 2
+        if core == "batched":
+            # The wakeups go into the batched core's own calendar and
+            # are drained there, never through an object-path method.
+            def object_path(*args):
+                raise AssertionError("the batched core ran the object path")
+
+            m._drain_event = m._step = m._dispatch = object_path
+        go.signal(2)
         m.run_window(1e13)
-        assert m.threads[4].cpuset is None
-        return fingerprint(m)[1:], log, pending
+        assert {t.state for t in m.threads} == {"done"}
+        return fingerprint(m)[1:] + (m.window_drained_at,)
 
-    def test_outside_traffic_between_windows_agrees_across_cores(self):
-        one = mixed_machine("batched")
-        one.run()
-        step = one.elapsed_cycles / 40
-        obj, bat = (self._outside_traffic(core, step)
-                    for core in ("object", "batched"))
-        assert obj[0] == bat[0]  # fingerprints
-        assert obj[1] == bat[1]  # what the callbacks saw
-        assert obj[2] == bat[2]  # events in flight after every window
-        assert max(bat[2]) > 0
+    def test_signal_between_windows_agrees_across_cores(self):
+        assert self._signal_between_windows("object") == \
+            self._signal_between_windows("batched")
 
     def test_budget_raise_mid_bucket_keeps_events_in_flight(self):
         # The sixteen threads start in one calendar bucket, so a budget
@@ -272,6 +257,38 @@ class TestRunWindow:
             m.run_window(1e13)
             assert fingerprint(m)[1:] == fingerprint(one)[1:]
             assert m.pending == 0
+
+
+class TestOwnCalendar:
+    """The batched core drains only its own calendar: a callback on
+    ``machine.engine`` would never run there, so a window that starts or
+    ends with one raises."""
+
+    def test_callback_before_the_run_raises(self):
+        m = mixed_machine("batched")
+        m.engine.schedule(0.0, lambda: None)
+        with pytest.raises(SimulationError,
+                           match="1 callback.*on machine.engine"):
+            m.run()
+        # Refused up front: no event ran and no thread started.
+        assert m.engine.events_processed == 0
+        assert {t.state for t in m.threads} == {"new"}
+
+    def test_callback_from_a_thread_raises_at_window_end(self):
+        m = SimMachine(smp12e5(), core="batched")
+        ran = []
+
+        def body():
+            yield Compute(1e4)
+            m.engine.schedule(0.0, lambda: ran.append(True))
+            yield Compute(1e4)
+
+        m.add_thread("t", body(), cpuset=Bitmap.single(0))
+        with pytest.raises(SimulationError,
+                           match="1 callback.*on machine.engine"):
+            m.run_window(1e13)
+        assert m.threads[0].state == "done"
+        assert ran == []
 
 
 class TestBetweenWindowRebind:
@@ -324,6 +341,31 @@ class TestBetweenWindowRebind:
             m = self._drain(self._long_machine(core), Bitmap.single(4))
             prints.append(fingerprint(m)[1:])  # clock sits on the horizon
         assert prints[0] == prints[1]
+
+    def test_rebind_of_queued_thread_agrees_across_cores(self):
+        # When the first window ends, b waits behind a for PU 0. Rebound
+        # to the idle PU 4, it starts at the next window's dispatch on
+        # both cores, not after a's quantum.
+        def run(core):
+            m = SimMachine(smp12e5(), seed=3, core=core)
+
+            def worker():
+                for _ in range(3):
+                    yield Compute(3e7)
+
+            m.add_thread("a", worker(), cpuset=Bitmap.single(0))
+            b = m.add_thread("b", worker(), cpuset=Bitmap.single(0))
+            m.run_window(1e6)
+            assert b.state == "ready"
+            m.bind_thread(b, Bitmap.single(4))
+            m.run_window(1e13)
+            assert b.last_pu == 4
+            return fingerprint(m)[1:] + (m.window_drained_at,)
+
+        obj = run("object")
+        assert obj == run("batched")
+        # b ran beside a: the drain point is one thread's work, not two.
+        assert obj[-1] < 6e7
 
     def test_unbind_between_windows_frees_thread(self):
         bound = self._drain(self._long_machine("batched"), None)
