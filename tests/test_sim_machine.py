@@ -318,20 +318,47 @@ class TestBlockingAndDeadlock:
         with pytest.raises(SimulationError):
             m.run()
 
+    @pytest.mark.parametrize("base", [Compute, Touch, Wait, YieldCPU],
+                             ids=lambda cls: cls.__name__)
     @pytest.mark.parametrize("core", SimMachine.CORES)
-    def test_op_subclass_rejected(self, core):
-        # Both cores dispatch on the exact op class: a subclass of Touch
-        # is an unknown op, not a touch.
-        class LoggedTouch(Touch):
-            __slots__ = ()
-
+    def test_op_subclass_rejected(self, core, base):
+        # Both cores dispatch on the exact op class, one branch per op: a
+        # subclass of any op is an unknown op, never run as its base.
+        logged = type(f"Logged{base.__name__}", (base,), {"__slots__": ()})
         m = small_machine(core=core)
         buf = m.allocate(4096, "b")
-        m.add_thread("t", iter([Compute(1e3), LoggedTouch(buf, 64)]),
+        args = {
+            Compute: (1e3,),
+            Touch: (buf, 64),
+            Wait: (m.event("e", 1),),  # pre-signalled: a Wait would pass
+            YieldCPU: (),
+        }[base]
+        m.add_thread("t", iter([Compute(1e3), logged(*args)]),
                      cpuset=Bitmap.single(0))
-        with pytest.raises(SimulationError, match="t yielded unknown op Touch"):
+        with pytest.raises(SimulationError,
+                           match=rf"t yielded unknown op {base.__name__}\("):
             m.run()
         assert m.total_counters().bytes_touched == 0
+        assert m.total_counters().flops == pytest.approx(1e3)
+
+    @pytest.mark.parametrize("core", SimMachine.CORES)
+    def test_yield_expression_receives_none(self, core):
+        # Both op pumps advance a thread with next(gen): nothing is ever
+        # sent into a thread body, whatever op it yielded.
+        m = small_machine(core=core)
+        buf = m.allocate(4096, "b")
+        ev = m.event("e", 1)
+        got = []
+
+        def body():
+            got.append((yield Compute(1e3)))
+            got.append((yield Touch(buf, 64)))
+            got.append((yield Wait(ev)))
+            got.append((yield YieldCPU()))
+
+        m.add_thread("t", body(), cpuset=Bitmap.single(0))
+        m.run()
+        assert got == [None] * 4
 
 
 NAN = float("nan")

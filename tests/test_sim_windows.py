@@ -168,6 +168,26 @@ class TestRunWindow:
             m.add_thread("late", iter([Compute(1e4)]))
         assert len(m.threads) == 16
 
+    @pytest.mark.parametrize("core", SimMachine.CORES)
+    def test_add_thread_after_run_raises(self, core):
+        m = mixed_machine(core)
+        m.run()
+        with pytest.raises(SimulationError, match="after the run has started"):
+            m.add_thread("late", iter([Compute(1e4)]))
+        assert len(m.threads) == 16
+
+    @pytest.mark.parametrize("core", SimMachine.CORES)
+    def test_add_thread_after_budget_stop_raises(self, core):
+        # A window stopped by its event budget has started the run too:
+        # the stopped threads resume from where they are, and no thread
+        # joins them.
+        m = mixed_machine(core)
+        with pytest.raises(SimulationError, match="event budget"):
+            m.run_window(1e13, max_events=10)
+        with pytest.raises(SimulationError, match="after the run has started"):
+            m.add_thread("late", iter([Compute(1e4)]))
+        assert len(m.threads) == 16
+
     def test_window_respects_event_budget(self):
         m = mixed_machine("batched")
         with pytest.raises(SimulationError, match="event budget"):
@@ -242,6 +262,51 @@ class TestRunWindow:
         assert self._signal_between_windows("object") == \
             self._signal_between_windows("batched")
 
+    @staticmethod
+    def _signal_ahead_of_waiters(core: str, *, between: bool) -> tuple:
+        # The first window ends while the four threads still compute, so
+        # a signal between the windows finds no waiter: the count stays
+        # on the event and two Waits later in the run pass without
+        # blocking, as if the event had been created signalled.
+        m = SimMachine(smp12e5(), seed=3, core=core)
+        go = m.event("go", 0 if between else 2)
+        blocked = []
+
+        def worker(i):
+            yield Compute(3e7)
+            if i % 2 == 0:
+                blocked.append(go.count == 0)
+                yield Wait(go)
+            yield Compute(3e7)
+
+        for pu in range(4):
+            m.add_thread(f"t{pu}", worker(pu), cpuset=Bitmap.single(pu))
+        m.run_window(1e6)
+        assert {t.state for t in m.threads} == {"running"}
+        if between:
+            if core == "batched":
+                def object_path(*args):
+                    raise AssertionError("the batched core ran the object path")
+
+                m._drain_event = m._step = m._dispatch = object_path
+            pending = m.pending
+            go.signal(2)
+            assert m.pending == pending
+        m.run_window(1e13)
+        assert {t.state for t in m.threads} == {"done"}
+        assert blocked == [False, False] and go.count == 0
+        return fingerprint(m)[1:] + (m.window_drained_at,)
+
+    def test_signal_without_waiters_between_windows_agrees_across_cores(self):
+        between = self._signal_ahead_of_waiters("object", between=True)
+        assert between == self._signal_ahead_of_waiters("batched",
+                                                        between=True)
+        # With no waiter to wake the signal queues no event, so events,
+        # counters, states and the drain point all match a run whose
+        # event starts signalled.
+        assert between == self._signal_ahead_of_waiters("object",
+                                                        between=False)
+
     def test_budget_raise_mid_bucket_keeps_events_in_flight(self):
         # The sixteen threads start in one calendar bucket, so a budget
         # of ten events stops the batched core inside it. Both cores
@@ -289,6 +354,19 @@ class TestOwnCalendar:
             m.run_window(1e13)
         assert m.threads[0].state == "done"
         assert ran == []
+
+    def test_callback_between_windows_raises_at_next_window(self):
+        m = mixed_machine("batched")
+        m.run_window(1e6)
+        events = m.engine.events_processed
+        m.engine.schedule(0.0, lambda: None)
+        with pytest.raises(SimulationError,
+                           match="1 callback.*on machine.engine"):
+            m.run_window(1e13)
+        # Refused before the window's dispatch: no event ran and the
+        # clock stayed on the first window's horizon.
+        assert m.engine.events_processed == events
+        assert m.engine.now == 1e6
 
 
 class TestBetweenWindowRebind:
