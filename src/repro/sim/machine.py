@@ -46,9 +46,9 @@ mirror the other — the equivalence tests will catch any drift.
 may be called repeatedly — the epoch primitive of the adaptive
 controller (:mod:`repro.affinity`), which folds telemetry and may
 rebind threads or signal events between windows; a signal wakes its
-waiters at the horizon, first thing in the next window. Events in
-flight at a horizon stay where each core keeps them (the engine heap,
-the batched core's calendar) until the next call;
+waiters at the horizon, right after the next window's opening dispatch.
+Events in flight at a horizon stay where each core keeps them (the
+engine heap, the batched core's calendar) until the next call;
 :attr:`SimMachine.pending` counts them. Threads are added before the
 first call only.
 """

@@ -341,25 +341,6 @@ class TestBlockingAndDeadlock:
         assert m.total_counters().bytes_touched == 0
         assert m.total_counters().flops == pytest.approx(1e3)
 
-    @pytest.mark.parametrize("core", SimMachine.CORES)
-    def test_yield_expression_receives_none(self, core):
-        # Both op pumps advance a thread with next(gen): nothing is ever
-        # sent into a thread body, whatever op it yielded.
-        m = small_machine(core=core)
-        buf = m.allocate(4096, "b")
-        ev = m.event("e", 1)
-        got = []
-
-        def body():
-            got.append((yield Compute(1e3)))
-            got.append((yield Touch(buf, 64)))
-            got.append((yield Wait(ev)))
-            got.append((yield YieldCPU()))
-
-        m.add_thread("t", body(), cpuset=Bitmap.single(0))
-        m.run()
-        assert got == [None] * 4
-
 
 NAN = float("nan")
 INF = float("inf")

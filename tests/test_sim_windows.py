@@ -160,33 +160,27 @@ class TestRunWindow:
         m.run_window(1e13)  # everything completes well before this
         assert m.engine.now == 1e13
 
-    @pytest.mark.parametrize("core", SimMachine.CORES)
-    def test_add_thread_after_first_window_raises(self, core):
-        m = mixed_machine(core)
-        m.run_window(1e6)
-        with pytest.raises(SimulationError, match="after the run has started"):
-            m.add_thread("late", iter([Compute(1e4)]))
-        assert len(m.threads) == 16
+    @staticmethod
+    def _start(m: SimMachine, how: str) -> None:
+        if how == "window":
+            m.run_window(1e6)
+        elif how == "run":
+            m.run()
+        else:
+            # A window stopped by its event budget has started the run
+            # too: the stopped threads resume from where they are.
+            with pytest.raises(SimulationError, match="event budget"):
+                m.run_window(1e13, max_events=10)
 
-    @pytest.mark.parametrize("core", SimMachine.CORES)
-    def test_add_thread_after_run_raises(self, core):
-        m = mixed_machine(core)
-        m.run()
-        with pytest.raises(SimulationError, match="after the run has started"):
-            m.add_thread("late", iter([Compute(1e4)]))
-        assert len(m.threads) == 16
-
-    @pytest.mark.parametrize("core", SimMachine.CORES)
-    def test_add_thread_after_budget_stop_raises(self, core):
-        # A window stopped by its event budget has started the run too:
-        # the stopped threads resume from where they are, and no thread
-        # joins them.
-        m = mixed_machine(core)
-        with pytest.raises(SimulationError, match="event budget"):
-            m.run_window(1e13, max_events=10)
-        with pytest.raises(SimulationError, match="after the run has started"):
-            m.add_thread("late", iter([Compute(1e4)]))
-        assert len(m.threads) == 16
+    @pytest.mark.parametrize("how", ["window", "run", "budget-stop"])
+    def test_add_thread_after_the_run_started_raises(self, how):
+        for core in SimMachine.CORES:
+            m = mixed_machine(core)
+            self._start(m, how)
+            with pytest.raises(SimulationError,
+                               match="after the run has started"):
+                m.add_thread("late", iter([Compute(1e4)]))
+            assert len(m.threads) == 16
 
     def test_window_respects_event_budget(self):
         m = mixed_machine("batched")
@@ -264,10 +258,12 @@ class TestRunWindow:
 
     @staticmethod
     def _signal_ahead_of_waiters(core: str, *, between: bool) -> tuple:
-        # The first window ends while the four threads still compute, so
-        # a signal between the windows finds no waiter: the count stays
-        # on the event and two Waits later in the run pass without
-        # blocking, as if the event had been created signalled.
+        # A regression pin for the no-waiter half of the between-window
+        # signal path. The first window ends while the four threads still
+        # compute, so a signal between the windows finds no waiter: the
+        # count stays on the event, nothing is queued, and two Waits later
+        # in the run pass without blocking, as if the event had been
+        # created signalled.
         m = SimMachine(smp12e5(), seed=3, core=core)
         go = m.event("go", 0 if between else 2)
         blocked = []
@@ -354,19 +350,6 @@ class TestOwnCalendar:
             m.run_window(1e13)
         assert m.threads[0].state == "done"
         assert ran == []
-
-    def test_callback_between_windows_raises_at_next_window(self):
-        m = mixed_machine("batched")
-        m.run_window(1e6)
-        events = m.engine.events_processed
-        m.engine.schedule(0.0, lambda: None)
-        with pytest.raises(SimulationError,
-                           match="1 callback.*on machine.engine"):
-            m.run_window(1e13)
-        # Refused before the window's dispatch: no event ran and the
-        # clock stayed on the first window's horizon.
-        assert m.engine.events_processed == events
-        assert m.engine.now == 1e6
 
 
 class TestBetweenWindowRebind:
